@@ -13,6 +13,7 @@ one-line JSON error object on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -95,9 +96,33 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _int(value, where: str) -> int:
+    """A JSON integer. Bools and non-integral numbers are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _num(value, where: str) -> float:
+    """A finite JSON number. Strings and bools are rejected, not coerced."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -158,13 +183,14 @@ def _parse_hp(d: dict, where: str = "hyperparams") -> HyperParams:
     for entry in milestones:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ConfigError(f"bad milestone entry {entry!r} in {where}")
-        ms.append((int(entry[0]), float(entry[1])))
+        ms.append((_int(entry[0], f"{where}.milestones step"),
+                   _num(entry[1], f"{where}.milestones factor")))
     hp = HyperParams(
-        alpha=float(d["alpha"]),
-        beta1=float(d.get("beta1", 0.9)),
-        beta2=float(d.get("beta2", 0.999)),
-        delta=float(d.get("delta", 1e-8)),
-        weight_decay=float(d.get("weight_decay", 0.0)),
+        alpha=_num(d["alpha"], f"{where}.alpha"),
+        beta1=_num(d.get("beta1", 0.9), f"{where}.beta1"),
+        beta2=_num(d.get("beta2", 0.999), f"{where}.beta2"),
+        delta=_num(d.get("delta", 1e-8), f"{where}.delta"),
+        weight_decay=_num(d.get("weight_decay", 0.0), f"{where}.weight_decay"),
         lr_schedule=str(d.get("lr_schedule", "constant")),
         milestones=tuple(ms),
         beta1_schedule=str(d.get("beta1_schedule", "constant")),
@@ -198,7 +224,7 @@ def _parse_problem(d: dict) -> ProblemConfig:
         if start is not None:
             if not (isinstance(start, list) and len(start) == 2):
                 raise ConfigError(f"problem.start must be a 2-element list, got {start!r}")
-            start = tuple(float(v) for v in start)
+            start = tuple(_num(v, "problem.start") for v in start)
         return ProblemConfig(kind="testfn", name=name, start=start)
     if kind == "mlp":
         _require_keys(
@@ -213,12 +239,12 @@ def _parse_problem(d: dict) -> ProblemConfig:
             raise ConfigError(f"unknown dataset {ds['name']!r}")
         cfg = ProblemConfig(
             kind="mlp",
-            hidden_dim=int(d.get("hidden_dim", 16)),
+            hidden_dim=_int(d.get("hidden_dim", 16), "problem.hidden_dim"),
             activation=str(d.get("activation", "tanh")),
             loss=str(d.get("loss", "logistic")),
-            dataset_n=int(ds["n"]),
-            dataset_noise=float(ds.get("noise", 0.15)),
-            batch_size=int(d.get("batch_size", 8)),
+            dataset_n=_int(ds["n"], "problem.dataset.n"),
+            dataset_noise=_num(ds.get("noise", 0.15), "problem.dataset.noise"),
+            batch_size=_int(d.get("batch_size", 8), "problem.batch_size"),
         )
         # validates activation/loss/sizes
         MlpSpec(2, cfg.hidden_dim, 1 if cfg.loss == "logistic" else 2,
@@ -229,9 +255,9 @@ def _parse_problem(d: dict) -> ProblemConfig:
                       "problem")
         cfg = ProblemConfig(
             kind="regret",
-            dim=int(d.get("dim", 2)),
-            center_scale=float(d.get("center_scale", 1.0)),
-            margin=float(d.get("margin", 1.0)),
+            dim=_int(d.get("dim", 2), "problem.dim"),
+            center_scale=_num(d.get("center_scale", 1.0), "problem.center_scale"),
+            margin=_num(d.get("margin", 1.0), "problem.margin"),
         )
         if cfg.dim < 1:
             raise ConfigError(f"problem.dim must be >= 1, got {cfg.dim}")
@@ -290,11 +316,11 @@ def parse_run_config(d: dict) -> RunConfig:
         problem=problem,
         optimizer=optimizer,
         hp=_parse_hp(d["hyperparams"]),
-        seed=int(d["seed"]),
-        steps=None if steps is None else int(steps),
-        epochs=None if epochs is None else int(epochs),
-        snapshot_every=int(d.get("snapshot_every", 1)),
-        tol=float(d.get("tol", 1e-2)),
+        seed=_int(d["seed"], "seed"),
+        steps=None if steps is None else _int(steps, "steps"),
+        epochs=None if epochs is None else _int(epochs, "epochs"),
+        snapshot_every=_int(d.get("snapshot_every", 1), "snapshot_every"),
+        tol=_num(d.get("tol", 1e-2), "tol"),
     )
     if cfg.steps is not None and cfg.steps < 1:
         raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
@@ -505,8 +531,8 @@ def parse_race_config(d: dict):
             raise ConfigError(f"duplicate entrant {name!r}")
         names.append(name)
         hp_map[name] = _parse_hp(e["hyperparams"], f"entrants[{i}].hyperparams")
-    tol = float(d.get("tol", 1e-2))
-    max_steps = int(d.get("max_steps", 100_000))
+    tol = _num(d.get("tol", 1e-2), "tol")
+    max_steps = _int(d.get("max_steps", 100_000), "max_steps")
     if tol <= 0 or max_steps < 1:
         raise ConfigError(f"bad tol/max_steps: {tol}, {max_steps}")
     return problem, names, hp_map, tol, max_steps

@@ -151,6 +151,9 @@ def test_parse_race_config_checks_entrants():
     empty = dict(race, entrants=[])
     with pytest.raises(ConfigError):
         parse_race_config(empty)
+    for bad in ({"max_steps": True}, {"max_steps": 10.5}, {"tol": "0.01"}):
+        with pytest.raises(ConfigError):
+            parse_race_config(dict(race, **bad))
 
 
 # ---------------------------------------------------------------- seeds
@@ -269,6 +272,45 @@ def test_run_verb_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "broken.json"),
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["hyperparams"].update(alpha="1e-3"),
+    lambda d: d.update(steps=True),
+    lambda d: d.update(seed=7.9),
+    lambda d: d["hyperparams"].update(lr_schedule="milestones",
+                                      milestones=[[1.7, 0.5]]),
+    lambda d: d["hyperparams"].update(alpha=10 ** 400),
+], ids=["alpha_string", "steps_bool", "seed_fractional", "milestone_fractional",
+        "alpha_beyond_float_range"])
+def test_run_verb_rejects_coercible_value_types(tmp_path, capsys, mutate):
+    d = json.loads(json.dumps(BASE))
+    mutate(d)
+    cfg = write_config(tmp_path, d)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not out.exists()
+
+
+def test_parse_reads_integral_float_as_int():
+    d = json.loads(json.dumps(BASE))
+    d["steps"] = 60.0
+    assert parse_run_config(d).steps == 60
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path, monkeypatch):
+    import agdopt.cli as cli
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    target = tmp_path / "out.txt"
+    with pytest.raises(OSError, match="replace failed"):
+        cli._atomic_write(str(target), "payload\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_verb_divergence_is_a_result(tmp_path):

@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agdopt.core import ConfigError, HyperParams
+from agdopt.models import rng_stream
 from agdopt.theory import (
+    STREAM_VARIANCE,
+    _compensated_sum,
     alpha_hat_series,
     norm_bound_check,
     loglog_slope,
@@ -45,13 +48,50 @@ def test_variance_ratio_analytic_domain():
 
 
 def test_variance_ratio_mc_close_to_analytic():
-    emp, ana = variance_ratio_mc(0.9, 10, samples=40_000, seed=0)
+    [(emp, ana)] = variance_ratio_mc([(0.9, 10)], samples=40_000, seed=0)
     assert abs(emp - ana) / ana < 0.05
 
 
 def test_variance_ratio_mc_sample_guard():
     with pytest.raises(ConfigError):
-        variance_ratio_mc(0.9, 10, samples=5_000, seed=0)
+        variance_ratio_mc([(0.9, 10)], samples=5_000, seed=0)
+
+
+def _variance_ratio_mc_per_combo(beta1, t, samples, seed):
+    """Reference: one combo at a time, re-seeding the stream for each."""
+    rng = rng_stream(seed, STREAM_VARIANCE)
+    m = np.zeros(samples)
+    for _ in range(t):
+        m = beta1 * m + (1.0 - beta1) * rng.standard_normal(samples)
+    mhat = m / (1.0 - beta1 ** t)
+    mean = _compensated_sum(mhat) / samples
+    var = _compensated_sum((mhat - mean) ** 2) / (samples - 1)
+    return var, variance_ratio_analytic(beta1, t)
+
+
+SUITE_COMBOS = [(b1, t) for b1 in (0.5, 0.9, 0.99) for t in (2, 10, 100)]
+
+
+@pytest.mark.parametrize("combos", [
+    SUITE_COMBOS,
+    [(0.9, 100), (0.5, 3), (0.9, 2), (0.99, 7), (0.5, 3), (0.9, 100)],
+], ids=["suite", "unsorted_repeated"])
+def test_variance_ratio_mc_matches_per_combo_reference(combos):
+    got = variance_ratio_mc(combos, samples=20_000, seed=3)
+    want = [_variance_ratio_mc_per_combo(b1, t, 20_000, 3) for b1, t in combos]
+    assert got == want  # exact float equality, combo order kept
+
+
+@pytest.mark.parametrize("combos", [[], [(0.9, 10), (1.0, 10)],
+                                    [(0.9, 10), (0.5, 0)]],
+                         ids=["empty", "beta1_one", "t_zero"])
+def test_variance_ratio_mc_rejects_bad_combos(combos, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew from the stream before validating")
+
+    monkeypatch.setattr("agdopt.theory.rng_stream", no_draws)
+    with pytest.raises(ConfigError):
+        variance_ratio_mc(combos, samples=20_000, seed=0)
 
 
 # --------------------------------------------------------- effective step size
