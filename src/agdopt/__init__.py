@@ -8,11 +8,8 @@ from .core import (
     NumericError,
     ShapeError,
     StepDiagnostics,
-    StepSchedule,
     bhat_histogram,
     optimizer_step,
-    schedule_beta1,
-    schedule_lr,
 )
 from .optim import (
     AdamLikeState,
@@ -21,7 +18,6 @@ from .optim import (
     SgdState,
     adabelief_step,
     adam_step,
-    agd_compute_s,
     agd_step,
     init_state,
     sgd_momentum_step,

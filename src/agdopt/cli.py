@@ -20,16 +20,16 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, HyperParams
-from .diagnostics import MlpProblem, RegretProblem, TestFnProblem, race, record_run
+from .diagnostics import MlpProblem, TestFnProblem, race, record_run
 from .models import MlpSpec, two_moons
 from .optim import OPTIMIZER_NAMES
-from .testfns import TESTFNS, get_testfn
-from .theory import make_quadratic_stream, verify_suite
+from .testfns import get_testfn
+from .theory import RegretProblem, make_quadratic_stream, verify_suite
 
 __all__ = [
     "RunConfig",
@@ -451,7 +451,7 @@ def _apply_param(d: dict, path: str, value) -> dict:
 
 def _sweep_point(args):
     base_dict, path, value, index, out_dir = args
-    pd = _apply_param(base_dict, path, int(value) if path == "seed" else value)
+    pd = _apply_param(base_dict, path, value)
     if path != "seed":
         pd["seed"] = derive_seed(int(base_dict["seed"]), index)
     cfg = parse_run_config(pd)
@@ -467,6 +467,8 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
     if not values:
         raise ConfigError("sweep needs at least one value")
     parse_run_config(base_dict)  # fail fast before any point runs
+    if path == "seed":
+        values = [_int(v, "seed") for v in values]
     os.makedirs(out_dir, exist_ok=True)
     tasks = [(base_dict, path, v, i, out_dir) for i, v in enumerate(values)]
     if jobs > 1:
@@ -570,7 +572,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int literal too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
 
 

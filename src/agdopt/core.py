@@ -1,19 +1,21 @@
-"""Shared optimizer plumbing: hyperparameters, schedules, step diagnostics,
-and the uniform stepping contract.
+"""Shared optimizer plumbing: hyperparameters and their schedules, step
+diagnostics, and the uniform stepping contract.
 
 Every optimizer works on flat float64 vectors and exposes a step of the shape
 
     (state, w, g, t, hp) -> (state', w', StepDiagnostics)
 
 with t starting at 1. Steps are pure: inputs are never mutated, fresh state
-comes back. `optimizer_step` is the validated front door; it applies decoupled
-weight decay (when enabled) and dispatches on the state type.
+comes back. `optimizer_step` is the front door for library callers: it
+validates the hyperparameters and vectors, applies decoupled weight decay
+(when enabled), hands the step to `optim.dispatch_step` (which checks the step
+counter and shapes) and refuses a non-finite result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +23,8 @@ __all__ = [
     "ConfigError",
     "ShapeError",
     "NumericError",
-    "StepSchedule",
     "HyperParams",
     "StepDiagnostics",
-    "schedule_lr",
-    "schedule_beta1",
     "optimizer_step",
     "as_param_vector",
     "bhat_histogram",
@@ -49,42 +48,6 @@ class NumericError(ArithmeticError):
 
 LR_KINDS = ("constant", "inverse_sqrt", "milestones")
 BETA1_KINDS = ("constant", "over_sqrt_t", "over_t")
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Learning-rate schedule: a base value plus a decay rule.
-
-    kinds:
-      constant      lr_t = base
-      inverse_sqrt  lr_t = base / sqrt(t)
-      milestones    lr_t = base * prod(factor for (step, factor) if step <= t)
-    """
-
-    base: float
-    kind: str = "constant"
-    milestones: tuple[tuple[int, float], ...] = ()
-
-    def at(self, t: int) -> float:
-        return schedule_lr(self, t)
-
-
-def schedule_lr(sched: StepSchedule, t: int) -> float:
-    if t < 1:
-        raise ConfigError(f"schedule evaluated at t={t}; steps start at 1")
-    if sched.base <= 0.0:
-        raise ConfigError(f"schedule base must be positive, got {sched.base}")
-    if sched.kind == "constant":
-        return sched.base
-    if sched.kind == "inverse_sqrt":
-        return sched.base / math.sqrt(t)
-    if sched.kind == "milestones":
-        lr = sched.base
-        for step, factor in sched.milestones:
-            if step <= t:
-                lr *= factor
-        return lr
-    raise ConfigError(f"unknown lr schedule kind {sched.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +90,8 @@ class HyperParams:
                 raise ConfigError(f"bad milestone {entry!r}")
 
     def lr_at(self, t: int) -> float:
-        # same arithmetic as schedule_lr, without building a StepSchedule
-        # (this sits on the hot path of every optimizer step)
+        """constant: alpha; inverse_sqrt: alpha / sqrt(t); milestones: alpha
+        times every factor whose step is <= t."""
         if t < 1:
             raise ConfigError(f"schedule evaluated at t={t}; steps start at 1")
         if self.lr_schedule == "constant":
@@ -142,20 +105,16 @@ class HyperParams:
         return lr
 
     def beta1_at(self, t: int) -> float:
-        return schedule_beta1(self, t)
-
-
-def schedule_beta1(hp: HyperParams, t: int) -> float:
-    """Momentum-coefficient schedule; over_sqrt_t and over_t decay the base."""
-    if t < 1:
-        raise ConfigError(f"schedule evaluated at t={t}; steps start at 1")
-    if hp.beta1_schedule == "constant":
-        return hp.beta1
-    if hp.beta1_schedule == "over_sqrt_t":
-        return hp.beta1 / math.sqrt(t)
-    if hp.beta1_schedule == "over_t":
-        return hp.beta1 / t
-    raise ConfigError(f"unknown beta1 schedule {hp.beta1_schedule!r}")
+        """Momentum coefficient; over_sqrt_t and over_t decay the base."""
+        if t < 1:
+            raise ConfigError(f"schedule evaluated at t={t}; steps start at 1")
+        if self.beta1_schedule == "constant":
+            return self.beta1
+        if self.beta1_schedule == "over_sqrt_t":
+            return self.beta1 / math.sqrt(t)
+        if self.beta1_schedule == "over_t":
+            return self.beta1 / t
+        raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}")
 
 
 # Histogram convention for the rms preconditioner estimate: 18 base-10 decade
@@ -179,14 +138,12 @@ class StepDiagnostics:
       (1.0 by convention for SGD, 0.0 for the Adam family).
     bhat_histogram: bucket counts per `bhat_histogram`, or None when the
       caller asked to skip collection or the optimizer has no second moment.
-    step_norm: ||w' - w||_2.
-    effective_lr_minmax: smallest and largest per-coordinate multiplier
-      applied to the momentum buffer.
+    step_norm: the 2-norm of the optimizer's own update. Decoupled weight
+      decay is applied before the update and is not counted.
     """
 
     truncation_fraction: float
     step_norm: float
-    effective_lr_minmax: tuple[float, float]
     bhat_histogram: np.ndarray | None = None
 
 
@@ -203,13 +160,6 @@ def as_param_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def _check_step_inputs(state, w: np.ndarray, g: np.ndarray, t: int) -> None:
-    if t != state.t + 1:
-        raise ConfigError(f"step counter mismatch: state at t={state.t}, got t={t}")
-    if w.shape != g.shape:
-        raise ShapeError(f"param shape {w.shape} != gradient shape {g.shape}")
-
-
 def optimizer_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
     """Validated uniform step: decay, dispatch, output check.
 
@@ -221,9 +171,6 @@ def optimizer_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool
     hp.validate()
     w = as_param_vector(w, "params")
     g = as_param_vector(g, "gradient")
-    _check_step_inputs(state, w, g, t)
-
-    w_in = w
     if hp.weight_decay > 0.0:
         w = w * (1.0 - hp.lr_at(t) * hp.weight_decay)
 
@@ -233,7 +180,4 @@ def optimizer_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool
     if not np.isfinite(new_w).all():
         bad = int(np.flatnonzero(~np.isfinite(new_w))[0])
         raise NumericError(f"step produced non-finite params[{bad}] = {new_w[bad]!r}")
-    if hp.weight_decay > 0.0:
-        # report the total parameter change, decay shrinkage included
-        diag.step_norm = float(np.linalg.norm(new_w - w_in))
     return new_state, new_w, diag

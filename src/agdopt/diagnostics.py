@@ -1,10 +1,12 @@
-"""Run recording, head-to-head races, and switch-behavior timelines.
+"""The run loop, run recording, head-to-head races, and switch-behavior
+timelines.
 
 A Problem bundles a start point with a loss/gradient callback; fresh problem
-objects are cheap and deterministic, so every run rebuilds its own. The run
-loop applies decoupled weight decay and dispatches steps exactly like
-`core.optimizer_step` but validates once up front instead of every step,
-which matters at race step counts.
+objects are cheap and deterministic, so every run rebuilds its own. One
+generator, `run_steps`, drives every run: it validates once up front, applies
+decoupled weight decay, steps through `optim.dispatch_step`, projects when the
+problem asks for it, and ends the run at divergence. `record_run`, `race` and
+`theory.online_regret` consume it.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from .core import ConfigError, HyperParams, StepDiagnostics, as_param_vector
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
 from .optim import dispatch_step, init_state
 from .testfns import TestFunction
-from .theory import RegretExperiment, project_box
 
 __all__ = [
     "DIVERGENCE_LOSS",
     "TestFnProblem",
     "MlpProblem",
-    "RegretProblem",
     "TrajectoryPoint",
     "Trajectory",
     "record_run",
@@ -51,8 +51,7 @@ class TestFnProblem:
         return self.start.copy()
 
     def loss_grad(self, w):
-        value, grad, _ = self.fn.fn(w)
-        return value, grad
+        return self.fn.fn(w)
 
 
 class MlpProblem:
@@ -80,39 +79,6 @@ class MlpProblem:
         return mlp_loss_grad(self.spec, w, inputs, targets)
 
 
-class RegretProblem:
-    """Projected online quadratics; the reported loss is instantaneous regret.
-
-    loss_grad consumes one stream element per call (like minibatch training)
-    and returns f_t(w) - f_t(w*), which can be negative at individual steps;
-    the cumulative sum is the regret series. The project hook clips iterates
-    back into the experiment's box after every optimizer step.
-    """
-
-    def __init__(self, exp: RegretExperiment):
-        self.exp = exp
-        self.name = f"regret-quadratics-{exp.dim}d"
-        self.optimum = None
-        self._star = 0.5 * ((exp.centers - exp.w_star) ** 2).sum(axis=1)
-        self._t = 0
-
-    def init_params(self) -> np.ndarray:
-        return project_box(np.zeros(self.exp.dim), self.exp.lo, self.exp.hi)
-
-    def loss_grad(self, w):
-        if self._t >= self.exp.horizon:
-            raise ConfigError(
-                f"online stream exhausted after {self.exp.horizon} steps")
-        c = self.exp.centers[self._t]
-        star = float(self._star[self._t])
-        self._t += 1
-        d = w - c
-        return 0.5 * float(d @ d) - star, d
-
-    def project(self, w: np.ndarray) -> np.ndarray:
-        return project_box(w, self.exp.lo, self.exp.hi)
-
-
 @dataclass
 class TrajectoryPoint:
     t: int
@@ -136,31 +102,60 @@ class Trajectory:
         return [p.params for p in self.points if p.params is not None]
 
 
+def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
+              snapshot_every: int | None = None):
+    """Step `optimizer` on `problem`, yielding (t, loss, w, diag).
+
+    The first item is the validated start, (0, None, w_0, None). Step t yields
+    the loss at w_{t-1}, the new iterate w_t and the step's diagnostics, with
+    a histogram every snapshot_every steps and at the last (never if None).
+    A problem may define project(w), applied after every optimizer step.
+    Divergence ends the run: a loss that is non-finite or above
+    DIVERGENCE_LOSS, or an OverflowError in the oracle (loss inf), yields
+    (t, loss, w_{t-1}, None) as the last item.
+    """
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if snapshot_every is not None and snapshot_every < 1:
+        raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    hp.validate()
+    w = as_param_vector(problem.init_params(), "start params")
+    state = init_state(optimizer, w.size)
+    decay = hp.weight_decay
+    project = getattr(problem, "project", None)
+    yield 0, None, w, None
+    for t in range(1, steps + 1):
+        try:
+            loss, g = problem.loss_grad(w)
+        except OverflowError:
+            loss = math.inf
+        if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+            yield t, loss, w, None
+            return
+        snap = snapshot_every is not None and (t % snapshot_every == 0 or t == steps)
+        if decay > 0.0:
+            w = w * (1.0 - hp.lr_at(t) * decay)
+        state, w, diag = dispatch_step(state, w, g, t, hp, collect_histogram=snap)
+        if project is not None:
+            w = project(w)
+        yield t, loss, w, diag
+
+
 def record_run(problem, optimizer: str, hp: HyperParams, steps: int,
                snapshot_every: int = 1, tol: float | None = None) -> Trajectory:
     """Run an optimizer, recording loss and scalar diagnostics every step; a
     parameter snapshot and denominator histogram are kept every
     snapshot_every steps (and at the final step).
 
-    A loss above DIVERGENCE_LOSS (or non-finite) stops the run and flags it;
-    divergence is a result, not an error. When the problem exposes a known
-    optimum and tol is given, steps_to_tol records the first step whose
-    post-step parameters are within tol of it (0 for a start already inside,
-    None if never reached), with the same accounting as race(). A problem may
-    define project(w); it is applied after every optimizer step, which is how
-    constrained online runs stay inside their feasible box.
+    Divergence (see run_steps) stops the run and flags it; it is a result,
+    not an error, and the last point holds the diverging loss and iterate.
+    When the problem exposes a known optimum and tol is given, steps_to_tol
+    records the first step whose post-step parameters are within tol of it
+    (0 for a start already inside, None if never reached), with the same
+    accounting as race().
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if snapshot_every < 1:
-        raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
     if tol is not None and tol <= 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
-    hp.validate()
-    w = as_param_vector(problem.init_params(), "start params")
-    state = init_state(optimizer, w.size)
-    decay = hp.weight_decay
-    project = getattr(problem, "project", None)
     optimum = getattr(problem, "optimum", None)
     track = tol is not None and optimum is not None
     points: list[TrajectoryPoint] = []
@@ -171,32 +166,20 @@ def record_run(problem, optimizer: str, hp: HyperParams, steps: int,
         "steps": steps,
         "snapshot_every": snapshot_every,
     })
-    if track:
-        d0 = w - optimum
-        if float(d0 @ d0) <= tol * tol:
-            traj.steps_to_tol = 0
-    for t in range(1, steps + 1):
-        loss, g = problem.loss_grad(w)
-        if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+    for t, loss, w, diag in run_steps(problem, optimizer, hp, steps, snapshot_every):
+        if t and diag is None:
             traj.diverged = True
             traj.diverged_at = t
             points.append(TrajectoryPoint(t=t, loss=loss, params=w.copy()))
             break
-        snap = (t % snapshot_every == 0) or t == steps
-        if decay > 0.0:
-            w = w * (1.0 - hp.lr_at(t) * decay)
-        state, w, diag = dispatch_step(state, w, g, t, hp, collect_histogram=snap)
-        if project is not None:
-            w = project(w)
         if track and traj.steps_to_tol is None:
             d = w - optimum
             if float(d @ d) <= tol * tol:
                 traj.steps_to_tol = t
-        points.append(TrajectoryPoint(
-            t=t, loss=loss,
-            params=w.copy() if snap else None,
-            diag=diag,
-        ))
+        if t:
+            snap = t % snapshot_every == 0 or t == steps
+            points.append(TrajectoryPoint(t=t, loss=loss, diag=diag,
+                                          params=w.copy() if snap else None))
     return traj
 
 
@@ -223,35 +206,26 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
     The problem must be deterministic (stateless loss_grad) and expose a known
     optimum; every entrant restarts from problem.init_params(). Distance is
     checked before the first step, so a start inside the ball scores 0.
-    Results do not depend on the order optimizers are listed in.
+    Results do not depend on the order optimizers are listed in. An entrant
+    that diverges (see run_steps) stops at that step and is DNF.
     """
     if tol <= 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     optimum = problem.optimum
     if optimum is None:
         raise ConfigError(f"problem {problem.name!r} has no known optimum to race to")
+    tol_sq = tol * tol
     steps_to_tol: dict[str, int | None] = {}
     final_distance: dict[str, float] = {}
     for name in optimizers:
-        hp = hp_map[name]
-        hp.validate()
-        w = as_param_vector(problem.init_params(), "start params")
-        state = init_state(name, w.size)
-        decay = hp.weight_decay
-        tol_sq = tol * tol
-        d0 = w - optimum
-        result: int | None = 0 if float(d0 @ d0) <= tol_sq else None
-        if result is None:
-            for t in range(1, max_steps + 1):
-                _, g = problem.loss_grad(w)
-                if decay > 0.0:
-                    w = w * (1.0 - hp.lr_at(t) * decay)
-                state, w, _ = dispatch_step(state, w, g, t, hp,
-                                            collect_histogram=False)
-                d = w - optimum
-                if float(d @ d) <= tol_sq:
-                    result = t
-                    break
+        result: int | None = None
+        for t, _, w, diag in run_steps(problem, name, hp_map[name], max_steps):
+            if t and diag is None:
+                break
+            d = w - optimum
+            if float(d @ d) <= tol_sq:
+                result = t
+                break
         steps_to_tol[name] = result
         d = w - optimum
         final_distance[name] = math.sqrt(float(d @ d))

@@ -164,10 +164,7 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
     batch = inputs.shape[0]
     if batch < 1:
         raise ShapeError("empty batch")
-    w1, b1, w2, b2 = _unpack(spec, params)
-    pre = inputs @ w1 + b1
-    hid = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
-    out = hid @ w2 + b2
+    pre, hid, out = _forward(spec, params, inputs)
 
     if spec.loss == "softmax_ce":
         labels = np.asarray(targets)
@@ -195,7 +192,7 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
 
     dw2 = hid.T @ dout
     db2 = dout.sum(axis=0)
-    dhid = dout @ w2.T
+    dhid = dout @ _unpack(spec, params)[2].T
     if spec.activation == "tanh":
         dpre = dhid * (1.0 - hid * hid)
     else:

@@ -21,8 +21,11 @@ the rest take an rms-preconditioned step. The amsgrad flag additionally keeps
 b_t elementwise non-decreasing, which the sublinear-regret run mode requires.
 
 The Adam / AdamW / AdaBelief and SGD+momentum baselines share the same calling
-convention so runs and races can treat optimizers uniformly. AdamW differs from
-Adam only through the decoupled weight decay handled by `core.optimizer_step`.
+convention so runs and races can treat optimizers uniformly. One Adam-family
+kernel serves all three variants: AdamW differs from Adam only through the
+decoupled weight decay applied by the caller, and AdaBelief feeds the second
+moment with g_t - m_t instead of g_t. `dispatch_step` is the one place that
+checks a step's counter and shapes; the kernels only compute.
 """
 
 from __future__ import annotations
@@ -32,14 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    HyperParams,
-    ShapeError,
-    StepDiagnostics,
-    bhat_histogram,
-    schedule_beta1,
-)
+from .core import ConfigError, HyperParams, ShapeError, StepDiagnostics, bhat_histogram
 
 __all__ = [
     "AgdState",
@@ -50,7 +46,6 @@ __all__ = [
     "agd_init",
     "adamlike_init",
     "sgd_init",
-    "agd_compute_s",
     "agd_step",
     "adam_step",
     "adabelief_step",
@@ -120,28 +115,9 @@ def init_state(name: str, n: int):
     raise ConfigError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
 
 
-def agd_compute_s(m_t: np.ndarray, prev_corrected: np.ndarray, t: int, beta1_power: float):
-    """Difference of consecutive debiased momentum averages.
-
-    beta1_power is the compounded decay B_t = prod_{i<=t} beta1_i; for a
-    constant coefficient this is just beta1**t. At t=1 the previous average
-    does not exist and s_1 is the debiased m_1 itself.
-    """
-    if t < 1:
-        raise ConfigError(f"t must be >= 1, got {t}")
-    corr = 1.0 - beta1_power
-    if corr <= 0.0:
-        raise ZeroDivisionError(
-            f"bias correction 1 - beta1_power = {corr}; beta1 must stay below 1"
-        )
-    corrected = m_t / corr
-    if t == 1:
-        return corrected
-    return corrected - prev_corrected
-
-
-def _agd_kernel(state: AgdState, w, g, t, hp: HyperParams, collect_histogram: bool):
-    beta1_t = schedule_beta1(hp, t)
+def agd_step(state: AgdState, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
+    """One auto-switching step; returns (state', w', diagnostics)."""
+    beta1_t = hp.beta1_at(t)
     m = beta1_t * state.m + (1.0 - beta1_t) * g
     beta1_prod = state.beta1_prod * beta1_t
     corr1 = 1.0 - beta1_prod
@@ -169,7 +145,6 @@ def _agd_kernel(state: AgdState, w, g, t, hp: HyperParams, collect_histogram: bo
     diag = StepDiagnostics(
         truncation_fraction=truncated / w.size,
         step_norm=math.sqrt(float(np.dot(update, update))),
-        effective_lr_minmax=(float(scale / denom.max()), float(scale / denom.min())),
         bhat_histogram=bhat_histogram(bhat) if collect_histogram else None,
     )
     new_state = AgdState(
@@ -178,84 +153,21 @@ def _agd_kernel(state: AgdState, w, g, t, hp: HyperParams, collect_histogram: bo
     return new_state, new_w, diag
 
 
-def agd_step(state: AgdState, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
-    """One auto-switching step; returns (state', w', diagnostics)."""
-    if hp.delta <= 0.0:
-        raise ConfigError(f"delta must be positive, got {hp.delta}")
-    if t != state.t + 1:
-        raise ConfigError(f"step counter mismatch: state at t={state.t}, got t={t}")
-    if w.shape != g.shape or w.shape != state.m.shape:
-        raise ShapeError(
-            f"shape mismatch: params {w.shape}, gradient {g.shape}, state {state.m.shape}"
-        )
-    new_state, new_w, diag = _agd_kernel(state, w, g, t, hp, collect_histogram)
-    if not np.isfinite(new_w).all():
-        from .core import NumericError
-
-        bad = int(np.flatnonzero(~np.isfinite(new_w))[0])
-        raise NumericError(f"step produced non-finite params[{bad}] = {new_w[bad]!r}")
-    return new_state, new_w, diag
-
-
 def adam_step(state: AdamLikeState, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
-    """Bias-corrected Adam step: w <- w - lr_t * mhat / (sqrt(vhat) + delta).
+    """Bias-corrected Adam-family step: w <- w - lr_t * mhat / (sqrt(vhat) + delta).
 
-    delta plays the usual epsilon role. Decoupled weight decay (the AdamW
-    variant) is applied by the caller before this runs.
+    delta plays the usual epsilon role. v tracks g_t**2 for Adam and AdamW
+    (whose decoupled decay the caller applies). For AdaBelief v tracks
+    (g_t - m_t)**2 plus delta each step, as the reference implementation does.
     """
-    if hp.delta <= 0.0:
-        raise ConfigError(f"delta must be positive, got {hp.delta}")
-    if t != state.t + 1:
-        raise ConfigError(f"step counter mismatch: state at t={state.t}, got t={t}")
-    beta1_t = schedule_beta1(hp, t)
+    beta1_t = hp.beta1_at(t)
     m = beta1_t * state.m + (1.0 - beta1_t) * g
     beta1_prod = state.beta1_prod * beta1_t
     corr1 = 1.0 - beta1_prod
-    v = hp.beta2 * state.v + (1.0 - hp.beta2) * (g * g)
-
-    bc2 = 1.0 - hp.beta2 ** t
-    rms = np.sqrt(v / bc2)
-    denom = rms + hp.delta
-    scale = hp.lr_at(t) / corr1
-    update = scale * (m / denom)
-    new_w = w - update
-
-    diag = StepDiagnostics(
-        truncation_fraction=0.0,
-        step_norm=math.sqrt(float(np.dot(update, update))),
-        effective_lr_minmax=(float(scale / denom.max()), float(scale / denom.min())),
-        bhat_histogram=bhat_histogram(rms) if collect_histogram else None,
-    )
-    new_state = replace(state, m=m, v=v, beta1_prod=beta1_prod, t=t)
-    return new_state, new_w, diag
-
-
-def adabelief_step(
-    state: AdamLikeState,
-    w,
-    g,
-    t: int,
-    hp: HyperParams,
-    collect_histogram: bool = True,
-    inner_eps: bool = True,
-):
-    """AdaBelief step: the second moment tracks (g_t - m_t)**2.
-
-    inner_eps=True matches the published reference implementation, which adds
-    the epsilon inside the accumulator each step as well as in the
-    denominator; pass False for the plain-EMA variant.
-    """
-    if hp.delta <= 0.0:
-        raise ConfigError(f"delta must be positive, got {hp.delta}")
-    if t != state.t + 1:
-        raise ConfigError(f"step counter mismatch: state at t={state.t}, got t={t}")
-    beta1_t = schedule_beta1(hp, t)
-    m = beta1_t * state.m + (1.0 - beta1_t) * g
-    beta1_prod = state.beta1_prod * beta1_t
-    corr1 = 1.0 - beta1_prod
-    innovation = g - m
-    v = hp.beta2 * state.v + (1.0 - hp.beta2) * (innovation * innovation)
-    if inner_eps:
+    belief = state.variant == "adabelief"
+    moment_in = g - m if belief else g
+    v = hp.beta2 * state.v + (1.0 - hp.beta2) * (moment_in * moment_in)
+    if belief:
         v = v + hp.delta
 
     bc2 = 1.0 - hp.beta2 ** t
@@ -268,11 +180,14 @@ def adabelief_step(
     diag = StepDiagnostics(
         truncation_fraction=0.0,
         step_norm=math.sqrt(float(np.dot(update, update))),
-        effective_lr_minmax=(float(scale / denom.max()), float(scale / denom.min())),
         bhat_histogram=bhat_histogram(rms) if collect_histogram else None,
     )
     new_state = replace(state, m=m, v=v, beta1_prod=beta1_prod, t=t)
     return new_state, new_w, diag
+
+
+# the same kernel; the variant of the AdamLikeState selects the AdaBelief moment
+adabelief_step = adam_step
 
 
 def sgd_momentum_step(state: SgdState, w, g, t: int, hp: HyperParams,
@@ -283,8 +198,6 @@ def sgd_momentum_step(state: SgdState, w, g, t: int, hp: HyperParams,
     convention (every coordinate takes the momentum path) and there is no
     second-moment histogram.
     """
-    if t != state.t + 1:
-        raise ConfigError(f"step counter mismatch: state at t={state.t}, got t={t}")
     buffer = hp.beta1 * state.buffer + g
     lr = hp.lr_at(t)
     update = lr * buffer
@@ -292,20 +205,28 @@ def sgd_momentum_step(state: SgdState, w, g, t: int, hp: HyperParams,
     diag = StepDiagnostics(
         truncation_fraction=1.0,
         step_norm=math.sqrt(float(np.dot(update, update))),
-        effective_lr_minmax=(lr, lr),
-        bhat_histogram=None,
     )
     return SgdState(buffer=buffer, t=t), new_w, diag
 
 
 def dispatch_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
-    """Route a uniform step to the optimizer owning `state`."""
+    """Route a uniform step to the optimizer owning `state`.
+
+    Checks that t follows the state's counter and that params, gradient and
+    the state's vectors share one shape; the kernels themselves do not check.
+    """
     if isinstance(state, AgdState):
-        return agd_step(state, w, g, t, hp, collect_histogram)
-    if isinstance(state, AdamLikeState):
-        if state.variant == "adabelief":
-            return adabelief_step(state, w, g, t, hp, collect_histogram)
-        return adam_step(state, w, g, t, hp, collect_histogram)
-    if isinstance(state, SgdState):
-        return sgd_momentum_step(state, w, g, t, hp, collect_histogram)
-    raise ConfigError(f"unrecognized optimizer state {type(state).__name__}")
+        kernel, vec = agd_step, state.m
+    elif isinstance(state, AdamLikeState):
+        kernel = adabelief_step if state.variant == "adabelief" else adam_step
+        vec = state.m
+    elif isinstance(state, SgdState):
+        kernel, vec = sgd_momentum_step, state.buffer
+    else:
+        raise ConfigError(f"unrecognized optimizer state {type(state).__name__}")
+    if t != state.t + 1:
+        raise ConfigError(f"step counter mismatch: state at t={state.t}, got t={t}")
+    if not w.shape == g.shape == vec.shape:
+        raise ShapeError(f"shape mismatch: params {w.shape}, gradient {g.shape}, "
+                         f"state {vec.shape}")
+    return kernel(state, w, g, t, hp, collect_histogram)

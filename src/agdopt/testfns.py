@@ -1,8 +1,8 @@
 """Analytic 2-D benchmark functions with closed-form derivatives.
 
-Each function returns (value, gradient, hessian_diagonal) at a point; the
-registry entries also carry the full Hessian, the known minimizer, and the
-committed default start used by the trajectory races.
+Each function returns (value, gradient) at a point; the registry entries also
+carry the full Hessian (whose diagonal is `TestFunction.hess_diag`), the known
+minimizer, and the committed default start used by the trajectory races.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ def beale(point):
         2.0 * (r1 * d1x + r2 * d2x + r3 * d3x),
         2.0 * (r1 * d1y + r2 * d2y + r3 * d3y),
     ])
-    hess_diag = np.array([
-        2.0 * (d1x * d1x + d2x * d2x + d3x * d3x),
-        2.0 * (d1y * d1y + d2y * d2y + d3y * d3y)
-        + 2.0 * (r2 * 2.0 * x + r3 * 6.0 * x * y),
-    ])
-    return value, grad, hess_diag
+    return value, grad
 
 
 def _beale_hess(point):
@@ -73,8 +68,7 @@ def rosenbrock(point):
         -2.0 * (1.0 - x) - 400.0 * x * seam,
         200.0 * seam,
     ])
-    hess_diag = np.array([2.0 - 400.0 * seam + 800.0 * x * x, 200.0])
-    return value, grad, hess_diag
+    return value, grad
 
 
 def _rosenbrock_hess(point):
@@ -93,8 +87,7 @@ def quad_skew(point):
     d = x - y
     value = a * a + d * d / 10.0
     grad = np.array([2.0 * a + d / 5.0, 2.0 * a - d / 5.0])
-    hess_diag = np.array([2.2, 2.2])
-    return value, grad, hess_diag
+    return value, grad
 
 
 def _quad_skew_hess(point):
@@ -104,7 +97,7 @@ def _quad_skew_hess(point):
 @dataclass(frozen=True)
 class TestFunction:
     name: str
-    fn: Callable  # point -> (value, grad, hess_diag)
+    fn: Callable  # point -> (value, grad)
     hess: Callable  # point -> full Hessian matrix
     optimum: np.ndarray
     fmin: float
@@ -124,7 +117,7 @@ class TestFunction:
         return self.fn(point)[1]
 
     def hess_diag(self, point) -> np.ndarray:
-        return self.fn(point)[2]
+        return np.diag(self.hess(point))
 
 
 # Default starts are committed here so races are reproducible; they were picked

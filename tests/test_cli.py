@@ -326,6 +326,22 @@ def test_run_verb_divergence_is_a_result(tmp_path):
     assert summary["diverged_at"] == 2
 
 
+@pytest.mark.parametrize("name", ["rosenbrock", "beale", "quad_skew"])
+def test_run_verb_overflow_divergence_is_a_result(tmp_path, name):
+    # rosenbrock and beale overflow Python's float power at the first
+    # iterate; that is divergence too, not a traceback
+    d = dict(BASE)
+    d["problem"] = {"kind": "testfn", "name": name}
+    d["hyperparams"] = {"alpha": 1e250}
+    cfg = write_config(tmp_path, d)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["diverged_at"] == 2
+
+
 # ---------------------------------------------------------------- sweep verb
 
 
@@ -402,6 +418,32 @@ def test_sweep_over_seed_uses_given_values(tmp_path):
     assert int(rows[2].split(",")[2]) == 12
 
 
+def test_sweep_rejects_fractional_seed_values(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "seeds"
+    assert main(["sweep", "--config", cfg, "--param", "seed",
+                 "--values", "7.9,8.2", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "seed" in err["message"]
+    assert not out.exists()
+    assert main(["sweep", "--config", cfg, "--param", "seed",
+                 "--values", "7,8", "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().strip().split("\n")
+    assert [r.split(",")[2] for r in rows[1:]] == ["7", "8"]
+
+
+def test_run_verb_overlong_integer_literal_exits_2(tmp_path, capsys):
+    # beyond Python's int string-conversion limit json raises a plain
+    # ValueError, not a JSONDecodeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE).replace('"seed": 7', '"seed": ' + "9" * 5001))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- race verb
 
 
@@ -423,6 +465,24 @@ def test_race_verb(tmp_path, capsys):
     assert payload["steps_to_tol"] == {"agd": 1029, "sgd": None}
     printed = capsys.readouterr().out
     assert "agd" in printed and "DNF" in printed
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "beale", "quad_skew"])
+def test_race_verb_diverging_entrant_is_dnf(tmp_path, capsys, name):
+    d = {
+        "problem": {"kind": "testfn", "name": name},
+        "entrants": [{"optimizer": "agd", "hyperparams": {"alpha": 1e250}}],
+        "tol": 1e-2,
+        "max_steps": 1000,
+    }
+    cfg = write_config(tmp_path, d)
+    out = tmp_path / "race"
+    with np.errstate(over="ignore"):
+        assert main(["race", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "race.json").read_text())
+    assert payload["steps_to_tol"] == {"agd": None}
+    assert payload["winner"] is None
+    assert "DNF" in capsys.readouterr().out
 
 
 def test_race_verb_rejects_mlp_problem(tmp_path):

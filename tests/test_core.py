@@ -11,14 +11,11 @@ from agdopt.core import (
     HyperParams,
     NumericError,
     ShapeError,
-    StepSchedule,
     as_param_vector,
     bhat_histogram,
     optimizer_step,
-    schedule_beta1,
-    schedule_lr,
 )
-from agdopt.optim import init_state
+from agdopt.optim import OPTIMIZER_NAMES, init_state
 
 
 # ---------------------------------------------------------------- schedules
@@ -49,17 +46,21 @@ def test_milestones_lr():
 
 
 def test_lr_at_matches_schedule_lr():
+    # the milestone schedule multiplies in each passed factor, in order
     hp = HyperParams(alpha=0.3, lr_schedule="milestones",
                      milestones=((10, 0.5), (20, 0.2)))
-    sched = StepSchedule(base=hp.alpha, kind=hp.lr_schedule,
-                         milestones=hp.milestones)
     for t in (1, 9, 10, 15, 20, 1000):
-        assert hp.lr_at(t) == schedule_lr(sched, t)
+        expect = 0.3
+        if t >= 10:
+            expect *= 0.5
+        if t >= 20:
+            expect *= 0.2
+        assert hp.lr_at(t) == expect
 
 
 def test_step_schedule_at():
-    sched = StepSchedule(base=1.0, kind="inverse_sqrt")
-    assert sched.at(16) == 0.25
+    hp = HyperParams(alpha=1.0, lr_schedule="inverse_sqrt")
+    assert hp.lr_at(16) == 0.25
 
 
 def test_milestones_reject_bad_entries():
@@ -89,20 +90,22 @@ def _hp_b1(kind):
 
 
 def test_beta1_schedules():
-    assert schedule_beta1(_hp_b1("constant"), 7) == 0.9
-    assert schedule_beta1(_hp_b1("over_sqrt_t"), 4) == 0.45
-    assert schedule_beta1(_hp_b1("over_t"), 10) == 0.09
+    assert _hp_b1("constant").beta1_at(7) == 0.9
+    assert _hp_b1("over_sqrt_t").beta1_at(4) == 0.45
+    assert _hp_b1("over_t").beta1_at(10) == 0.09
 
 
 def test_beta1_schedules_coincide_at_first_step():
     for kind in ("constant", "over_sqrt_t", "over_t"):
-        assert schedule_beta1(_hp_b1(kind), 1) == 0.9
+        assert _hp_b1(kind).beta1_at(1) == 0.9
 
 
 def test_beta1_at_matches_schedule():
     hp = HyperParams(alpha=1e-3, beta1=0.8, beta1_schedule="over_t")
     for t in (1, 2, 50):
-        assert hp.beta1_at(t) == schedule_beta1(hp, t)
+        assert hp.beta1_at(t) == 0.8 / t
+    with pytest.raises(ConfigError):
+        hp.beta1_at(0)
 
 
 # ---------------------------------------------------------------- validation
@@ -193,8 +196,9 @@ def test_optimizer_step_runs_and_reports():
     assert w2.shape == (2,)
     assert diag.step_norm > 0
     assert 0.0 <= diag.truncation_fraction <= 1.0
-    lo, hi = diag.effective_lr_minmax
-    assert lo <= hi
+    # per-coordinate multiplier applied to the momentum buffer
+    multiplier = (w - w2) / state.m
+    assert 0.0 < multiplier.min() <= multiplier.max()
     assert diag.bhat_histogram is not None
     assert diag.bhat_histogram.sum() == 2
 
@@ -217,6 +221,14 @@ def test_optimizer_step_rejects_shape_mismatch():
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(ShapeError):
         optimizer_step(init_state("agd", 3), np.zeros(3), np.ones(2), 1, hp)
+
+
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_optimizer_step_rejects_state_of_wrong_size(name):
+    # params and gradient agree with each other but not with the state
+    hp = HyperParams(alpha=1e-3)
+    with pytest.raises(ShapeError):
+        optimizer_step(init_state(name, 1), np.zeros(2), np.ones(2), 1, hp)
 
 
 def test_optimizer_step_rejects_nonfinite_gradient():

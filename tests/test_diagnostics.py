@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from agdopt.core import ConfigError, HyperParams
+from agdopt.core import ConfigError, HyperParams, optimizer_step
 from agdopt.diagnostics import (
     DIVERGENCE_LOSS,
     MlpProblem,
-    RegretProblem,
     TestFnProblem,
     race,
     record_run,
@@ -13,7 +12,8 @@ from agdopt.diagnostics import (
 )
 from agdopt.models import MlpSpec, two_moons
 from agdopt.testfns import TESTFNS
-from agdopt.theory import make_quadratic_stream
+from agdopt.optim import init_state
+from agdopt.theory import RegretProblem, make_quadratic_stream
 
 HP = HyperParams(alpha=1e-3)
 
@@ -114,6 +114,31 @@ def test_record_run_flags_divergence():
     assert traj.diverged_at == 2
     assert traj.points[-1].t == 2  # stops at the flagged step
     assert traj.points[-1].loss > DIVERGENCE_LOSS
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "beale"])
+def test_record_run_oracle_overflow_is_divergence(name):
+    # the first step moves each coordinate by alpha; evaluating the test
+    # function that far out overflows Python's float power
+    p = TestFnProblem(TESTFNS[name])
+    with np.errstate(over="ignore"):
+        traj = record_run(p, "agd", HyperParams(alpha=1e250), steps=50)
+    assert traj.diverged
+    assert traj.diverged_at == 2
+    assert traj.points[-1].t == 2
+    assert traj.points[-1].loss == float("inf")
+
+
+def test_step_norm_is_the_update_in_both_paths():
+    # with decoupled decay, the library step and the run loop report the
+    # optimizer's own update, not the decay shrinkage on top of it
+    p = TestFnProblem(TESTFNS["quad_skew"])
+    hp = HyperParams(alpha=0.1, weight_decay=0.5)
+    traj = record_run(p, "adamw", hp, steps=1)
+    _, g = p.loss_grad(p.init_params())
+    _, _, diag = optimizer_step(init_state("adamw", 2), p.init_params(), g, 1, hp)
+    assert diag.step_norm == traj.points[0].diag.step_norm
+    assert abs(diag.step_norm - 0.1 * np.sqrt(2.0)) < 1e-8
 
 
 def test_record_run_bounded_updates_stay_finite():
@@ -220,6 +245,27 @@ def test_race_order_independent():
     a = race(p, ["agd", "adabelief"], hp_map, tol=1e-2, max_steps=2000)
     b = race(p, ["adabelief", "agd"], hp_map, tol=1e-2, max_steps=2000)
     assert a.steps_to_tol == b.steps_to_tol
+
+
+class CountingProblem(TestFnProblem):
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.calls = 0
+
+    def loss_grad(self, w):
+        self.calls += 1
+        return super().loss_grad(w)
+
+
+@pytest.mark.parametrize("name", sorted(TESTFNS))
+def test_race_stops_a_diverging_entrant(name):
+    p = CountingProblem(TESTFNS[name])
+    with np.errstate(over="ignore"):
+        result = race(p, ["agd"], {"agd": HyperParams(alpha=1e250)}, tol=1e-2,
+                      max_steps=1000)
+    assert result.steps_to_tol == {"agd": None}
+    assert result.winner() is None
+    assert p.calls <= 3  # the loss at step 2 is already beyond the limit
 
 
 def test_race_requires_optimum():

@@ -13,7 +13,6 @@ from agdopt.optim import (
     SgdState,
     adabelief_step,
     adam_step,
-    agd_compute_s,
     agd_init,
     agd_step,
     dispatch_step,
@@ -69,26 +68,30 @@ def test_momentum_difference_hand_values():
 
 
 def test_agd_compute_s_first_step_is_debiased_momentum():
-    # m1 formed with the same rounded (1 - beta1) the correction divides by
-    m1 = np.array([(1.0 - 0.9) * 1.0])
-    s = agd_compute_s(m1, np.zeros(1), 1, 0.9)
-    assert s[0] == 1.0
+    # s_1 is the debiased m_1 itself, which the state caches for step 2;
+    # m1 is formed with the same rounded (1 - beta1) the correction divides by
+    state, _, _ = agd_step(agd_init(1), np.zeros(1), np.ones(1), 1, HP)
+    assert state.prev_corrected[0] == 1.0
+    assert state.b[0] == (1.0 - 0.999) * (1.0 * 1.0)
 
 
 def test_agd_compute_s_matches_recurrence():
+    # s_2 = m_2 / (1 - beta1^2) - m_1 / (1 - beta1), seen through b_2
     g1, g2 = 2.0, -3.0
-    m1 = 0.1 * g1
-    m2 = 0.9 * m1 + 0.1 * g2
-    c1 = m1 / (1 - 0.9)
-    s2 = agd_compute_s(np.array([m2]), np.array([c1]), 2, 0.9 * 0.9)
-    assert abs(s2[0] - (m2 / (1 - 0.81) - c1)) == 0.0
+    s1, _, _ = agd_step(agd_init(1), np.zeros(1), np.array([g1]), 1, HP)
+    s2, _, _ = agd_step(s1, np.zeros(1), np.array([g2]), 2, HP)
+    c1 = s1.m[0] / (1 - 0.9)
+    assert s1.prev_corrected[0] == c1
+    diff = s2.m[0] / (1 - 0.9 * 0.9) - c1
+    assert s2.b[0] == 0.999 * s1.b[0] + (1.0 - 0.999) * (diff * diff)
 
 
 def test_agd_compute_s_guards():
     with pytest.raises(ConfigError):
-        agd_compute_s(np.zeros(1), np.zeros(1), 0, 0.9)
+        dispatch_step(agd_init(1), np.zeros(1), np.zeros(1), 0, HP)
     with pytest.raises(ZeroDivisionError):
-        agd_compute_s(np.zeros(1), np.zeros(1), 1, 1.0)
+        agd_step(agd_init(1), np.zeros(1), np.zeros(1), 1,
+                 HyperParams(alpha=1e-3, beta1=1.0))
 
 
 def test_constant_gradient_sharpens_bias_correction():
@@ -142,6 +145,7 @@ def test_floor_branch_is_momentum_sgd():
     prod = 1.0
     for t in range(1, 501):
         g = grads[t - 1]
+        prev = state
         state, w, diag = agd_step(state, w, g, t, hp)
         m_ref = 0.9 * m_ref + (1.0 - 0.9) * g
         prod *= 0.9
@@ -149,8 +153,10 @@ def test_floor_branch_is_momentum_sgd():
         w_ref = w_ref - scale * (m_ref / hp.delta)
         assert np.array_equal(w, w_ref)
         assert diag.truncation_fraction == 1.0
-        lo, hi = diag.effective_lr_minmax
-        assert lo == hi == scale / hp.delta
+        # the state does not depend on w, so a step from zero returns -update
+        # exactly: every coordinate's multiplier on m is scale / delta
+        _, neg_update, _ = agd_step(prev, np.zeros(4), g, t, hp)
+        assert np.array_equal(-neg_update, scale * (state.m / hp.delta))
 
 
 def test_truncation_fraction_counts_floored_coordinates():
@@ -265,13 +271,6 @@ def test_adabelief_tracks_innovation():
     assert abs(state.v[0] - (0.001 * 0.81 + 1e-8)) < 1e-18
 
 
-def test_adabelief_inner_eps_flag():
-    hp = HyperParams(alpha=1e-3, delta=1e-8)
-    plain, _, _ = adabelief_step(init_state("adabelief", 1), np.zeros(1),
-                                 np.ones(1), 1, hp, inner_eps=False)
-    assert abs(plain.v[0] - 0.001 * 0.81) < 1e-18
-
-
 def test_adabelief_constant_gradient_shrinks_v():
     # innovations g - m_t = beta1**t die off geometrically, so v climbs while
     # they dominate, peaks, then drains at the slow beta2 rate
@@ -306,13 +305,24 @@ def test_sgd_momentum_two_steps():
 
 def test_steps_reject_counter_skips():
     state = agd_init(1)
-    with pytest.raises(ConfigError):
-        agd_step(state, np.zeros(1), np.ones(1), 2, HP)
+    with pytest.raises(ConfigError, match="step counter mismatch"):
+        dispatch_step(state, np.zeros(1), np.ones(1), 2, HP)
 
 
 def test_agd_step_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
-        agd_step(agd_init(2), np.zeros(2), np.ones(3), 1, HP)
+        dispatch_step(agd_init(2), np.zeros(2), np.ones(3), 1, HP)
+
+
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_dispatch_checks_every_optimizer(name):
+    # counter and shapes are checked in one place, whatever the optimizer
+    with pytest.raises(ConfigError, match="step counter mismatch"):
+        dispatch_step(init_state(name, 2), np.zeros(2), np.ones(2), 2, HP)
+    with pytest.raises(ShapeError):
+        dispatch_step(init_state(name, 1), np.zeros(2), np.ones(2), 1, HP)
+    with pytest.raises(ShapeError):
+        dispatch_step(init_state(name, 2), np.zeros(2), np.ones(3), 1, HP)
 
 
 def test_dispatch_routes_by_state_type():
@@ -343,13 +353,14 @@ def test_effective_lr_bounded_by_floor_rate(gs, steps):
     n = len(gs)
     rng = np.random.default_rng(0)
     state = agd_init(n)
-    w = np.zeros(n)
     base = np.asarray(gs)
     for t in range(1, steps + 1):
         g = base + rng.normal(size=n)
-        state, w, diag = agd_step(state, w, g, t, hp)
+        # the state does not depend on w, so stepping from zero returns
+        # -update exactly
+        state, neg_update, _ = agd_step(state, np.zeros(n), g, t, hp)
         cap = hp.lr_at(t) / ((1.0 - state.beta1_prod) * hp.delta)
-        assert diag.effective_lr_minmax[1] <= cap * (1 + 1e-12)
+        assert (np.abs(neg_update) <= cap * np.abs(state.m) * (1 + 1e-12)).all()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,0 +1,58 @@
+"""The benchmark's `--trace 1` mode wraps agdopt functions by the names their
+callers look up (`benchmark/spans.py:_targets`). Neither `--smoke` nor the
+benchmark's own self-tests trace, so these checks keep a rename in `src/`
+from breaking the traced mode unnoticed."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves(spans):
+    for owner, attr, name, _ in spans._targets():
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr} ({name})"
+        assert callable(owner.__dict__[attr])
+
+
+def _trace(spans, argv):
+    tracer = spans.Tracer("test")
+    assert spans.traced_main(tracer, argv) == 0
+    return tracer
+
+
+def test_traced_run_and_race_reach_every_layer(spans, tmp_path):
+    run_cfg = tmp_path / "run.json"
+    run_cfg.write_text(json.dumps({
+        "problem": {"kind": "testfn", "name": "rosenbrock"},
+        "optimizer": "agd", "hyperparams": {"alpha": 1e-3},
+        "seed": 0, "steps": 3,
+    }))
+    tracer = _trace(spans, ["run", "--config", str(run_cfg),
+                            "--out", str(tmp_path / "run")])
+    assert {"cli.verb", "diagnostics", "optim.dispatch", "optim.step",
+            "core.histogram", "testfns.loss_grad"} <= set(tracer.names)
+
+    race_cfg = tmp_path / "race.json"
+    race_cfg.write_text(json.dumps({
+        "problem": {"kind": "testfn", "name": "quad_skew"},
+        "entrants": [{"optimizer": o, "hyperparams": {"alpha": 1e-3}}
+                     for o in ("adam", "adabelief", "sgd")],
+        "max_steps": 3,
+    }))
+    tracer = _trace(spans, ["race", "--config", str(race_cfg),
+                            "--out", str(tmp_path / "race")])
+    # each kernel span records its own name, adabelief included
+    assert {kernel for kernel, _ in tracer.sizes.values()} == {
+        "adam_step", "adabelief_step", "sgd_momentum_step"}
