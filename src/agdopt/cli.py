@@ -1,8 +1,9 @@
 """Command-line harness: run / sweep / verify / race.
 
-Configs are strict JSON: unknown keys are rejected, every value is validated
-before any work starts, and a parsed config serializes back to the same
-canonical dictionary. Output files are written atomically (temp file in the
+Configs are strict JSON: unknown keys are rejected and every value is
+validated before any work starts. A parsed config is its own canonical dict:
+every default is filled in, it serializes to JSON, and parsing it again
+returns it unchanged. Output files are written atomically (temp file in the
 target directory, then rename) with floats at 17 significant digits so they
 round-trip exactly.
 
@@ -20,19 +21,17 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HyperParams
+from .core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams
 from .diagnostics import MlpProblem, TestFnProblem, race, record_run
-from .models import MlpSpec, two_moons
+from .models import ACTIVATIONS, LOSSES, MlpSpec, two_moons
 from .optim import OPTIMIZER_NAMES
-from .testfns import get_testfn
+from .testfns import TESTFNS, get_testfn
 from .theory import RegretProblem, make_quadratic_stream, verify_suite
 
 __all__ = [
-    "RunConfig",
     "parse_run_config",
     "parse_race_config",
     "derive_seed",
@@ -125,262 +124,175 @@ def _num(value, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def _require_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
-
-
 # ---------------------------------------------------------------- configs
 
-
-@dataclass(frozen=True)
-class ProblemConfig:
-    kind: str  # testfn | mlp | regret
-    # testfn fields
-    name: str | None = None
-    start: tuple[float, ...] | None = None
-    # mlp fields
-    hidden_dim: int = 16
-    activation: str = "tanh"
-    loss: str = "logistic"
-    dataset_n: int = 1024
-    dataset_noise: float = 0.15
-    batch_size: int = 8
-    # regret fields (the horizon is the run's steps count)
-    dim: int = 2
-    center_scale: float = 1.0
-    margin: float = 1.0
+REQUIRED = object()  # the default of a key the config must give
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    problem: ProblemConfig
-    optimizer: str
-    hp: HyperParams
-    seed: int
-    steps: int | None = None
-    epochs: int | None = None
-    snapshot_every: int = 1
-    tol: float = 1e-2
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
 
 
-_HP_KEYS = {"alpha", "beta1", "beta2", "delta", "weight_decay",
-            "lr_schedule", "milestones", "beta1_schedule"}
+def _section(d, schema: dict, where: str) -> dict:
+    """Check one JSON object against `schema`; return its canonical dict.
 
-
-def _parse_hp(d: dict, where: str = "hyperparams") -> HyperParams:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(d, _HP_KEYS, {"alpha"}, where)
-    milestones = d.get("milestones", [])
-    if not isinstance(milestones, list):
-        raise ConfigError(f"{where}.milestones must be a list of [step, factor] pairs")
-    ms = []
-    for entry in milestones:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigError(f"bad milestone entry {entry!r} in {where}")
-        ms.append((_int(entry[0], f"{where}.milestones step"),
-                   _num(entry[1], f"{where}.milestones factor")))
-    hp = HyperParams(
-        alpha=_num(d["alpha"], f"{where}.alpha"),
-        beta1=_num(d.get("beta1", 0.9), f"{where}.beta1"),
-        beta2=_num(d.get("beta2", 0.999), f"{where}.beta2"),
-        delta=_num(d.get("delta", 1e-8), f"{where}.delta"),
-        weight_decay=_num(d.get("weight_decay", 0.0), f"{where}.weight_decay"),
-        lr_schedule=str(d.get("lr_schedule", "constant")),
-        milestones=tuple(ms),
-        beta1_schedule=str(d.get("beta1_schedule", "constant")),
-    )
-    hp.validate()
-    return hp
-
-
-def _hp_to_dict(hp: HyperParams) -> dict:
-    return {
-        "alpha": hp.alpha,
-        "beta1": hp.beta1,
-        "beta2": hp.beta2,
-        "delta": hp.delta,
-        "weight_decay": hp.weight_decay,
-        "lr_schedule": hp.lr_schedule,
-        "milestones": [[s, f] for s, f in hp.milestones],
-        "beta1_schedule": hp.beta1_schedule,
-    }
-
-
-def _parse_problem(d: dict) -> ProblemConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("problem must be an object")
-    kind = d.get("kind")
-    if kind == "testfn":
-        _require_keys(d, {"kind", "name", "start"}, {"kind", "name"}, "problem")
-        name = str(d["name"])
-        get_testfn(name)  # validates the name
-        start = d.get("start")
-        if start is not None:
-            if not (isinstance(start, list) and len(start) == 2):
-                raise ConfigError(f"problem.start must be a 2-element list, got {start!r}")
-            start = tuple(_num(v, "problem.start") for v in start)
-        return ProblemConfig(kind="testfn", name=name, start=start)
-    if kind == "mlp":
-        _require_keys(
-            d,
-            {"kind", "hidden_dim", "activation", "loss", "dataset", "batch_size"},
-            {"kind", "dataset"},
-            "problem",
-        )
-        ds = d["dataset"]
-        _require_keys(ds, {"name", "n", "noise"}, {"name", "n"}, "problem.dataset")
-        if ds["name"] != "two_moons":
-            raise ConfigError(f"unknown dataset {ds['name']!r}")
-        cfg = ProblemConfig(
-            kind="mlp",
-            hidden_dim=_int(d.get("hidden_dim", 16), "problem.hidden_dim"),
-            activation=str(d.get("activation", "tanh")),
-            loss=str(d.get("loss", "logistic")),
-            dataset_n=_int(ds["n"], "problem.dataset.n"),
-            dataset_noise=_num(ds.get("noise", 0.15), "problem.dataset.noise"),
-            batch_size=_int(d.get("batch_size", 8), "problem.batch_size"),
-        )
-        # validates activation/loss/sizes
-        MlpSpec(2, cfg.hidden_dim, 1 if cfg.loss == "logistic" else 2,
-                cfg.activation, cfg.loss).validate()
-        return cfg
-    if kind == "regret":
-        _require_keys(d, {"kind", "dim", "center_scale", "margin"}, {"kind"},
-                      "problem")
-        cfg = ProblemConfig(
-            kind="regret",
-            dim=_int(d.get("dim", 2), "problem.dim"),
-            center_scale=_num(d.get("center_scale", 1.0), "problem.center_scale"),
-            margin=_num(d.get("margin", 1.0), "problem.margin"),
-        )
-        if cfg.dim < 1:
-            raise ConfigError(f"problem.dim must be >= 1, got {cfg.dim}")
-        if not (cfg.center_scale > 0.0 and math.isfinite(cfg.center_scale)):
-            raise ConfigError(
-                f"problem.center_scale must be positive, got {cfg.center_scale}")
-        if not (cfg.margin >= 0.0 and math.isfinite(cfg.margin)):
-            raise ConfigError(f"problem.margin must be >= 0, got {cfg.margin}")
-        return cfg
-    raise ConfigError(
-        f"problem.kind must be 'testfn', 'mlp', or 'regret', got {kind!r}")
-
-
-def _problem_to_dict(p: ProblemConfig) -> dict:
-    if p.kind == "testfn":
-        out: dict = {"kind": "testfn", "name": p.name}
-        if p.start is not None:
-            out["start"] = list(p.start)
-        return out
-    if p.kind == "regret":
-        return {"kind": "regret", "dim": p.dim, "center_scale": p.center_scale,
-                "margin": p.margin}
-    return {
-        "kind": "mlp",
-        "hidden_dim": p.hidden_dim,
-        "activation": p.activation,
-        "loss": p.loss,
-        "dataset": {"name": "two_moons", "n": p.dataset_n, "noise": p.dataset_noise},
-        "batch_size": p.batch_size,
-    }
-
-
-def parse_run_config(d: dict) -> RunConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(
-        d,
-        {"problem", "optimizer", "hyperparams", "seed", "steps", "epochs",
-         "snapshot_every", "tol"},
-        {"problem", "optimizer", "hyperparams", "seed"},
-        "config",
-    )
-    optimizer = str(d["optimizer"])
-    if optimizer not in OPTIMIZER_NAMES:
-        raise ConfigError(
-            f"unknown optimizer {optimizer!r}; expected one of {OPTIMIZER_NAMES}"
-        )
-    problem = _parse_problem(d["problem"])
-    steps = d.get("steps")
-    epochs = d.get("epochs")
-    if steps is None and epochs is None:
-        raise ConfigError("config needs 'steps' (or 'epochs' for mlp problems)")
-    if epochs is not None and problem.kind != "mlp":
-        raise ConfigError("'epochs' only applies to mlp problems")
-    cfg = RunConfig(
-        problem=problem,
-        optimizer=optimizer,
-        hp=_parse_hp(d["hyperparams"]),
-        seed=_int(d["seed"], "seed"),
-        steps=None if steps is None else _int(steps, "steps"),
-        epochs=None if epochs is None else _int(epochs, "epochs"),
-        snapshot_every=_int(d.get("snapshot_every", 1), "snapshot_every"),
-        tol=_num(d.get("tol", 1e-2), "tol"),
-    )
-    if cfg.steps is not None and cfg.steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
-    if cfg.epochs is not None and cfg.epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
-    if cfg.snapshot_every < 1:
-        raise ConfigError(f"snapshot_every must be >= 1, got {cfg.snapshot_every}")
-    if cfg.tol <= 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
-    return cfg
-
-
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    out: dict = {
-        "problem": _problem_to_dict(cfg.problem),
-        "optimizer": cfg.optimizer,
-        "hyperparams": _hp_to_dict(cfg.hp),
-        "seed": cfg.seed,
-        "snapshot_every": cfg.snapshot_every,
-        "tol": cfg.tol,
-    }
-    if cfg.steps is not None:
-        out["steps"] = cfg.steps
-    if cfg.epochs is not None:
-        out["epochs"] = cfg.epochs
+    `schema` maps each key to (check, default); check(value, where) returns
+    the canonical value or raises ConfigError. Unknown and missing REQUIRED
+    keys are rejected, and absent keys take their default. null stands for
+    "absent" only where the default is None.
+    """
+    unknown = set(_object(d, where)) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    missing = [k for k, (_, default) in schema.items()
+               if default is REQUIRED and k not in d]
+    if missing:
+        raise ConfigError(f"missing key(s) in {where}: {missing}")
+    out = {}
+    for key, (check, default) in schema.items():
+        value = d.get(key, default)
+        out[key] = (None if value is None and default is None
+                    else check(value, f"{where}.{key}"))
     return out
 
 
-def _build_problem(cfg: RunConfig):
-    if cfg.problem.kind == "testfn":
-        fn = get_testfn(cfg.problem.name)
-        return TestFnProblem(fn, start=cfg.problem.start)
-    if cfg.problem.kind == "regret":
-        exp = make_quadratic_stream(cfg.problem.dim, cfg.steps, cfg.seed,
-                                    center_scale=cfg.problem.center_scale,
-                                    margin=cfg.problem.margin)
+def _bounded(check, lo, strict: bool = False):
+    """`check`, then require the value >= lo (> lo when strict)."""
+    def bounded(value, where: str):
+        x = check(value, where)
+        if x < lo or (strict and x == lo):
+            raise ConfigError(f"{where} must be {'>' if strict else '>='} {lo}, got {x}")
+        return x
+    return bounded
+
+
+def _one_of(*choices: str):
+    def one_of(value, where: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+        return value
+    return one_of
+
+
+_COUNT = _bounded(_int, 1)
+_POSITIVE = _bounded(_num, 0.0, strict=True)
+_NONNEGATIVE = _bounded(_num, 0.0)
+
+
+def _milestones(value, where: str) -> list:
+    if not (isinstance(value, list)
+            and all(isinstance(e, list) and len(e) == 2 for e in value)):
+        raise ConfigError(f"{where} must be a list of [step, factor] pairs, got {value!r}")
+    return [[_int(step, f"{where} step"), _num(factor, f"{where} factor")]
+            for step, factor in value]
+
+
+def _start(value, where: str) -> list:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where} must be a 2-element list, got {value!r}")
+    return [_num(v, where) for v in value]
+
+
+_HYPERPARAMS = {
+    "alpha": (_num, REQUIRED),
+    "beta1": (_num, 0.9),
+    "beta2": (_num, 0.999),
+    "delta": (_num, 1e-8),
+    "weight_decay": (_num, 0.0),
+    "lr_schedule": (_one_of(*LR_KINDS), "constant"),
+    "milestones": (_milestones, []),
+    "beta1_schedule": (_one_of(*BETA1_KINDS), "constant"),
+}
+
+
+def _hp(d: dict) -> HyperParams:
+    """The HyperParams of a canonical hyperparams dict."""
+    return HyperParams(**dict(d, milestones=tuple(map(tuple, d["milestones"]))))
+
+
+def _hyperparams(value, where: str) -> dict:
+    hp = _section(value, _HYPERPARAMS, where)
+    _hp(hp).validate()
+    return hp
+
+
+_DATASET = {"name": (_one_of("two_moons"), REQUIRED), "n": (_bounded(_int, 2), REQUIRED),
+            "noise": (_NONNEGATIVE, 0.15)}
+_PROBLEMS = {
+    "testfn": {"name": (_one_of(*TESTFNS), REQUIRED), "start": (_start, None)},
+    "mlp": {
+        "hidden_dim": (_COUNT, 16),
+        "activation": (_one_of(*ACTIVATIONS), "tanh"),
+        "loss": (_one_of(*LOSSES), "logistic"),
+        "dataset": (lambda v, where: _section(v, _DATASET, where), REQUIRED),
+        "batch_size": (_COUNT, 8),
+    },
+    # the horizon is the run's steps count
+    "regret": {"dim": (_COUNT, 2), "center_scale": (_POSITIVE, 1.0),
+               "margin": (_NONNEGATIVE, 1.0)},
+}
+
+
+def _problem(value, where: str) -> dict:
+    """A problem object; its kind picks the schema of its other keys."""
+    kind = _one_of(*_PROBLEMS)(_object(value, where).get("kind"), f"{where}.kind")
+    p = _section(value, {"kind": (_one_of(kind), REQUIRED), **_PROBLEMS[kind]}, where)
+    if kind == "mlp" and p["batch_size"] > p["dataset"]["n"]:
+        raise ConfigError(f"{where}.batch_size must be in [1, {p['dataset']['n']}], "
+                          f"got {p['batch_size']}")
+    return p
+
+
+_RUN = {
+    "problem": (_problem, REQUIRED),
+    "optimizer": (_one_of(*OPTIMIZER_NAMES), REQUIRED),
+    "hyperparams": (_hyperparams, REQUIRED),
+    "seed": (_int, REQUIRED),
+    "steps": (_COUNT, None),
+    "epochs": (_COUNT, None),
+    "snapshot_every": (_COUNT, 1),
+    "tol": (_POSITIVE, 1e-2),
+}
+
+
+def parse_run_config(d) -> dict:
+    """The canonical dict of a run config (see the module docstring)."""
+    cfg = _section(d, _RUN, "config")
+    if cfg["steps"] is None and cfg["epochs"] is None:
+        raise ConfigError("config needs 'steps' (or 'epochs' for mlp problems)")
+    if cfg["epochs"] is not None and cfg["problem"]["kind"] != "mlp":
+        raise ConfigError("'epochs' only applies to mlp problems")
+    return cfg
+
+
+def _build_problem(cfg: dict):
+    p, seed = cfg["problem"], cfg["seed"]
+    if p["kind"] == "testfn":
+        return TestFnProblem(get_testfn(p["name"]), start=p["start"])
+    if p["kind"] == "regret":
+        exp = make_quadratic_stream(p["dim"], cfg["steps"], seed,
+                                    center_scale=p["center_scale"],
+                                    margin=p["margin"])
         return RegretProblem(exp)
-    spec = MlpSpec(2, cfg.problem.hidden_dim,
-                   1 if cfg.problem.loss == "logistic" else 2,
-                   cfg.problem.activation, cfg.problem.loss)
-    ds = two_moons(cfg.problem.dataset_n, cfg.problem.dataset_noise, cfg.seed)
-    return MlpProblem(spec, ds, cfg.problem.batch_size, cfg.seed)
-
-
-def _resolve_steps(cfg: RunConfig, problem) -> int:
-    if cfg.steps is not None:
-        return cfg.steps
-    return cfg.epochs * problem.steps_per_epoch
+    spec = MlpSpec(2, p["hidden_dim"], 1 if p["loss"] == "logistic" else 2,
+                   p["activation"], p["loss"])
+    ds = two_moons(p["dataset"]["n"], p["dataset"]["noise"], seed)
+    return MlpProblem(spec, ds, p["batch_size"], seed)
 
 
 # ---------------------------------------------------------------- run verb
 
 
-def run_command(cfg: RunConfig, out_dir: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
+def run_command(cfg: dict, out_dir: str) -> dict:
+    """Run a parsed config (see parse_run_config) and write its outputs."""
     problem = _build_problem(cfg)
-    steps = _resolve_steps(cfg, problem)
+    steps = cfg["steps"] or cfg["epochs"] * problem.steps_per_epoch
+    os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    traj = record_run(problem, cfg.optimizer, cfg.hp, steps,
-                      snapshot_every=cfg.snapshot_every, tol=cfg.tol)
+    traj = record_run(problem, cfg["optimizer"], _hp(cfg["hyperparams"]), steps,
+                      snapshot_every=cfg["snapshot_every"], tol=cfg["tol"])
     wall = time.perf_counter() - t0
 
     rows = ["t,loss,step_norm,truncation_fraction"]
@@ -412,9 +324,9 @@ def run_command(cfg: RunConfig, out_dir: str) -> dict:
     if optimum is not None and final.params is not None and not traj.diverged:
         dist = float(np.linalg.norm(final.params - optimum))
         summary["final_distance"] = dist
-        if dist <= cfg.tol:
+        if dist <= cfg["tol"]:
             summary["status"] = "converged"
-    if cfg.problem.kind == "regret" and not traj.diverged:
+    if cfg["problem"]["kind"] == "regret" and not traj.diverged:
         summary["final_regret"] = float(np.sum(traj.losses()))
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   _json_dumps(summary) + "\n")
@@ -439,51 +351,41 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _M64
 
 
-def _apply_param(d: dict, path: str, value) -> dict:
-    out = json.loads(json.dumps(d))  # deep copy
-    node = out
-    parts = path.split(".")
-    for key in parts[:-1]:
-        node = node[key]
-    node[parts[-1]] = value
-    return out
-
-
-def _sweep_point(args):
-    base_dict, path, value, index, out_dir = args
-    pd = _apply_param(base_dict, path, value)
-    if path != "seed":
-        pd["seed"] = derive_seed(int(base_dict["seed"]), index)
-    cfg = parse_run_config(pd)
-    point_dir = os.path.join(out_dir, f"point_{index:03d}")
-    summary = run_command(cfg, point_dir)
-    return index, value, pd["seed"], summary
-
-
 def sweep_command(base_dict: dict, path: str, values, out_dir: str,
                   jobs: int = 1) -> list:
+    """Run the base config once per value of `path`; return the summaries.
+
+    Every point's config is parsed before any point runs.
+    """
     if path not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {path!r}; choose one of {SWEEPABLE}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    parse_run_config(base_dict)  # fail fast before any point runs
-    if path == "seed":
-        values = [_int(v, "seed") for v in values]
+    base = parse_run_config(base_dict)
+    cfgs = []
+    for i, value in enumerate(values):
+        hp = dict(base["hyperparams"])
+        if path == "seed":
+            seed = value
+        else:
+            seed = derive_seed(base["seed"], i)
+            hp[path.removeprefix("hyperparams.")] = value
+        cfgs.append(parse_run_config(dict(base, seed=seed, hyperparams=hp)))
+    dirs = [os.path.join(out_dir, f"point_{i:03d}") for i in range(len(cfgs))]
     os.makedirs(out_dir, exist_ok=True)
-    tasks = [(base_dict, path, v, i, out_dir) for i, v in enumerate(values)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            summaries = list(pool.map(run_command, cfgs, dirs))
     else:
-        results = [_sweep_point(t) for t in tasks]
+        summaries = list(map(run_command, cfgs, dirs))
     rows = ["index,value,seed,status,final_loss"]
-    for index, value, seed, summary in results:
+    for i, (value, cfg, summary) in enumerate(zip(values, cfgs, summaries)):
         rows.append(
-            f"{index},{_fmt(value) if isinstance(value, float) else value},"
-            f"{seed},{summary['status']},{_fmt(summary['final_loss'])}"
+            f"{i},{_fmt(value) if isinstance(value, float) else value},"
+            f"{cfg['seed']},{summary['status']},{_fmt(summary['final_loss'])}"
         )
     _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(rows) + "\n")
-    return results
+    return summaries
 
 
 # ---------------------------------------------------------------- verify verb
@@ -510,41 +412,41 @@ def verify_command(samples: int, seed: int, hp: HyperParams, out_path: str | Non
 # ---------------------------------------------------------------- race verb
 
 
-def parse_race_config(d: dict):
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(d, {"problem", "entrants", "tol", "max_steps"},
-                  {"problem", "entrants"}, "race config")
-    problem = _parse_problem(d["problem"])
-    if problem.kind != "testfn":
+_ENTRANT = {"optimizer": (_one_of(*OPTIMIZER_NAMES), REQUIRED),
+            "hyperparams": (_hyperparams, REQUIRED)}
+
+
+def _entrants(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+    return [_section(e, _ENTRANT, f"{where}[{i}]") for i, e in enumerate(value)]
+
+
+_RACE = {
+    "problem": (_problem, REQUIRED),
+    "entrants": (_entrants, REQUIRED),
+    "tol": (_POSITIVE, 1e-2),
+    "max_steps": (_COUNT, 100_000),
+}
+
+
+def parse_race_config(d):
+    """(problem, names, hyperparams by name, tol, max_steps), in canonical form."""
+    cfg = _section(d, _RACE, "config")
+    if cfg["problem"]["kind"] != "testfn":
         raise ConfigError("races need a test-function problem with a known optimum")
-    entrants = d["entrants"]
-    if not isinstance(entrants, list) or not entrants:
-        raise ConfigError("entrants must be a non-empty list")
-    names: list[str] = []
-    hp_map: dict[str, HyperParams] = {}
-    for i, e in enumerate(entrants):
-        _require_keys(e, {"optimizer", "hyperparams"}, {"optimizer", "hyperparams"},
-                      f"entrants[{i}]")
-        name = str(e["optimizer"])
-        if name not in OPTIMIZER_NAMES:
-            raise ConfigError(f"unknown optimizer {name!r} in entrants[{i}]")
-        if name in hp_map:
-            raise ConfigError(f"duplicate entrant {name!r}")
-        names.append(name)
-        hp_map[name] = _parse_hp(e["hyperparams"], f"entrants[{i}].hyperparams")
-    tol = _num(d.get("tol", 1e-2), "tol")
-    max_steps = _int(d.get("max_steps", 100_000), "max_steps")
-    if tol <= 0 or max_steps < 1:
-        raise ConfigError(f"bad tol/max_steps: {tol}, {max_steps}")
-    return problem, names, hp_map, tol, max_steps
+    names = [e["optimizer"] for e in cfg["entrants"]]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"duplicate entrant in config.entrants: {names}")
+    hps = {e["optimizer"]: e["hyperparams"] for e in cfg["entrants"]}
+    return cfg["problem"], names, hps, cfg["tol"], cfg["max_steps"]
 
 
 def race_command(d: dict, out_dir: str) -> dict:
-    problem_cfg, names, hp_map, tol, max_steps = parse_race_config(d)
-    fn = get_testfn(problem_cfg.name)
-    problem = TestFnProblem(fn, start=problem_cfg.start)
-    result = race(problem, names, hp_map, tol=tol, max_steps=max_steps)
+    problem_cfg, names, hps, tol, max_steps = parse_race_config(d)
+    problem = TestFnProblem(get_testfn(problem_cfg["name"]), start=problem_cfg["start"])
+    result = race(problem, names, {n: _hp(hp) for n, hp in hps.items()},
+                  tol=tol, max_steps=max_steps)
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "problem": problem.name,
@@ -610,10 +512,9 @@ def main(argv=None) -> int:
     try:
         if args.verb == "run":
             d = _load_json(args.config)
-            if args.seed is not None:
-                d["seed"] = args.seed
-            if args.snapshot_every is not None:
-                d["snapshot_every"] = args.snapshot_every
+            for key in ("seed", "snapshot_every"):
+                if getattr(args, key) is not None and isinstance(d, dict):
+                    d[key] = getattr(args, key)
             cfg = parse_run_config(d)
             summary = run_command(cfg, args.out)
             print(f"{summary['status']}: final loss {_fmt(summary['final_loss'])} "
@@ -621,8 +522,10 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "sweep":
             d = _load_json(args.config)
-            try:
-                values = [float(v) for v in args.values.split(",") if v]
+            try:  # an integer seed stays exact; float() rounds it above 2**53
+                values = [int(v) if args.param == "seed"
+                          and v.strip().lstrip("+-").isdecimal() else float(v)
+                          for v in args.values.split(",") if v]
             except ValueError:
                 raise ConfigError(f"--values must be comma-separated numbers, "
                                   f"got {args.values!r}") from None

@@ -34,6 +34,8 @@ _M64 = (1 << 64) - 1
 STREAM_DATA = 0
 STREAM_INIT = 1
 STREAM_SHUFFLE_BASE = 2
+ACTIVATIONS = ("tanh", "relu")
+LOSSES = ("softmax_ce", "logistic", "squared")
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
@@ -103,9 +105,9 @@ class MlpSpec:
     def validate(self) -> None:
         if min(self.in_dim, self.hidden_dim, self.out_dim) < 1:
             raise ConfigError(f"all layer sizes must be >= 1, got {self}")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.loss not in ("softmax_ce", "logistic", "squared"):
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.loss == "logistic" and self.out_dim != 1:
             raise ConfigError("logistic loss needs out_dim == 1")

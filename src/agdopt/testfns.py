@@ -26,16 +26,19 @@ __all__ = [
 ]
 
 
+def _beale_terms(point):
+    """x, y, the residuals r_k and their derivatives d r_k / dx = y^k - 1
+    and d r_k / dy = k x y^(k-1), shared by the gradient and the Hessian."""
+    x, y = float(point[0]), float(point[1])
+    y3 = y ** 3
+    r = (1.5 - x + x * y, 2.25 - x + x * y * y, 2.625 - x + x * y3)
+    return x, y, r, (y - 1.0, y * y - 1.0, y3 - 1.0), (x, 2.0 * x * y, 3.0 * x * y * y)
+
+
 def beale(point):
     """Beale function: three quadratic residuals, minimum 0 at (3, 0.5)."""
-    x, y = float(point[0]), float(point[1])
-    r1 = 1.5 - x + x * y
-    r2 = 2.25 - x + x * y * y
-    r3 = 2.625 - x + x * y ** 3
+    _, _, (r1, r2, r3), (d1x, d2x, d3x), (d1y, d2y, d3y) = _beale_terms(point)
     value = r1 * r1 + r2 * r2 + r3 * r3
-    # d r_k / dx = y^k - 1, d r_k / dy = k x y^(k-1)
-    d1x, d2x, d3x = y - 1.0, y * y - 1.0, y ** 3 - 1.0
-    d1y, d2y, d3y = x, 2.0 * x * y, 3.0 * x * y * y
     grad = np.array([
         2.0 * (r1 * d1x + r2 * d2x + r3 * d3x),
         2.0 * (r1 * d1y + r2 * d2y + r3 * d3y),
@@ -44,12 +47,7 @@ def beale(point):
 
 
 def _beale_hess(point):
-    x, y = float(point[0]), float(point[1])
-    r1 = 1.5 - x + x * y
-    r2 = 2.25 - x + x * y * y
-    r3 = 2.625 - x + x * y ** 3
-    d1x, d2x, d3x = y - 1.0, y * y - 1.0, y ** 3 - 1.0
-    d1y, d2y, d3y = x, 2.0 * x * y, 3.0 * x * y * y
+    x, y, (r1, r2, r3), (d1x, d2x, d3x), (d1y, d2y, d3y) = _beale_terms(point)
     hxx = 2.0 * (d1x * d1x + d2x * d2x + d3x * d3x)
     hyy = (2.0 * (d1y * d1y + d2y * d2y + d3y * d3y)
            + 2.0 * (r2 * 2.0 * x + r3 * 6.0 * x * y))

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from agdopt.cli import (
     main,
     parse_race_config,
     parse_run_config,
-    run_config_to_dict,
 )
 from agdopt.core import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE = {
     "problem": {"kind": "testfn", "name": "quad_skew", "start": [2.0, -1.0]},
@@ -54,13 +57,18 @@ def write_config(tmp_path, d, name="cfg.json"):
     return str(path)
 
 
+def last_error(capsys):
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    return err["message"]
+
+
 # ---------------------------------------------------------------- parsing
 
 
 def test_parse_round_trip():
-    cfg = parse_run_config(BASE)
-    canon = run_config_to_dict(cfg)
-    assert parse_run_config(canon) == cfg
+    canon = parse_run_config(BASE)
+    assert parse_run_config(json.loads(json.dumps(canon))) == canon
     # canonical form materializes every default
     assert canon["hyperparams"]["beta1"] == 0.9
     assert canon["hyperparams"]["lr_schedule"] == "constant"
@@ -69,14 +77,14 @@ def test_parse_round_trip():
 
 def test_parse_mlp_round_trip():
     cfg = parse_run_config(MLP)
-    assert cfg.problem.kind == "mlp"
-    assert parse_run_config(run_config_to_dict(cfg)) == cfg
+    assert cfg["problem"]["kind"] == "mlp"
+    assert parse_run_config(json.loads(json.dumps(cfg))) == cfg
 
 
 def test_parse_regret_round_trip():
     cfg = parse_run_config(REGRET)
-    assert cfg.problem.kind == "regret" and cfg.problem.dim == 3
-    assert parse_run_config(run_config_to_dict(cfg)) == cfg
+    assert cfg["problem"]["kind"] == "regret" and cfg["problem"]["dim"] == 3
+    assert parse_run_config(json.loads(json.dumps(cfg))) == cfg
     # the horizon comes from steps; epochs stays mlp-only
     bad = json.loads(json.dumps(REGRET))
     del bad["steps"]
@@ -107,7 +115,7 @@ hp_dicts = st.fixed_dictionaries(
 def test_parse_round_trip_property(hp, optimizer, seed):
     d = dict(BASE, hyperparams=hp, optimizer=optimizer, seed=seed)
     cfg = parse_run_config(d)
-    assert parse_run_config(run_config_to_dict(cfg)) == cfg
+    assert parse_run_config(json.loads(json.dumps(cfg))) == cfg
 
 
 @pytest.mark.parametrize("mutate", [
@@ -154,6 +162,22 @@ def test_parse_race_config_checks_entrants():
     for bad in ({"max_steps": True}, {"max_steps": 10.5}, {"tol": "0.01"}):
         with pytest.raises(ConfigError):
             parse_race_config(dict(race, **bad))
+
+
+def test_readme_config_examples_parse_to_canonical_form():
+    text = README.read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
+    assert {"entrants" in b for b in blocks} == {True, False}
+    for block in blocks:
+        if "entrants" in block:
+            parsed = parse_race_config(block)
+            problem, names, hps, tol, max_steps = parsed
+            canon = {"problem": problem, "tol": tol, "max_steps": max_steps,
+                     "entrants": [{"optimizer": n, "hyperparams": hps[n]} for n in names]}
+            assert parse_race_config(json.loads(json.dumps(canon))) == parsed
+        else:
+            canon = parse_run_config(block)
+            assert parse_run_config(json.loads(json.dumps(canon))) == canon
 
 
 # ---------------------------------------------------------------- seeds
@@ -294,10 +318,41 @@ def test_run_verb_rejects_coercible_value_types(tmp_path, capsys, mutate):
     assert not out.exists()
 
 
+RACE_QUAD = {"problem": {"kind": "testfn", "name": "quad_skew"}}
+
+
+@pytest.mark.parametrize("verb,config,extra", [
+    ("run", dict(MLP, problem=dict(MLP["problem"], dataset=5)), []),
+    ("race", dict(RACE_QUAD, entrants=[5]), []),
+    ("race", dict(RACE_QUAD, entrants=[None]), []),
+    ("run", [1], ["--seed", "3"]),
+], ids=["run_dataset_number", "race_entrant_number", "race_entrant_null",
+        "run_root_list_with_seed_override"])
+def test_non_object_where_object_required_exits_2(tmp_path, capsys, verb, config, extra):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, config)
+    assert main([verb, "--config", cfg, "--out", str(out), *extra]) == 2
+    assert "must be an object" in last_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", [
+    {"dataset": {"name": "two_moons", "n": 8}, "batch_size": 64},
+    {"dataset": {"name": "two_moons", "n": 1}, "batch_size": 1},
+    {"dataset": {"name": "two_moons", "n": 64, "noise": -0.1}},
+], ids=["batch_above_n", "one_point", "negative_noise"])
+def test_run_verb_checks_mlp_sizes_before_any_work(tmp_path, capsys, problem):
+    cfg = write_config(tmp_path, dict(MLP, problem=dict(MLP["problem"], **problem)))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    last_error(capsys)
+    assert not out.exists()
+
+
 def test_parse_reads_integral_float_as_int():
     d = json.loads(json.dumps(BASE))
     d["steps"] = 60.0
-    assert parse_run_config(d).steps == 60
+    assert parse_run_config(d)["steps"] == 60
 
 
 def test_atomic_write_removes_temp_file_on_failure(tmp_path, monkeypatch):
@@ -416,6 +471,24 @@ def test_sweep_over_seed_uses_given_values(tmp_path):
     rows = (out / "sweep.csv").read_text().strip().split("\n")
     assert int(rows[1].split(",")[2]) == 11
     assert int(rows[2].split(",")[2]) == 12
+
+
+def test_sweep_checks_every_point_before_any_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--param", "hyperparams.beta1",
+                 "--values", "0.5,0.9,1.5", "--out", str(out)]) == 2
+    assert "beta1" in last_error(capsys)
+    assert not out.exists()
+
+
+def test_sweep_seed_keeps_integer_precision(tmp_path):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "seeds"
+    assert main(["sweep", "--config", cfg, "--param", "seed",
+                 "--values", "9007199254740993", "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().strip().split("\n")
+    assert rows[1].split(",")[1:3] == ["9007199254740993", "9007199254740993"]
 
 
 def test_sweep_rejects_fractional_seed_values(tmp_path, capsys):
