@@ -4,8 +4,9 @@ Configs are strict JSON: unknown keys are rejected and every value is
 validated before any work starts. A parsed config is its own canonical dict:
 every default is filled in, it serializes to JSON, and parsing it again
 returns it unchanged. Output files are written atomically (temp file in the
-target directory, then rename) with floats at 17 significant digits so they
-round-trip exactly.
+target directory, then rename); JSON files take the stdlib's indent=1 layout.
+Floats are printed at 17 significant digits so they round-trip exactly, and
+non-finite floats in JSON as null.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error (with a
 one-line JSON error object on stderr).
@@ -20,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -57,40 +57,25 @@ def _fmt(x: float) -> str:
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
-    """json.dumps with floats at 17 significant digits.
+    """json.dumps(obj, indent=1), but with floats at 17 significant digits.
 
-    The stdlib encoder hardwires repr for floats; this walker matches the
-    CSV float format instead. Non-finite floats become null (strict JSON
-    has no NaN/Infinity tokens). Dict keys must already be strings.
+    The stdlib encoder hardwires repr for floats; this walker formats them
+    like the CSV files instead, non-finite ones as null (strict JSON has no
+    NaN/Infinity tokens), and hands every other leaf to json.dumps.
     """
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, str):
+    if isinstance(obj, dict) and obj:
+        items = [f"{json.dumps(k)}: {_json_dumps(v, indent + 1)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = [_json_dumps(v, indent + 1) for v in obj]
+        brackets = "[]"
+    else:
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{pad} {json.dumps(str(k))}: {_json_dumps(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        if not len(seq):
-            return "[]"
-        items = ",\n".join(f"{pad} {_json_dumps(v, indent + 1)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    close = "\n" + " " * indent
+    pad = close + " "
+    return brackets[0] + pad + ("," + pad).join(items) + close + brackets[1]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -268,18 +253,19 @@ def parse_run_config(d) -> dict:
 
 
 def _build_problem(cfg: dict):
-    p, seed = cfg["problem"], cfg["seed"]
+    """The problem of a canonical run or race config."""
+    p = cfg["problem"]
     if p["kind"] == "testfn":
         return TestFnProblem(get_testfn(p["name"]), start=p["start"])
     if p["kind"] == "regret":
-        exp = make_quadratic_stream(p["dim"], cfg["steps"], seed,
+        exp = make_quadratic_stream(p["dim"], cfg["steps"], cfg["seed"],
                                     center_scale=p["center_scale"],
                                     margin=p["margin"])
         return RegretProblem(exp)
     spec = MlpSpec(2, p["hidden_dim"], 1 if p["loss"] == "logistic" else 2,
                    p["activation"], p["loss"])
-    ds = two_moons(p["dataset"]["n"], p["dataset"]["noise"], seed)
-    return MlpProblem(spec, ds, p["batch_size"], seed)
+    ds = two_moons(p["dataset"]["n"], p["dataset"]["noise"], cfg["seed"])
+    return MlpProblem(spec, ds, p["batch_size"], cfg["seed"])
 
 
 # ---------------------------------------------------------------- run verb
@@ -302,13 +288,16 @@ def run_command(cfg: dict, out_dir: str) -> dict:
         rows.append(f"{p.t},{_fmt(p.loss)},{_fmt(sn)},{_fmt(tf)}")
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), "\n".join(rows) + "\n")
 
+    # json.dumps(hists, indent=1) from preformatted rows: the stdlib's
+    # indented encoder is pure Python and holds every token at once
     hists = [
-        {"t": p.t, "counts": p.diag.bhat_histogram.tolist()}
+        f' {{\n  "t": {p.t},\n  "counts": [\n   '
+        + ",\n   ".join(map(str, p.diag.bhat_histogram.tolist())) + "\n  ]\n }"
         for p in traj.points
         if p.diag is not None and p.diag.bhat_histogram is not None
     ]
-    _atomic_write(os.path.join(out_dir, "histograms.json"),
-                  _json_dumps(hists) + "\n")
+    text = "[\n" + ",\n".join(hists) + "\n]" if hists else "[]"
+    _atomic_write(os.path.join(out_dir, "histograms.json"), text + "\n")
 
     final = traj.points[-1]
     summary: dict = {
@@ -321,7 +310,7 @@ def run_command(cfg: dict, out_dir: str) -> dict:
     optimum = getattr(problem, "optimum", None)
     if optimum is not None:
         summary["steps_to_tol"] = traj.steps_to_tol
-    if optimum is not None and final.params is not None and not traj.diverged:
+    if optimum is not None and not traj.diverged:
         dist = float(np.linalg.norm(final.params - optimum))
         summary["final_distance"] = dist
         if dist <= cfg["tol"]:
@@ -374,6 +363,7 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
     dirs = [os.path.join(out_dir, f"point_{i:03d}") for i in range(len(cfgs))]
     os.makedirs(out_dir, exist_ok=True)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(run_command, cfgs, dirs))
     else:
@@ -394,19 +384,12 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
 def verify_command(samples: int, seed: int, hp: HyperParams, out_path: str | None):
     reports = verify_suite(samples=samples, seed=seed, hp=hp)
     width = max(len(r["claim"]) for r in reports)
-    failed = False
     for r in reports:
-        if r["passed"] is None:
-            status = "INCONCLUSIVE"
-        elif r["passed"]:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            failed = True
+        status = {None: "INCONCLUSIVE", True: "PASS", False: "FAIL"}[r["passed"]]
         print(f"{r['claim']:<{width}}  {status}  observed={r['observed']!r}")
     if out_path:
         _atomic_write(out_path, _json_dumps(reports) + "\n")
-    return 1 if failed else 0
+    return 1 if any(r["passed"] is False for r in reports) else 0
 
 
 # ---------------------------------------------------------------- race verb
@@ -430,37 +413,35 @@ _RACE = {
 }
 
 
-def parse_race_config(d):
-    """(problem, names, hyperparams by name, tol, max_steps), in canonical form."""
+def parse_race_config(d) -> dict:
+    """The canonical dict of a race config (see the module docstring)."""
     cfg = _section(d, _RACE, "config")
     if cfg["problem"]["kind"] != "testfn":
         raise ConfigError("races need a test-function problem with a known optimum")
     names = [e["optimizer"] for e in cfg["entrants"]]
     if len(set(names)) < len(names):
         raise ConfigError(f"duplicate entrant in config.entrants: {names}")
-    hps = {e["optimizer"]: e["hyperparams"] for e in cfg["entrants"]}
-    return cfg["problem"], names, hps, cfg["tol"], cfg["max_steps"]
+    return cfg
 
 
 def race_command(d: dict, out_dir: str) -> dict:
-    problem_cfg, names, hps, tol, max_steps = parse_race_config(d)
-    problem = TestFnProblem(get_testfn(problem_cfg["name"]), start=problem_cfg["start"])
-    result = race(problem, names, {n: _hp(hp) for n, hp in hps.items()},
-                  tol=tol, max_steps=max_steps)
+    cfg = parse_race_config(d)
+    problem = _build_problem(cfg)
+    hps = {e["optimizer"]: _hp(e["hyperparams"]) for e in cfg["entrants"]}
+    result = race(problem, list(hps), hps, tol=cfg["tol"], max_steps=cfg["max_steps"])
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "problem": problem.name,
-        "tol": tol,
-        "max_steps": max_steps,
+        "tol": cfg["tol"],
+        "max_steps": cfg["max_steps"],
         "steps_to_tol": result.steps_to_tol,
         "final_distance": result.final_distance,
         "winner": result.winner(),
     }
     _atomic_write(os.path.join(out_dir, "race.json"),
                   _json_dumps(payload) + "\n")
-    width = max(len(n) for n in names)
-    for name in names:
-        steps = result.steps_to_tol[name]
+    width = max(len(n) for n in hps)
+    for name, steps in result.steps_to_tol.items():
         print(f"{name:<{width}}  {'DNF' if steps is None else steps}")
     return payload
 

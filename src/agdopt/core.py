@@ -7,9 +7,9 @@ Every optimizer works on flat float64 vectors and exposes a step of the shape
 
 with t starting at 1. Steps are pure: inputs are never mutated, fresh state
 comes back. `optimizer_step` is the front door for library callers: it
-validates the hyperparameters and vectors, applies decoupled weight decay
-(when enabled), hands the step to `optim.dispatch_step` (which checks the step
-counter and shapes) and refuses a non-finite result.
+validates the hyperparameters and vectors, hands the step to
+`optim.dispatch_step` (which checks the step counter and shapes and applies
+decoupled weight decay) and refuses a non-finite result.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def as_param_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def optimizer_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
-    """Validated uniform step: decay, dispatch, output check.
+    """Validated uniform step: input checks, dispatch, output check.
 
     Returns (state', w', StepDiagnostics). Raises ShapeError / NumericError /
     ConfigError on malformed input; never returns non-finite parameters.
@@ -171,9 +171,6 @@ def optimizer_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool
     hp.validate()
     w = as_param_vector(w, "params")
     g = as_param_vector(g, "gradient")
-    if hp.weight_decay > 0.0:
-        w = w * (1.0 - hp.lr_at(t) * hp.weight_decay)
-
     new_state, new_w, diag = optim.dispatch_step(
         state, w, g, t, hp, collect_histogram=collect_histogram
     )

@@ -3,16 +3,16 @@ timelines.
 
 A Problem bundles a start point with a loss/gradient callback; fresh problem
 objects are cheap and deterministic, so every run rebuilds its own. One
-generator, `run_steps`, drives every run: it validates once up front, applies
-decoupled weight decay, steps through `optim.dispatch_step`, projects when the
-problem asks for it, and ends the run at divergence. `record_run`, `race` and
-`theory.online_regret` consume it.
+generator, `run_steps`, drives every run: it validates once up front, steps
+through `optim.dispatch_step` (which applies decoupled weight decay), projects
+when the problem asks for it, and ends the run at divergence. `record_run`,
+`race` and `theory.online_regret` consume it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,23 +83,19 @@ class MlpProblem:
 class TrajectoryPoint:
     t: int
     loss: float
-    params: np.ndarray | None = None
+    params: np.ndarray | None = None  # only on a trajectory's last point
     diag: StepDiagnostics | None = None
 
 
 @dataclass
 class Trajectory:
     points: list[TrajectoryPoint]
-    meta: dict = field(default_factory=dict)
     diverged: bool = False
     diverged_at: int | None = None
     steps_to_tol: int | None = None
 
     def losses(self) -> np.ndarray:
         return np.array([p.loss for p in self.points])
-
-    def snapshots(self) -> list[np.ndarray]:
-        return [p.params for p in self.points if p.params is not None]
 
 
 def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
@@ -121,7 +117,6 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
     hp.validate()
     w = as_param_vector(problem.init_params(), "start params")
     state = init_state(optimizer, w.size)
-    decay = hp.weight_decay
     project = getattr(problem, "project", None)
     yield 0, None, w, None
     for t in range(1, steps + 1):
@@ -133,8 +128,6 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
             yield t, loss, w, None
             return
         snap = snapshot_every is not None and (t % snapshot_every == 0 or t == steps)
-        if decay > 0.0:
-            w = w * (1.0 - hp.lr_at(t) * decay)
         state, w, diag = dispatch_step(state, w, g, t, hp, collect_histogram=snap)
         if project is not None:
             w = project(w)
@@ -143,43 +136,33 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
 
 def record_run(problem, optimizer: str, hp: HyperParams, steps: int,
                snapshot_every: int = 1, tol: float | None = None) -> Trajectory:
-    """Run an optimizer, recording loss and scalar diagnostics every step; a
-    parameter snapshot and denominator histogram are kept every
-    snapshot_every steps (and at the final step).
+    """Run an optimizer, recording loss and scalar diagnostics every step and
+    a denominator histogram every snapshot_every steps (and at the final
+    step). Only the last point keeps its parameters: the final iterate.
 
     Divergence (see run_steps) stops the run and flags it; it is a result,
-    not an error, and the last point holds the diverging loss and iterate.
-    When the problem exposes a known optimum and tol is given, steps_to_tol
-    records the first step whose post-step parameters are within tol of it
-    (0 for a start already inside, None if never reached), with the same
-    accounting as race().
+    not an error, and the last point holds the diverging loss and the
+    iterate w_{t-1} it was evaluated at. When the problem exposes a known
+    optimum and tol is given, steps_to_tol records the first step whose
+    post-step parameters are within tol of it (0 for a start already inside,
+    None if never reached), with the same accounting as race().
     """
     if tol is not None and tol <= 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     optimum = getattr(problem, "optimum", None)
     track = tol is not None and optimum is not None
-    points: list[TrajectoryPoint] = []
-    traj = Trajectory(points=points, meta={
-        "problem": problem.name,
-        "optimizer": optimizer,
-        "hp": hp,
-        "steps": steps,
-        "snapshot_every": snapshot_every,
-    })
+    traj = Trajectory(points=[])
     for t, loss, w, diag in run_steps(problem, optimizer, hp, steps, snapshot_every):
         if t and diag is None:
             traj.diverged = True
             traj.diverged_at = t
-            points.append(TrajectoryPoint(t=t, loss=loss, params=w.copy()))
-            break
-        if track and traj.steps_to_tol is None:
+        elif track and traj.steps_to_tol is None:
             d = w - optimum
             if float(d @ d) <= tol * tol:
                 traj.steps_to_tol = t
         if t:
-            snap = t % snapshot_every == 0 or t == steps
-            points.append(TrajectoryPoint(t=t, loss=loss, diag=diag,
-                                          params=w.copy() if snap else None))
+            traj.points.append(TrajectoryPoint(t=t, loss=loss, diag=diag))
+    traj.points[-1].params = w
     return traj
 
 

@@ -23,9 +23,9 @@ b_t elementwise non-decreasing, which the sublinear-regret run mode requires.
 The Adam / AdamW / AdaBelief and SGD+momentum baselines share the same calling
 convention so runs and races can treat optimizers uniformly. One Adam-family
 kernel serves all three variants: AdamW differs from Adam only through the
-decoupled weight decay applied by the caller, and AdaBelief feeds the second
-moment with g_t - m_t instead of g_t. `dispatch_step` is the one place that
-checks a step's counter and shapes; the kernels only compute.
+decoupled weight decay, and AdaBelief feeds the second moment with g_t - m_t
+instead of g_t. `dispatch_step` is the one place that checks a step's counter
+and shapes and applies decoupled weight decay; the kernels only compute.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def adam_step(state: AdamLikeState, w, g, t: int, hp: HyperParams, collect_histo
     """Bias-corrected Adam-family step: w <- w - lr_t * mhat / (sqrt(vhat) + delta).
 
     delta plays the usual epsilon role. v tracks g_t**2 for Adam and AdamW
-    (whose decoupled decay the caller applies). For AdaBelief v tracks
+    (whose decoupled decay dispatch_step applies). For AdaBelief v tracks
     (g_t - m_t)**2 plus delta each step, as the reference implementation does.
     """
     beta1_t = hp.beta1_at(t)
@@ -213,7 +213,8 @@ def dispatch_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool 
     """Route a uniform step to the optimizer owning `state`.
 
     Checks that t follows the state's counter and that params, gradient and
-    the state's vectors share one shape; the kernels themselves do not check.
+    the state's vectors share one shape, then applies decoupled weight decay
+    before the kernel's update; the kernels themselves do neither.
     """
     if isinstance(state, AgdState):
         kernel, vec = agd_step, state.m
@@ -229,4 +230,6 @@ def dispatch_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool 
     if not w.shape == g.shape == vec.shape:
         raise ShapeError(f"shape mismatch: params {w.shape}, gradient {g.shape}, "
                          f"state {vec.shape}")
+    if hp.weight_decay > 0.0:
+        w = w * (1.0 - hp.lr_at(t) * hp.weight_decay)
     return kernel(state, w, g, t, hp, collect_histogram)

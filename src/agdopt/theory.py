@@ -279,6 +279,8 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     estimator noise from a real violation, so its result is marked
     inconclusive rather than failed.
     """
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     if hp is None:
         hp = HyperParams(alpha=1e-3)
     hp.validate()

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import agdopt
 from agdopt.cli import (
     derive_seed,
     main,
@@ -150,8 +154,9 @@ def test_parse_race_config_checks_entrants():
         "problem": {"kind": "testfn", "name": "quad_skew"},
         "entrants": [{"optimizer": "agd", "hyperparams": {"alpha": 1e-3}}],
     }
-    problem, names, hp_map, tol, max_steps = parse_race_config(race)
-    assert names == ["agd"] and tol == 1e-2 and max_steps == 100_000
+    cfg = parse_race_config(race)
+    names = [e["optimizer"] for e in cfg["entrants"]]
+    assert names == ["agd"] and cfg["tol"] == 1e-2 and cfg["max_steps"] == 100_000
     dup = json.loads(json.dumps(race))
     dup["entrants"].append(dup["entrants"][0])
     with pytest.raises(ConfigError):
@@ -169,15 +174,9 @@ def test_readme_config_examples_parse_to_canonical_form():
     blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, re.S)]
     assert {"entrants" in b for b in blocks} == {True, False}
     for block in blocks:
-        if "entrants" in block:
-            parsed = parse_race_config(block)
-            problem, names, hps, tol, max_steps = parsed
-            canon = {"problem": problem, "tol": tol, "max_steps": max_steps,
-                     "entrants": [{"optimizer": n, "hyperparams": hps[n]} for n in names]}
-            assert parse_race_config(json.loads(json.dumps(canon))) == parsed
-        else:
-            canon = parse_run_config(block)
-            assert parse_run_config(json.loads(json.dumps(canon))) == canon
+        parse = parse_race_config if "entrants" in block else parse_run_config
+        cfg = parse(block)
+        assert parse(json.loads(json.dumps(cfg))) == cfg
 
 
 # ---------------------------------------------------------------- seeds
@@ -440,6 +439,15 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert (ser / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # only `sweep --jobs N` with N > 1 needs the process pool machinery
+    code = "import sys, agdopt.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(agdopt.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_sweep_rejects_unknown_param(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     assert main(["sweep", "--config", cfg, "--param", "hyperparams.gamma",
@@ -578,6 +586,12 @@ def test_verify_verb_inconclusive_is_not_failure(tmp_path, capsys):
     assert "INCONCLUSIVE" in out and "FAIL" not in out
     payload = json.loads(report.read_text())
     assert payload[0]["passed"] is None
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_verb_nonpositive_samples_exits_2(capsys, samples):
+    assert main(["verify", "--samples", samples]) == 2
+    assert "samples" in last_error(capsys)
 
 
 def test_verify_verb_bad_hp_exits_2(capsys):

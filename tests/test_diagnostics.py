@@ -8,6 +8,7 @@ from agdopt.diagnostics import (
     TestFnProblem,
     race,
     record_run,
+    run_steps,
     switch_timeline,
 )
 from agdopt.models import MlpSpec, two_moons
@@ -78,14 +79,13 @@ def test_record_run_shapes_and_cadence():
     assert [pt.t for pt in traj.points] == list(range(1, 11))
     # scalar diagnostics at every step
     assert all(pt.diag is not None for pt in traj.points)
-    # snapshots and histograms at the cadence plus the final step
+    # histograms at the cadence plus the final step; params at the final step
     snap_ts = [pt.t for pt in traj.points if pt.params is not None]
-    assert snap_ts == [4, 8, 10]
+    assert snap_ts == [10]
     hist_ts = [pt.t for pt in traj.points
                if pt.diag.bhat_histogram is not None]
     assert hist_ts == [4, 8, 10]
     assert not traj.diverged
-    assert traj.meta["optimizer"] == "agd"
 
 
 def test_record_run_losses_decrease_on_quadratic():
@@ -114,6 +114,16 @@ def test_record_run_flags_divergence():
     assert traj.diverged_at == 2
     assert traj.points[-1].t == 2  # stops at the flagged step
     assert traj.points[-1].loss > DIVERGENCE_LOSS
+
+
+def test_record_run_keeps_only_the_last_iterate():
+    p = TestFnProblem(TESTFNS["rosenbrock"])
+    hp = HyperParams(alpha=10.0, beta1=0.9)
+    traj = record_run(p, "sgd", hp, steps=50)
+    iterates = [w for _, _, w, _ in run_steps(p, "sgd", hp, steps=50)]
+    # diverged at t=2: the last point holds w_1, where its loss was evaluated
+    assert [pt.t for pt in traj.points if pt.params is not None] == [2]
+    assert np.array_equal(traj.points[-1].params, iterates[1])
 
 
 @pytest.mark.parametrize("name", ["rosenbrock", "beale"])
@@ -152,14 +162,15 @@ def test_record_run_bounded_updates_stay_finite():
 
 def test_record_run_applies_weight_decay():
     hp = HyperParams(alpha=0.1, weight_decay=0.5)
-    traj = record_run(ZeroGradProblem(dim=2, w0=2.0), "adam", hp, steps=3,
-                      snapshot_every=1)
+    iterates = [w for t, _, w, _ in run_steps(ZeroGradProblem(dim=2, w0=2.0),
+                                              "adam", hp, steps=3) if t]
+    assert len(iterates) == 3
     # zero gradients: params shrink by exactly (1 - lr*decay) each step
     factor = 1.0 - 0.1 * 0.5
     expect = 2.0
-    for pt in traj.points:
+    for w in iterates:
         expect *= factor
-        assert np.allclose(pt.params, expect, rtol=0, atol=1e-15)
+        assert np.allclose(w, expect, rtol=0, atol=1e-15)
 
 
 def test_switch_timeline_matches_points():
@@ -204,13 +215,16 @@ def test_regret_problem_stays_in_box():
     p = RegretProblem(exp)
     hp = HyperParams(alpha=0.5, lr_schedule="inverse_sqrt",
                      beta1_schedule="over_t")
-    traj = record_run(p, "agd_amsgrad", hp, steps=300, snapshot_every=1)
-    for snap in traj.snapshots():
-        assert np.all(snap >= exp.lo - 1e-15)
-        assert np.all(snap <= exp.hi + 1e-15)
+    losses = []
+    for t, loss, w, _ in run_steps(p, "agd_amsgrad", hp, steps=300):
+        assert np.all(w >= exp.lo - 1e-15)
+        assert np.all(w <= exp.hi + 1e-15)
+        if t:
+            losses.append(loss)
     # cumulative regret vs the offline box minimizer is nonnegative at the
     # full horizon
-    assert float(np.sum(traj.losses())) >= -1e-9
+    assert len(losses) == 300
+    assert float(np.sum(losses)) >= -1e-9
 
 
 def test_regret_problem_stream_exhausts():

@@ -335,6 +335,16 @@ def test_dispatch_routes_by_state_type():
         dispatch_step(object(), np.zeros(2), np.ones(2), 1, HP)
 
 
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_dispatch_applies_decoupled_decay(name):
+    # zero gradient and zero state: the only move is the decay shrinkage
+    hp = HyperParams(alpha=0.1, weight_decay=0.5)
+    w0 = np.full(2, 2.0)
+    _, w, _ = dispatch_step(init_state(name, 2), w0, np.zeros(2), 1, hp)
+    assert np.array_equal(w, w0 * (1.0 - 0.1 * 0.5))
+    assert np.array_equal(w0, [2.0, 2.0])
+
+
 def test_steps_do_not_mutate_inputs():
     w = np.ones(3)
     g = np.full(3, 2.0)
