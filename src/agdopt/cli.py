@@ -281,29 +281,22 @@ def run_command(cfg: dict, out_dir: str) -> dict:
                       snapshot_every=cfg["snapshot_every"], tol=cfg["tol"])
     wall = time.perf_counter() - t0
 
-    rows = ["t,loss,step_norm,truncation_fraction"]
-    for p in traj.points:
-        sn = p.diag.step_norm if p.diag is not None else math.nan
-        tf = p.diag.truncation_fraction if p.diag is not None else math.nan
-        rows.append(f"{p.t},{_fmt(p.loss)},{_fmt(sn)},{_fmt(tf)}")
+    rows = ["t,loss,step_norm,truncation_fraction"] + [
+        f"{t},{f:.17g},{sn:.17g},{tf:.17g}" for t, (f, sn, tf) in enumerate(zip(
+            traj.loss.tolist(), traj.step_norm.tolist(), traj.truncation_fraction.tolist()), 1)]
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), "\n".join(rows) + "\n")
 
     # json.dumps(hists, indent=1) from preformatted rows: the stdlib's
     # indented encoder is pure Python and holds every token at once
-    hists = [
-        f' {{\n  "t": {p.t},\n  "counts": [\n   '
-        + ",\n   ".join(map(str, p.diag.bhat_histogram.tolist())) + "\n  ]\n }"
-        for p in traj.points
-        if p.diag is not None and p.diag.bhat_histogram is not None
-    ]
+    hists = [f' {{\n  "t": {t},\n  "counts": [\n   ' + ",\n   ".join(map(str, counts))
+             + "\n  ]\n }" for t, counts in zip(traj.hist_t.tolist(), traj.hists.tolist())]
     text = "[\n" + ",\n".join(hists) + "\n]" if hists else "[]"
     _atomic_write(os.path.join(out_dir, "histograms.json"), text + "\n")
 
-    final = traj.points[-1]
     summary: dict = {
         "status": "diverged" if traj.diverged else "completed",
-        "steps_run": final.t,
-        "final_loss": final.loss,
+        "steps_run": len(traj.loss),
+        "final_loss": float(traj.loss[-1]),
         "diverged_at": traj.diverged_at,
         "wall_time_s": wall,
     }
@@ -311,12 +304,12 @@ def run_command(cfg: dict, out_dir: str) -> dict:
     if optimum is not None:
         summary["steps_to_tol"] = traj.steps_to_tol
     if optimum is not None and not traj.diverged:
-        dist = float(np.linalg.norm(final.params - optimum))
+        dist = float(np.linalg.norm(traj.params - optimum))
         summary["final_distance"] = dist
         if dist <= cfg["tol"]:
             summary["status"] = "converged"
     if cfg["problem"]["kind"] == "regret" and not traj.diverged:
-        summary["final_regret"] = float(np.sum(traj.losses()))
+        summary["final_regret"] = float(np.sum(traj.loss))
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   _json_dumps(summary) + "\n")
     return summary

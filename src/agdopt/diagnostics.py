@@ -1,12 +1,13 @@
-"""The run loop, run recording, head-to-head races, and switch-behavior
-timelines.
+"""The run loop, run recording and head-to-head races.
 
 A Problem bundles a start point with a loss/gradient callback; fresh problem
 objects are cheap and deterministic, so every run rebuilds its own. One
 generator, `run_steps`, drives every run: it validates once up front, steps
 through `optim.dispatch_step` (which applies decoupled weight decay), projects
-when the problem asks for it, and ends the run at divergence. `record_run`,
-`race` and `theory.online_regret` consume it.
+when the problem asks for it, and ends the run at divergence. `record_run` and
+`race` consume it. `record_run` returns a `Trajectory` of per-step columns
+(loss, step norm, truncation fraction, denominator histograms at the
+snapshot cadence), which are the run's switch timeline.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HyperParams, StepDiagnostics, as_param_vector
+from .core import HIST_BINS, ConfigError, HyperParams, StepDiagnostics, as_param_vector
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
 from .optim import dispatch_step, init_state
 from .testfns import TestFunction
@@ -25,16 +26,16 @@ __all__ = [
     "DIVERGENCE_LOSS",
     "TestFnProblem",
     "MlpProblem",
-    "TrajectoryPoint",
     "Trajectory",
     "record_run",
     "RaceResult",
     "race",
-    "switch_timeline",
 ]
 
 # a loss above this (or any non-finite value) flags the run as diverged
 DIVERGENCE_LOSS = 1e12
+# the diagnostics row of a diverging step, which takes no optimizer step
+_DIVERGED = StepDiagnostics(truncation_fraction=math.nan, step_norm=math.nan)
 
 
 class TestFnProblem:
@@ -80,22 +81,18 @@ class MlpProblem:
 
 
 @dataclass
-class TrajectoryPoint:
-    t: int
-    loss: float
-    params: np.ndarray | None = None  # only on a trajectory's last point
-    diag: StepDiagnostics | None = None
-
-
-@dataclass
 class Trajectory:
-    points: list[TrajectoryPoint]
+    """A run recorded as columns, one row per step run; see record_run."""
+
+    loss: np.ndarray
+    step_norm: np.ndarray
+    truncation_fraction: np.ndarray
+    hist_t: np.ndarray
+    hists: np.ndarray  # (len(hist_t), HIST_BINS) int64
+    params: np.ndarray
     diverged: bool = False
     diverged_at: int | None = None
     steps_to_tol: int | None = None
-
-    def losses(self) -> np.ndarray:
-        return np.array([p.loss for p in self.points])
 
 
 def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
@@ -136,34 +133,53 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
 
 def record_run(problem, optimizer: str, hp: HyperParams, steps: int,
                snapshot_every: int = 1, tol: float | None = None) -> Trajectory:
-    """Run an optimizer, recording loss and scalar diagnostics every step and
-    a denominator histogram every snapshot_every steps (and at the final
-    step). Only the last point keeps its parameters: the final iterate.
+    """Run an optimizer and record it as the columns of a Trajectory.
 
-    Divergence (see run_steps) stops the run and flags it; it is a result,
-    not an error, and the last point holds the diverging loss and the
-    iterate w_{t-1} it was evaluated at. When the problem exposes a known
-    optimum and tol is given, steps_to_tol records the first step whose
-    post-step parameters are within tol of it (0 for a start already inside,
-    None if never reached), with the same accounting as race().
+    loss, step_norm and truncation_fraction have one row per step run (row
+    t-1 is step t); hists has one histogram row per entry of hist_t, taken
+    every snapshot_every steps and at the final step. params is the final
+    iterate. Divergence (see run_steps) stops the run and flags it; it is a
+    result, not an error: the last row holds the diverging loss, with NaN
+    step_norm and truncation_fraction, and params the iterate w_{t-1} it was
+    evaluated at. When the problem exposes a known optimum and tol is given,
+    steps_to_tol records the first step whose post-step parameters are within
+    tol of it (0 for a start already inside, None if never reached), with the
+    same accounting as race().
     """
     if tol is not None and tol <= 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
     optimum = getattr(problem, "optimum", None)
     track = tol is not None and optimum is not None
-    traj = Trajectory(points=[])
-    for t, loss, w, diag in run_steps(problem, optimizer, hp, steps, snapshot_every):
-        if t and diag is None:
-            traj.diverged = True
-            traj.diverged_at = t
-        elif track and traj.steps_to_tol is None:
-            d = w - optimum
-            if float(d @ d) <= tol * tol:
-                traj.steps_to_tol = t
-        if t:
-            traj.points.append(TrajectoryPoint(t=t, loss=loss, diag=diag))
-    traj.points[-1].params = w
-    return traj
+    # grown per step run, not preallocated: a step budget may be huge
+    loss, step_norm, fraction, hist_t, hists = [], [], [], [], []
+    diverged_at = steps_to_tol = None
+    with np.errstate(over="ignore"):  # overflow on the way to divergence is a result
+        for t, f, w, diag in run_steps(problem, optimizer, hp, steps, snapshot_every):
+            if t and diag is None:
+                diverged_at = t
+                diag = _DIVERGED
+            elif track and steps_to_tol is None:
+                d = w - optimum
+                if float(d @ d) <= tol * tol:
+                    steps_to_tol = t
+            if t:
+                loss.append(f)
+                step_norm.append(diag.step_norm)
+                fraction.append(diag.truncation_fraction)
+                if diag.bhat_histogram is not None:
+                    hist_t.append(t)
+                    hists.append(diag.bhat_histogram)
+    return Trajectory(
+        loss=np.array(loss, dtype=np.float64),
+        step_norm=np.array(step_norm, dtype=np.float64),
+        truncation_fraction=np.array(fraction, dtype=np.float64),
+        hist_t=np.array(hist_t, dtype=np.int64),
+        hists=np.array(hists, dtype=np.int64).reshape(-1, HIST_BINS),
+        params=w,
+        diverged=diverged_at is not None,
+        diverged_at=diverged_at,
+        steps_to_tol=steps_to_tol,
+    )
 
 
 @dataclass
@@ -200,26 +216,19 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
     tol_sq = tol * tol
     steps_to_tol: dict[str, int | None] = {}
     final_distance: dict[str, float] = {}
-    for name in optimizers:
-        result: int | None = None
-        for t, _, w, diag in run_steps(problem, name, hp_map[name], max_steps):
-            if t and diag is None:
-                break
+    with np.errstate(over="ignore"):  # overflow on the way to divergence is a DNF
+        for name in optimizers:
+            result: int | None = None
+            for t, _, w, diag in run_steps(problem, name, hp_map[name], max_steps):
+                if t and diag is None:
+                    break
+                d = w - optimum
+                if float(d @ d) <= tol_sq:
+                    result = t
+                    break
+            steps_to_tol[name] = result
             d = w - optimum
-            if float(d @ d) <= tol_sq:
-                result = t
-                break
-        steps_to_tol[name] = result
-        d = w - optimum
-        final_distance[name] = math.sqrt(float(d @ d))
+            final_distance[name] = math.sqrt(float(d @ d))
     return RaceResult(steps_to_tol=steps_to_tol, final_distance=final_distance,
                       tol=tol, max_steps=max_steps)
 
-
-def switch_timeline(traj: Trajectory):
-    """(t, truncation_fraction, histogram) at every recorded diagnostic."""
-    out = []
-    for p in traj.points:
-        if p.diag is not None:
-            out.append((p.t, p.diag.truncation_fraction, p.diag.bhat_histogram))
-    return out

@@ -9,7 +9,6 @@ shuffles epoch e.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "MlpSpec",
     "rng_stream",
     "two_moons",
-    "dataset_to_csv",
     "init_params",
     "mlp_loss_grad",
     "mlp_predict",
@@ -53,9 +51,6 @@ class Dataset:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[idx], self.targets[idx], self.seed)
-
 
 def two_moons(n: int, noise: float, seed: int) -> Dataset:
     """Two interleaved half-circles with Gaussian jitter, balanced classes.
@@ -81,15 +76,6 @@ def two_moons(n: int, noise: float, seed: int) -> Dataset:
     labels = np.concatenate([np.zeros(n_out, dtype=np.int64),
                              np.ones(n_in, dtype=np.int64)])
     return Dataset(inputs=pts, targets=labels, seed=seed)
-
-
-def dataset_to_csv(ds: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        d = ds.inputs.shape[1]
-        writer.writerow([f"x{i}" for i in range(d)] + ["target"])
-        for row, tgt in zip(ds.inputs, ds.targets):
-            writer.writerow([repr(float(v)) for v in row] + [repr(tgt.item())])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, HyperParams
-from .diagnostics import run_steps
+from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_init, agd_step
 
@@ -208,16 +208,14 @@ def make_quadratic_stream(dim: int, horizon: int, seed: int,
 def online_regret(exp: RegretExperiment, hp: HyperParams, amsgrad: bool = True):
     """Projected online run; returns the cumulative regret series.
 
-    regret[T-1] = sum_{t<=T} (f_t(w_t) - f_t(w*)). Positivity is guaranteed
-    only at the full horizon, where w* is the exact offline minimizer. A run
-    that diverges ends its series at the diverging step.
+    regret[T-1] = sum_{t<=T} (f_t(w_t) - f_t(w*)), the cumulative sum of the
+    run's loss column. Positivity is guaranteed only at the full horizon,
+    where w* is the exact offline minimizer. A run that diverges ends its
+    series at the diverging step.
     """
-    inst = np.empty(exp.horizon)  # only the losses are kept, not the iterates
     optimizer = "agd_amsgrad" if amsgrad else "agd"
-    for t, loss, _, _ in run_steps(RegretProblem(exp), optimizer, hp, exp.horizon):
-        if t:
-            inst[t - 1] = loss
-    return np.cumsum(inst[:t])
+    return np.cumsum(record_run(RegretProblem(exp), optimizer, hp, exp.horizon,
+                                snapshot_every=exp.horizon).loss)
 
 
 def loglog_slope(series: np.ndarray, lo_frac: float = 0.1) -> float:

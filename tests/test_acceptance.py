@@ -314,8 +314,8 @@ def test_delta_robustness_two_moons(capsys):
         steps = 3 * problem.steps_per_epoch
         hp = HyperParams(alpha=2e-2, delta=delta)
         traj = record_run(problem, "agd", hp, steps=steps, snapshot_every=steps)
-        accs.append(accuracy(spec, traj.points[-1].params, ds))
-        losses.append(float(np.mean(traj.losses()[-problem.steps_per_epoch:])))
+        accs.append(accuracy(spec, traj.params, ds))
+        losses.append(float(np.mean(traj.loss[-problem.steps_per_epoch:])))
     spread = max(accs) - min(accs)
     ok = spread <= 0.05 and max(losses) < 0.3
     report(capsys, "delta robustness", ok,

@@ -396,6 +396,33 @@ def test_run_verb_overflow_divergence_is_a_result(tmp_path, name):
     assert summary["diverged_at"] == 2
 
 
+DIVERGING = {"problem": {"kind": "testfn", "name": "rosenbrock"},
+             "hyperparams": {"alpha": 1e250}}
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_run_and_race_warn_nothing(tmp_path, capsys):
+    # divergence is a recorded result, so the overflow on the way to it
+    # raises no numpy RuntimeWarning (turned into an error here)
+    cfg = write_config(tmp_path, dict(BASE, **DIVERGING))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    race = {"problem": DIVERGING["problem"],
+            "entrants": [{"optimizer": "agd", "hyperparams": DIVERGING["hyperparams"]}]}
+    cfg = write_config(tmp_path, race, "race.json")
+    assert main(["race", "--config", cfg, "--out", str(tmp_path / "race")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_run_verb_diverging_with_a_huge_step_budget(tmp_path, capsys):
+    # the run records the steps it ran, not the budget it was given
+    cfg = write_config(tmp_path, dict(BASE, **DIVERGING, steps=1_000_000_000))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "diverged: final loss inf after 2 steps\n"
+    assert (out / "trajectory.csv").read_text().splitlines()[1:] == [
+        "1,24.199999999999996,inf,0", "2,inf,nan,nan"]
+
+
 # ---------------------------------------------------------------- sweep verb
 
 

@@ -9,7 +9,6 @@ from agdopt.diagnostics import (
     race,
     record_run,
     run_steps,
-    switch_timeline,
 )
 from agdopt.models import MlpSpec, two_moons
 from agdopt.testfns import TESTFNS
@@ -75,23 +74,22 @@ def test_mlp_problem_stream_is_stateful():
 def test_record_run_shapes_and_cadence():
     p = TestFnProblem(TESTFNS["quad_skew"])
     traj = record_run(p, "agd", HP, steps=10, snapshot_every=4)
-    assert len(traj.points) == 10
-    assert [pt.t for pt in traj.points] == list(range(1, 11))
+    assert len(traj.loss) == 10
     # scalar diagnostics at every step
-    assert all(pt.diag is not None for pt in traj.points)
+    assert traj.step_norm.shape == traj.truncation_fraction.shape == (10,)
+    assert np.isfinite(traj.step_norm).all()
+    assert np.isfinite(traj.truncation_fraction).all()
     # histograms at the cadence plus the final step; params at the final step
-    snap_ts = [pt.t for pt in traj.points if pt.params is not None]
-    assert snap_ts == [10]
-    hist_ts = [pt.t for pt in traj.points
-               if pt.diag.bhat_histogram is not None]
-    assert hist_ts == [4, 8, 10]
+    assert np.array_equal(traj.params, list(run_steps(p, "agd", HP, steps=10))[-1][2])
+    assert traj.hist_t.tolist() == [4, 8, 10]
+    assert traj.hists.shape == (3, 20)
     assert not traj.diverged
 
 
 def test_record_run_losses_decrease_on_quadratic():
     p = TestFnProblem(TESTFNS["quad_skew"])
     traj = record_run(p, "agd", HP, steps=800, snapshot_every=800)
-    losses = traj.losses()
+    losses = traj.loss
     assert losses[-1] < 0.1 * losses[0]
 
 
@@ -112,8 +110,8 @@ def test_record_run_flags_divergence():
     traj = record_run(p, "sgd", hp, steps=50)
     assert traj.diverged
     assert traj.diverged_at == 2
-    assert traj.points[-1].t == 2  # stops at the flagged step
-    assert traj.points[-1].loss > DIVERGENCE_LOSS
+    assert len(traj.loss) == 2  # stops at the flagged step
+    assert traj.loss[-1] > DIVERGENCE_LOSS
 
 
 def test_record_run_keeps_only_the_last_iterate():
@@ -121,9 +119,9 @@ def test_record_run_keeps_only_the_last_iterate():
     hp = HyperParams(alpha=10.0, beta1=0.9)
     traj = record_run(p, "sgd", hp, steps=50)
     iterates = [w for _, _, w, _ in run_steps(p, "sgd", hp, steps=50)]
-    # diverged at t=2: the last point holds w_1, where its loss was evaluated
-    assert [pt.t for pt in traj.points if pt.params is not None] == [2]
-    assert np.array_equal(traj.points[-1].params, iterates[1])
+    # diverged at t=2: params holds w_1, where its loss was evaluated
+    assert len(traj.loss) == 2
+    assert np.array_equal(traj.params, iterates[1])
 
 
 @pytest.mark.parametrize("name", ["rosenbrock", "beale"])
@@ -131,12 +129,11 @@ def test_record_run_oracle_overflow_is_divergence(name):
     # the first step moves each coordinate by alpha; evaluating the test
     # function that far out overflows Python's float power
     p = TestFnProblem(TESTFNS[name])
-    with np.errstate(over="ignore"):
-        traj = record_run(p, "agd", HyperParams(alpha=1e250), steps=50)
+    traj = record_run(p, "agd", HyperParams(alpha=1e250), steps=50)
     assert traj.diverged
     assert traj.diverged_at == 2
-    assert traj.points[-1].t == 2
-    assert traj.points[-1].loss == float("inf")
+    assert len(traj.loss) == 2
+    assert traj.loss[-1] == float("inf")
 
 
 def test_step_norm_is_the_update_in_both_paths():
@@ -147,7 +144,7 @@ def test_step_norm_is_the_update_in_both_paths():
     traj = record_run(p, "adamw", hp, steps=1)
     _, g = p.loss_grad(p.init_params())
     _, _, diag = optimizer_step(init_state("adamw", 2), p.init_params(), g, 1, hp)
-    assert diag.step_norm == traj.points[0].diag.step_norm
+    assert diag.step_norm == traj.step_norm[0]
     assert abs(diag.step_norm - 0.1 * np.sqrt(2.0)) < 1e-8
 
 
@@ -157,7 +154,7 @@ def test_record_run_bounded_updates_stay_finite():
     hp = HyperParams(alpha=10.0)
     traj = record_run(p, "agd", hp, steps=50)
     assert not traj.diverged
-    assert np.isfinite(traj.losses()).all()
+    assert np.isfinite(traj.loss).all()
 
 
 def test_record_run_applies_weight_decay():
@@ -173,15 +170,54 @@ def test_record_run_applies_weight_decay():
         assert np.allclose(w, expect, rtol=0, atol=1e-15)
 
 
+def _columns_from_run_steps(p, optimizer, hp, steps, snapshot_every):
+    """The Trajectory columns, rebuilt item by item from run_steps."""
+    rows, hist_t, hists = [], [], []
+    for t, loss, _, diag in run_steps(p, optimizer, hp, steps, snapshot_every):
+        if t and diag is None:
+            rows.append((loss, float("nan"), float("nan")))
+        elif t:
+            rows.append((loss, diag.step_norm, diag.truncation_fraction))
+            if diag.bhat_histogram is not None:
+                hist_t.append(t)
+                hists.append(diag.bhat_histogram.tolist())
+    return rows, hist_t, hists
+
+
+def _assert_columns_match(traj, rows, hist_t, hists):
+    # bit for bit, NaN rows included
+    for i, name in enumerate(("loss", "step_norm", "truncation_fraction")):
+        column = getattr(traj, name)
+        assert column.dtype == np.float64
+        assert column.tobytes() == np.array([r[i] for r in rows]).tobytes(), name
+    assert traj.hist_t.dtype == traj.hists.dtype == np.int64
+    assert traj.hist_t.tolist() == hist_t
+    assert traj.hists.shape == (len(hist_t), 20)
+    assert traj.hists.tolist() == hists
+
+
 def test_switch_timeline_matches_points():
+    # the columns are the switch timeline: every row matches run_steps
     p = TestFnProblem(TESTFNS["quad_skew"])
-    traj = record_run(p, "agd", HP, steps=6, snapshot_every=2)
-    timeline = switch_timeline(traj)
-    assert [t for t, _, _ in timeline] == [1, 2, 3, 4, 5, 6]
-    fractions = [f for _, f, _ in timeline]
-    assert all(0.0 <= f <= 1.0 for f in fractions)
-    hists = [h for _, _, h in timeline]
-    assert hists[1] is not None and hists[0] is None
+    for optimizer in ("agd", "adam", "sgd"):
+        traj = record_run(p, optimizer, HP, steps=10, snapshot_every=4)
+        rows, hist_t, hists = _columns_from_run_steps(p, optimizer, HP, 10, 4)
+        _assert_columns_match(traj, rows, hist_t, hists)
+        assert len(traj.loss) == 10
+        assert all(0.0 <= f <= 1.0 for f in traj.truncation_fraction)
+        if optimizer == "sgd":  # no second moment, so an empty histogram block
+            assert traj.hist_t.shape == (0,) and traj.hists.shape == (0, 20)
+        else:
+            assert traj.hist_t.tolist() == [4, 8, 10]
+    # a diverging step is a NaN row; the step before it overflowed step_norm
+    p = TestFnProblem(TESTFNS["rosenbrock"])
+    hp = HyperParams(alpha=1e250)
+    traj = record_run(p, "agd", hp, steps=50, snapshot_every=1)
+    with np.errstate(over="ignore"):  # the reference loop runs unguarded
+        rows, hist_t, hists = _columns_from_run_steps(p, "agd", hp, 50, 1)
+    _assert_columns_match(traj, rows, hist_t, hists)
+    assert traj.step_norm.tolist()[0] == float("inf") and hist_t == [1]
+    assert np.isnan(traj.step_norm[1]) and np.isnan(traj.truncation_fraction[1])
 
 
 # ------------------------------------------------- tolerance tracking

@@ -8,7 +8,6 @@ from agdopt.models import (
     Dataset,
     MlpSpec,
     accuracy,
-    dataset_to_csv,
     epoch_permutation,
     init_params,
     minibatch_stream,
@@ -74,23 +73,6 @@ def test_two_moons_validation():
         two_moons(1, 0.0, seed=0)
     with pytest.raises(ConfigError):
         two_moons(10, -0.1, seed=0)
-
-
-def test_dataset_to_csv_roundtrip(tmp_path):
-    ds = two_moons(12, 0.05, seed=4)
-    path = tmp_path / "moons.csv"
-    dataset_to_csv(ds, path)
-    rows = path.read_text().strip().split("\n")
-    assert rows[0] == "x0,x1,target"
-    parsed = np.array([[float(v) for v in r.split(",")[:2]] for r in rows[1:]])
-    assert np.array_equal(parsed, ds.inputs)  # repr round-trips exactly
-
-
-def test_dataset_take():
-    ds = two_moons(10, 0.0, seed=0)
-    sub = ds.take(np.array([1, 3]))
-    assert sub.n == 2
-    assert np.array_equal(sub.inputs, ds.inputs[[1, 3]])
 
 
 # ---------------------------------------------------------------- mlp shapes
