@@ -339,6 +339,8 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
 
     Every point's config is parsed before any point runs.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if path not in SWEEPABLE:
         raise ConfigError(f"cannot sweep {path!r}; choose one of {SWEEPABLE}")
     if not values:

@@ -3,13 +3,15 @@ diagnostics, and the uniform stepping contract.
 
 Every optimizer works on flat float64 vectors and exposes a step of the shape
 
-    (state, w, g, t, hp) -> (state', w', StepDiagnostics)
+    (state, w, g) -> (state', w', StepDiagnostics)
 
-with t starting at 1. Steps are pure: inputs are never mutated, fresh state
-comes back. `optimizer_step` is the front door for library callers: it
-validates the hyperparameters and vectors, hands the step to
-`optim.dispatch_step` (which checks the step counter and shapes and applies
-decoupled weight decay) and refuses a non-finite result.
+where the state, made by `optim.init_state(name, n, hp)`, carries the
+hyperparameters and the step counter; step t = state.t + 1 starts at 1. Steps
+are pure: inputs are never mutated, fresh state comes back. `optimizer_step`
+is the front door for library callers: it validates the state's
+hyperparameters and the vectors, hands the step to `optim.dispatch_step`
+(which checks shapes and applies decoupled weight decay) and refuses a
+non-finite result.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def as_param_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def optimizer_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
+def optimizer_step(state, w, g, collect_histogram: bool = True):
     """Validated uniform step: input checks, dispatch, output check.
 
     Returns (state', w', StepDiagnostics). Raises ShapeError / NumericError /
@@ -168,11 +170,11 @@ def optimizer_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool
     """
     from . import optim  # deferred to avoid an import cycle
 
-    hp.validate()
+    state.hp.validate()
     w = as_param_vector(w, "params")
     g = as_param_vector(g, "gradient")
     new_state, new_w, diag = optim.dispatch_step(
-        state, w, g, t, hp, collect_histogram=collect_histogram
+        state, w, g, collect_histogram=collect_histogram
     )
     if not np.isfinite(new_w).all():
         bad = int(np.flatnonzero(~np.isfinite(new_w))[0])

@@ -2,8 +2,9 @@
 
 A Problem bundles a start point with a loss/gradient callback; fresh problem
 objects are cheap and deterministic, so every run rebuilds its own. One
-generator, `run_steps`, drives every run: it validates once up front, steps
-through `optim.dispatch_step` (which applies decoupled weight decay), projects
+generator, `run_steps`, drives every run: it binds the validated
+hyperparameters into the optimizer state once up front, steps through
+`optim.dispatch_step` (which applies decoupled weight decay), projects
 when the problem asks for it, and ends the run at divergence. `record_run` and
 `race` consume it. `record_run` returns a `Trajectory` of per-step columns
 (loss, step norm, truncation fraction, denominator histograms at the
@@ -111,9 +112,8 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if snapshot_every is not None and snapshot_every < 1:
         raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    hp.validate()
     w = as_param_vector(problem.init_params(), "start params")
-    state = init_state(optimizer, w.size)
+    state = init_state(optimizer, w.size, hp)
     project = getattr(problem, "project", None)
     yield 0, None, w, None
     for t in range(1, steps + 1):
@@ -125,7 +125,7 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
             yield t, loss, w, None
             return
         snap = snapshot_every is not None and (t % snapshot_every == 0 or t == steps)
-        state, w, diag = dispatch_step(state, w, g, t, hp, collect_histogram=snap)
+        state, w, diag = dispatch_step(state, w, g, collect_histogram=snap)
         if project is not None:
             w = project(w)
         yield t, loss, w, diag

@@ -1,6 +1,9 @@
 """The auto-switching gradient-difference optimizer and its baselines.
 
-States are plain dataclasses over float64 vectors; every step is pure.
+States are plain dataclasses over float64 vectors that also carry their step
+counter and their hyperparameters, which `init_state` validates and binds
+once; every step is a pure function of (state, w, g) and takes step
+t = state.t + 1.
 
 Main update (per coordinate, defaults beta1=0.9, beta2=0.999):
 
@@ -24,8 +27,8 @@ The Adam / AdamW / AdaBelief and SGD+momentum baselines share the same calling
 convention so runs and races can treat optimizers uniformly. One Adam-family
 kernel serves all three variants: AdamW differs from Adam only through the
 decoupled weight decay, and AdaBelief feeds the second moment with g_t - m_t
-instead of g_t. `dispatch_step` is the one place that checks a step's counter
-and shapes and applies decoupled weight decay; the kernels only compute.
+instead of g_t. `dispatch_step` is the one place that checks a step's shapes
+and applies decoupled weight decay; the kernels only compute.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ __all__ = [
     "SgdState",
     "OPTIMIZER_NAMES",
     "init_state",
-    "agd_init",
-    "adamlike_init",
-    "sgd_init",
     "agd_step",
     "adam_step",
     "adabelief_step",
@@ -63,7 +63,8 @@ class AgdState:
     prev_corrected: np.ndarray  # m_{t-1} / (1 - B_{t-1}), cached between steps
     beta1_prod: float          # B_t = prod_{i<=t} beta1_i, 1.0 before any step
     t: int
-    amsgrad: bool = False
+    hp: HyperParams
+    amsgrad: bool
 
 
 @dataclass
@@ -72,6 +73,7 @@ class AdamLikeState:
     v: np.ndarray
     beta1_prod: float
     t: int
+    hp: HyperParams
     variant: str  # "adam" | "adamw" | "adabelief"
 
 
@@ -79,44 +81,26 @@ class AdamLikeState:
 class SgdState:
     buffer: np.ndarray  # momentum accumulator: buffer = mu*buffer + g
     t: int
+    hp: HyperParams
 
 
-def agd_init(n: int, amsgrad: bool = False) -> AgdState:
-    return AgdState(
-        m=np.zeros(n),
-        b=np.zeros(n),
-        prev_corrected=np.zeros(n),
-        beta1_prod=1.0,
-        t=0,
-        amsgrad=amsgrad,
-    )
-
-
-def adamlike_init(n: int, variant: str = "adam") -> AdamLikeState:
-    if variant not in ("adam", "adamw", "adabelief"):
-        raise ConfigError(f"unknown adam-family variant {variant!r}")
-    return AdamLikeState(m=np.zeros(n), v=np.zeros(n), beta1_prod=1.0, t=0, variant=variant)
-
-
-def sgd_init(n: int) -> SgdState:
-    return SgdState(buffer=np.zeros(n), t=0)
-
-
-def init_state(name: str, n: int):
-    """Fresh zeroed state for an optimizer by name."""
-    if name == "agd":
-        return agd_init(n)
-    if name == "agd_amsgrad":
-        return agd_init(n, amsgrad=True)
+def init_state(name: str, n: int, hp: HyperParams):
+    """Fresh zeroed state for an optimizer by name, bound to hp once validated."""
+    hp.validate()
+    if name in ("agd", "agd_amsgrad"):
+        return AgdState(m=np.zeros(n), b=np.zeros(n), prev_corrected=np.zeros(n),
+                        beta1_prod=1.0, t=0, hp=hp, amsgrad=name == "agd_amsgrad")
     if name in ("adam", "adamw", "adabelief"):
-        return adamlike_init(n, variant=name)
+        return AdamLikeState(m=np.zeros(n), v=np.zeros(n), beta1_prod=1.0, t=0, hp=hp,
+                             variant=name)
     if name == "sgd":
-        return sgd_init(n)
+        return SgdState(buffer=np.zeros(n), t=0, hp=hp)
     raise ConfigError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
 
 
-def agd_step(state: AgdState, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
+def agd_step(state: AgdState, w, g, collect_histogram: bool = True):
     """One auto-switching step; returns (state', w', diagnostics)."""
+    t, hp = state.t + 1, state.hp
     beta1_t = hp.beta1_at(t)
     m = beta1_t * state.m + (1.0 - beta1_t) * g
     beta1_prod = state.beta1_prod * beta1_t
@@ -148,18 +132,20 @@ def agd_step(state: AgdState, w, g, t: int, hp: HyperParams, collect_histogram: 
         bhat_histogram=bhat_histogram(bhat) if collect_histogram else None,
     )
     new_state = AgdState(
-        m=m, b=b, prev_corrected=corrected, beta1_prod=beta1_prod, t=t, amsgrad=state.amsgrad
+        m=m, b=b, prev_corrected=corrected, beta1_prod=beta1_prod, t=t, hp=hp,
+        amsgrad=state.amsgrad,
     )
     return new_state, new_w, diag
 
 
-def adam_step(state: AdamLikeState, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
+def adam_step(state: AdamLikeState, w, g, collect_histogram: bool = True):
     """Bias-corrected Adam-family step: w <- w - lr_t * mhat / (sqrt(vhat) + delta).
 
     delta plays the usual epsilon role. v tracks g_t**2 for Adam and AdamW
     (whose decoupled decay dispatch_step applies). For AdaBelief v tracks
     (g_t - m_t)**2 plus delta each step, as the reference implementation does.
     """
+    t, hp = state.t + 1, state.hp
     beta1_t = hp.beta1_at(t)
     m = beta1_t * state.m + (1.0 - beta1_t) * g
     beta1_prod = state.beta1_prod * beta1_t
@@ -190,14 +176,14 @@ def adam_step(state: AdamLikeState, w, g, t: int, hp: HyperParams, collect_histo
 adabelief_step = adam_step
 
 
-def sgd_momentum_step(state: SgdState, w, g, t: int, hp: HyperParams,
-                      collect_histogram: bool = True):
+def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True):
     """Heavy-ball SGD: buffer <- mu*buffer + g, w <- w - lr_t*buffer.
 
     The momentum coefficient mu is hp.beta1. truncation_fraction is 1.0 by
     convention (every coordinate takes the momentum path) and there is no
     second-moment histogram.
     """
+    t, hp = state.t + 1, state.hp
     buffer = hp.beta1 * state.buffer + g
     lr = hp.lr_at(t)
     update = lr * buffer
@@ -206,15 +192,15 @@ def sgd_momentum_step(state: SgdState, w, g, t: int, hp: HyperParams,
         truncation_fraction=1.0,
         step_norm=math.sqrt(float(np.dot(update, update))),
     )
-    return SgdState(buffer=buffer, t=t), new_w, diag
+    return SgdState(buffer=buffer, t=t, hp=hp), new_w, diag
 
 
-def dispatch_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool = True):
+def dispatch_step(state, w, g, collect_histogram: bool = True):
     """Route a uniform step to the optimizer owning `state`.
 
-    Checks that t follows the state's counter and that params, gradient and
-    the state's vectors share one shape, then applies decoupled weight decay
-    before the kernel's update; the kernels themselves do neither.
+    Checks that params, gradient and the state's vectors share one shape,
+    then applies the state's decoupled weight decay before the kernel's
+    update; the kernels themselves do neither.
     """
     if isinstance(state, AgdState):
         kernel, vec = agd_step, state.m
@@ -225,11 +211,10 @@ def dispatch_step(state, w, g, t: int, hp: HyperParams, collect_histogram: bool 
         kernel, vec = sgd_momentum_step, state.buffer
     else:
         raise ConfigError(f"unrecognized optimizer state {type(state).__name__}")
-    if t != state.t + 1:
-        raise ConfigError(f"step counter mismatch: state at t={state.t}, got t={t}")
     if not w.shape == g.shape == vec.shape:
         raise ShapeError(f"shape mismatch: params {w.shape}, gradient {g.shape}, "
                          f"state {vec.shape}")
+    hp = state.hp
     if hp.weight_decay > 0.0:
-        w = w * (1.0 - hp.lr_at(t) * hp.weight_decay)
-    return kernel(state, w, g, t, hp, collect_histogram)
+        w = w * (1.0 - hp.lr_at(state.t + 1) * hp.weight_decay)
+    return kernel(state, w, g, collect_histogram)

@@ -17,7 +17,7 @@ import numpy as np
 from .core import ConfigError, HyperParams
 from .diagnostics import record_run
 from .models import rng_stream
-from .optim import agd_init, agd_step
+from .optim import agd_step, init_state
 
 __all__ = [
     "variance_ratio_analytic",
@@ -205,16 +205,15 @@ def make_quadratic_stream(dim: int, horizon: int, seed: int,
                             w_star=centers.mean(axis=0))
 
 
-def online_regret(exp: RegretExperiment, hp: HyperParams, amsgrad: bool = True):
-    """Projected online run; returns the cumulative regret series.
+def online_regret(exp: RegretExperiment, hp: HyperParams):
+    """Projected online run of agd_amsgrad; returns the cumulative regret series.
 
     regret[T-1] = sum_{t<=T} (f_t(w_t) - f_t(w*)), the cumulative sum of the
     run's loss column. Positivity is guaranteed only at the full horizon,
     where w* is the exact offline minimizer. A run that diverges ends its
     series at the diverging step.
     """
-    optimizer = "agd_amsgrad" if amsgrad else "agd"
-    return np.cumsum(record_run(RegretProblem(exp), optimizer, hp, exp.horizon,
+    return np.cumsum(record_run(RegretProblem(exp), "agd_amsgrad", hp, exp.horizon,
                                 snapshot_every=exp.horizon).loss)
 
 
@@ -244,7 +243,6 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
     n = k. Returns the max observed ratio bound-side; < 1 everywhere means
     the claim held.
     """
-    hp.validate()
     grad_stream = np.asarray(grad_stream, dtype=np.float64)
     if grad_stream.ndim != 2:
         raise ConfigError(f"grad_stream must be (T, n), got {grad_stream.shape}")
@@ -253,14 +251,13 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
         group_size = n
     if n % group_size != 0:
         raise ConfigError(f"group_size {group_size} must divide n={n}")
+    state = init_state("agd", n, hp)  # validates hp before the bound divides by 1 - beta1
     G = float(np.abs(grad_stream).max())
     bound = group_size * (2.0 * G + hp.delta) / (1.0 - hp.beta1) ** 2
-    state = agd_init(n)
     w = np.zeros(n)
     max_ratio = 0.0
     for t in range(1, T + 1):
-        state, w, _ = agd_step(state, w, grad_stream[t - 1], t, hp,
-                               collect_histogram=False)
+        state, w, _ = agd_step(state, w, grad_stream[t - 1], collect_histogram=False)
         v = np.maximum(np.sqrt(state.b), hp.delta * math.sqrt(1.0 - hp.beta2 ** t))
         norms = v.reshape(-1, group_size).sum(axis=1)
         ratio = float(norms.max()) / bound
@@ -343,7 +340,7 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     exp = make_quadratic_stream(dim=2, horizon=10_000, seed=seed)
     hp_reg = HyperParams(alpha=0.5, beta1=0.9, beta2=0.999, delta=1e-8,
                          lr_schedule="inverse_sqrt", beta1_schedule="over_t")
-    regret = online_regret(exp, hp_reg, amsgrad=True)
+    regret = online_regret(exp, hp_reg)
     slope = loglog_slope(regret)
     reports.append({
         "claim": "regret_sublinear",

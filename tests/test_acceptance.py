@@ -15,7 +15,7 @@ from agdopt.cli import main as cli_main
 from agdopt.core import HyperParams
 from agdopt.diagnostics import MlpProblem, TestFnProblem, race, record_run
 from agdopt.models import MlpSpec, accuracy, mlp_loss_grad, rng_stream, two_moons
-from agdopt.optim import agd_init, agd_step
+from agdopt.optim import agd_step, init_state
 from agdopt.testfns import TESTFNS, get_testfn
 from agdopt.theory import (
     alpha_hat_series,
@@ -80,7 +80,7 @@ def test_first_step_magnitude_is_alpha(capsys):
             n = 32
             g = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=n))
             g *= rng.choice([-1.0, 1.0], size=n)
-            _, w1, _ = agd_step(agd_init(n), np.zeros(n), g, 1, hp,
+            _, w1, _ = agd_step(init_state("agd", n, hp), np.zeros(n), g,
                                 collect_histogram=False)
             ulps = np.abs(np.abs(w1) - alpha) / np.spacing(alpha)
             worst = max(worst, float(ulps.max()))
@@ -96,12 +96,12 @@ def test_first_step_magnitude_is_alpha(capsys):
 def test_constant_gradient_switches_once(capsys):
     hp = HyperParams(alpha=1e-3, delta=1e-2)
     n = 4
-    state = agd_init(n)
+    state = init_state("agd", n, hp)
     w = np.zeros(n)
     g = np.ones(n)
     fractions = []
-    for t in range(1, 3001):
-        state, w, diag = agd_step(state, w, g, t, hp, collect_histogram=False)
+    for _ in range(3000):
+        state, w, diag = agd_step(state, w, g, collect_histogram=False)
         fractions.append(diag.truncation_fraction)
     flips = [(i + 2, fractions[i + 1]) for i in range(len(fractions) - 1)
              if fractions[i + 1] != fractions[i]]
@@ -123,13 +123,11 @@ def test_adaptive_branch_scale_invariance(capsys):
     hp = HyperParams(alpha=1e-3)
     worst = 0.0
     for c in (10.0, 1000.0):
-        sa, sb = agd_init(n), agd_init(n)
+        sa, sb = init_state("agd", n, hp), init_state("agd", n, hp)
         wa, wb = np.zeros(n), np.zeros(n)
         for t in range(1, steps + 1):
-            sa, wa, da = agd_step(sa, wa, grads[t - 1], t, hp,
-                                  collect_histogram=False)
-            sb, wb, db = agd_step(sb, wb, c * grads[t - 1], t, hp,
-                                  collect_histogram=False)
+            sa, wa, da = agd_step(sa, wa, grads[t - 1], collect_histogram=False)
+            sb, wb, db = agd_step(sb, wb, c * grads[t - 1], collect_histogram=False)
             assert da.truncation_fraction == 0.0
             assert db.truncation_fraction == 0.0
             budget = 8.0 * t * np.spacing(max(float(np.abs(wa).max()), hp.alpha))
@@ -200,7 +198,7 @@ def test_online_regret_sublinear(capsys):
     exp = make_quadratic_stream(dim=2, horizon=10_000, seed=0)
     hp = HyperParams(alpha=0.5, lr_schedule="inverse_sqrt",
                      beta1_schedule="over_t")
-    regret = online_regret(exp, hp, amsgrad=True)
+    regret = online_regret(exp, hp)
     slope = loglog_slope(regret)
     ok = slope <= 0.6 and regret[-1] >= 0.0
     report(capsys, "sublinear regret", ok,
@@ -215,13 +213,13 @@ def test_online_regret_sublinear(capsys):
 def test_max_clamp_keeps_b_monotone(capsys):
     n, steps = 8, 10_000
     rng = rng_stream(23, 0)
-    state = agd_init(n, amsgrad=True)
-    w = np.zeros(n)
     hp = HyperParams(alpha=1e-3)
+    state = init_state("agd_amsgrad", n, hp)
+    w = np.zeros(n)
     prev = state.b.copy()
     min_delta = math.inf
-    for t in range(1, steps + 1):
-        state, w, _ = agd_step(state, w, rng.standard_normal(n), t, hp,
+    for _ in range(steps):
+        state, w, _ = agd_step(state, w, rng.standard_normal(n),
                                collect_histogram=False)
         min_delta = min(min_delta, float((state.b - prev).min()))
         prev = state.b.copy()

@@ -179,6 +179,14 @@ def test_readme_config_examples_parse_to_canonical_form():
         assert parse(json.loads(json.dumps(cfg))) == cfg
 
 
+def test_readme_python_examples_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------- seeds
 
 
@@ -514,6 +522,16 @@ def test_sweep_checks_every_point_before_any_runs(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--param", "hyperparams.beta1",
                  "--values", "0.5,0.9,1.5", "--out", str(out)]) == 2
     assert "beta1" in last_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--param", "hyperparams.alpha",
+                 "--values", "1e-3,2e-3", "--out", str(out), "--jobs", jobs]) == 2
+    assert "jobs" in last_error(capsys)
     assert not out.exists()
 
 

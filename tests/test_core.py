@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,10 +190,10 @@ def test_as_param_vector_names_bad_coordinate():
 
 def test_optimizer_step_runs_and_reports():
     hp = HyperParams(alpha=1e-3)
-    state = init_state("agd", 2)
+    state = init_state("agd", 2, hp)
     w = np.array([1.0, -1.0])
     g = np.array([0.5, 0.25])
-    state, w2, diag = optimizer_step(state, w, g, 1, hp)
+    state, w2, diag = optimizer_step(state, w, g)
     assert w2.shape == (2,)
     assert diag.step_norm > 0
     assert 0.0 <= diag.truncation_fraction <= 1.0
@@ -205,22 +206,24 @@ def test_optimizer_step_runs_and_reports():
 
 def test_optimizer_step_histogram_optional():
     hp = HyperParams(alpha=1e-3)
-    state = init_state("agd", 2)
-    _, _, diag = optimizer_step(state, np.zeros(2), np.ones(2), 1, hp,
-                                collect_histogram=False)
+    state = init_state("agd", 2, hp)
+    _, _, diag = optimizer_step(state, np.zeros(2), np.ones(2), collect_histogram=False)
     assert diag.bhat_histogram is None
 
 
-def test_optimizer_step_rejects_bad_t():
-    hp = HyperParams(alpha=1e-3)
-    with pytest.raises(ConfigError):
-        optimizer_step(init_state("agd", 2), np.zeros(2), np.ones(2), 0, hp)
+def test_optimizer_step_rejects_state_with_bad_hyperparams():
+    # init_state validates once; a state whose hp was swapped afterwards is
+    # still refused at the front door
+    state = replace(init_state("agd", 2, HyperParams(alpha=1e-3)),
+                    hp=HyperParams(alpha=1e-3, beta1=1.0))
+    with pytest.raises(ConfigError, match="beta1"):
+        optimizer_step(state, np.zeros(2), np.ones(2))
 
 
 def test_optimizer_step_rejects_shape_mismatch():
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(ShapeError):
-        optimizer_step(init_state("agd", 3), np.zeros(3), np.ones(2), 1, hp)
+        optimizer_step(init_state("agd", 3, hp), np.zeros(3), np.ones(2))
 
 
 @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
@@ -228,28 +231,28 @@ def test_optimizer_step_rejects_state_of_wrong_size(name):
     # params and gradient agree with each other but not with the state
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(ShapeError):
-        optimizer_step(init_state(name, 1), np.zeros(2), np.ones(2), 1, hp)
+        optimizer_step(init_state(name, 1, hp), np.zeros(2), np.ones(2))
 
 
 def test_optimizer_step_rejects_nonfinite_gradient():
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(NumericError):
-        optimizer_step(init_state("agd", 2), np.zeros(2),
-                       np.array([1.0, math.nan]), 1, hp)
+        optimizer_step(init_state("agd", 2, hp), np.zeros(2),
+                       np.array([1.0, math.nan]))
 
 
 def test_optimizer_step_flags_nonfinite_result():
     # an overflowing sgd step must raise instead of silently writing inf
     hp = HyperParams(alpha=1e308, beta1=0.0)
-    state = init_state("sgd", 1)
+    state = init_state("sgd", 1, hp)
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        optimizer_step(state, np.zeros(1), np.array([1e10]), 1, hp)
+        optimizer_step(state, np.zeros(1), np.array([1e10]))
 
 
 def test_optimizer_step_applies_decoupled_decay():
     # zero gradient: adam leaves w alone, so only the decay factor acts
     hp = HyperParams(alpha=0.1, weight_decay=0.5)
-    state = init_state("adam", 1)
+    state = init_state("adam", 1, hp)
     w = np.array([2.0])
-    _, w2, _ = optimizer_step(state, w, np.zeros(1), 1, hp)
+    _, w2, _ = optimizer_step(state, w, np.zeros(1))
     assert w2[0] == 2.0 * (1.0 - 0.1 * 0.5)

@@ -143,7 +143,7 @@ def test_step_norm_is_the_update_in_both_paths():
     hp = HyperParams(alpha=0.1, weight_decay=0.5)
     traj = record_run(p, "adamw", hp, steps=1)
     _, g = p.loss_grad(p.init_params())
-    _, _, diag = optimizer_step(init_state("adamw", 2), p.init_params(), g, 1, hp)
+    _, _, diag = optimizer_step(init_state("adamw", 2, hp), p.init_params(), g)
     assert diag.step_norm == traj.step_norm[0]
     assert abs(diag.step_norm - 0.1 * np.sqrt(2.0)) < 1e-8
 

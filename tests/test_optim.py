@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agdopt.core import ConfigError, HyperParams, ShapeError
+from agdopt.core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, ShapeError
 from agdopt.optim import (
     AdamLikeState,
     AgdState,
@@ -13,7 +14,6 @@ from agdopt.optim import (
     SgdState,
     adabelief_step,
     adam_step,
-    agd_init,
     agd_step,
     dispatch_step,
     init_state,
@@ -26,11 +26,11 @@ HP = HyperParams(alpha=1e-3)
 def run_agd(grads, hp=HP, n=None, amsgrad=False, w0=None):
     grads = [np.atleast_1d(np.asarray(g, dtype=float)) for g in grads]
     n = n or grads[0].size
-    state = agd_init(n, amsgrad=amsgrad)
+    state = init_state("agd_amsgrad" if amsgrad else "agd", n, hp)
     w = np.zeros(n) if w0 is None else np.asarray(w0, dtype=float).copy()
     out = []
-    for t, g in enumerate(grads, start=1):
-        state, w, diag = agd_step(state, w, g, t, hp)
+    for g in grads:
+        state, w, diag = agd_step(state, w, g)
         out.append((state, w.copy(), diag))
     return out
 
@@ -40,16 +40,16 @@ def run_agd(grads, hp=HP, n=None, amsgrad=False, w0=None):
 
 def test_init_state_shapes():
     for name in OPTIMIZER_NAMES:
-        state = init_state(name, 3)
-        assert state.t == 0
-    assert init_state("agd", 3).amsgrad is False
-    assert init_state("agd_amsgrad", 3).amsgrad is True
-    assert init_state("adamw", 3).variant == "adamw"
+        state = init_state(name, 3, HP)
+        assert state.t == 0 and state.hp is HP
+    assert init_state("agd", 3, HP).amsgrad is False
+    assert init_state("agd_amsgrad", 3, HP).amsgrad is True
+    assert init_state("adamw", 3, HP).variant == "adamw"
 
 
 def test_init_state_unknown_name():
     with pytest.raises(ConfigError):
-        init_state("adagrad", 3)
+        init_state("adagrad", 3, HP)
 
 
 # ------------------------------------------------- momentum-difference values
@@ -70,7 +70,7 @@ def test_momentum_difference_hand_values():
 def test_agd_compute_s_first_step_is_debiased_momentum():
     # s_1 is the debiased m_1 itself, which the state caches for step 2;
     # m1 is formed with the same rounded (1 - beta1) the correction divides by
-    state, _, _ = agd_step(agd_init(1), np.zeros(1), np.ones(1), 1, HP)
+    state, _, _ = agd_step(init_state("agd", 1, HP), np.zeros(1), np.ones(1))
     assert state.prev_corrected[0] == 1.0
     assert state.b[0] == (1.0 - 0.999) * (1.0 * 1.0)
 
@@ -78,8 +78,8 @@ def test_agd_compute_s_first_step_is_debiased_momentum():
 def test_agd_compute_s_matches_recurrence():
     # s_2 = m_2 / (1 - beta1^2) - m_1 / (1 - beta1), seen through b_2
     g1, g2 = 2.0, -3.0
-    s1, _, _ = agd_step(agd_init(1), np.zeros(1), np.array([g1]), 1, HP)
-    s2, _, _ = agd_step(s1, np.zeros(1), np.array([g2]), 2, HP)
+    s1, _, _ = agd_step(init_state("agd", 1, HP), np.zeros(1), np.array([g1]))
+    s2, _, _ = agd_step(s1, np.zeros(1), np.array([g2]))
     c1 = s1.m[0] / (1 - 0.9)
     assert s1.prev_corrected[0] == c1
     diff = s2.m[0] / (1 - 0.9 * 0.9) - c1
@@ -87,11 +87,12 @@ def test_agd_compute_s_matches_recurrence():
 
 
 def test_agd_compute_s_guards():
+    # init_state refuses beta1 = 1; a state forced past it still cannot divide by 0
+    bad = HyperParams(alpha=1e-3, beta1=1.0)
     with pytest.raises(ConfigError):
-        dispatch_step(agd_init(1), np.zeros(1), np.zeros(1), 0, HP)
+        init_state("agd", 1, bad)
     with pytest.raises(ZeroDivisionError):
-        agd_step(agd_init(1), np.zeros(1), np.zeros(1), 1,
-                 HyperParams(alpha=1e-3, beta1=1.0))
+        agd_step(replace(init_state("agd", 1, HP), hp=bad), np.zeros(1), np.zeros(1))
 
 
 def test_constant_gradient_sharpens_bias_correction():
@@ -99,11 +100,11 @@ def test_constant_gradient_sharpens_bias_correction():
     # arithmetic every step; float rounding adds at most ~half an ulp per
     # step until beta1**t falls below machine epsilon
     g = 123.456
-    state = agd_init(1)
+    state = init_state("agd", 1, HP)
     w = np.zeros(1)
     worst = 0
-    for t in range(1, 501):
-        state, w, _ = agd_step(state, w, np.array([g]), t, HP)
+    for _ in range(500):
+        state, w, _ = agd_step(state, w, np.array([g]))
         err = abs(state.prev_corrected[0] - g) / np.spacing(g)
         worst = max(worst, err)
     assert worst <= 12
@@ -116,7 +117,7 @@ def test_first_step_magnitude_is_alpha():
     # at t=1 the denominator equals |g| exactly, so |dw| = alpha
     for alpha, g in ((1e-3, 3.7), (0.05, -0.002), (1.0, 1e6)):
         hp = HyperParams(alpha=alpha)
-        _, w, _ = agd_step(agd_init(1), np.zeros(1), np.array([g]), 1, hp)
+        _, w, _ = agd_step(init_state("agd", 1, hp), np.zeros(1), np.array([g]))
         assert abs(abs(w[0]) - alpha) <= 4 * np.spacing(alpha)
         assert math.copysign(1, -w[0]) == math.copysign(1, g)
 
@@ -125,7 +126,7 @@ def test_first_step_magnitude_is_alpha():
        st.floats(min_value=1e-6, max_value=10.0))
 def test_first_step_magnitude_property(gmag, alpha):
     hp = HyperParams(alpha=alpha)
-    _, w, _ = agd_step(agd_init(1), np.zeros(1), np.array([gmag]), 1, hp)
+    _, w, _ = agd_step(init_state("agd", 1, hp), np.zeros(1), np.array([gmag]))
     assert abs(abs(w[0]) - alpha) <= 4 * np.spacing(alpha)
 
 
@@ -138,7 +139,7 @@ def test_floor_branch_is_momentum_sgd():
     hp = HyperParams(alpha=1e-3, delta=1e6)
     rng = np.random.default_rng(11)
     grads = rng.normal(scale=3.0, size=(500, 4))
-    state = agd_init(4)
+    state = init_state("agd", 4, hp)
     w = np.zeros(4)
     m_ref = np.zeros(4)
     w_ref = np.zeros(4)
@@ -146,7 +147,7 @@ def test_floor_branch_is_momentum_sgd():
     for t in range(1, 501):
         g = grads[t - 1]
         prev = state
-        state, w, diag = agd_step(state, w, g, t, hp)
+        state, w, diag = agd_step(state, w, g)
         m_ref = 0.9 * m_ref + (1.0 - 0.9) * g
         prod *= 0.9
         scale = hp.alpha / (1.0 - prod)
@@ -155,26 +156,26 @@ def test_floor_branch_is_momentum_sgd():
         assert diag.truncation_fraction == 1.0
         # the state does not depend on w, so a step from zero returns -update
         # exactly: every coordinate's multiplier on m is scale / delta
-        _, neg_update, _ = agd_step(prev, np.zeros(4), g, t, hp)
+        _, neg_update, _ = agd_step(prev, np.zeros(4), g)
         assert np.array_equal(-neg_update, scale * (state.m / hp.delta))
 
 
 def test_truncation_fraction_counts_floored_coordinates():
     # one live coordinate, one stalled at zero gradient
     hp = HyperParams(alpha=1e-3, delta=1e-2)
-    state = agd_init(2)
+    state = init_state("agd", 2, hp)
     w = np.zeros(2)
-    for t in range(1, 4):
-        state, w, diag = agd_step(state, w, np.array([5.0, 0.0]), t, hp)
+    for _ in range(3):
+        state, w, diag = agd_step(state, w, np.array([5.0, 0.0]))
     assert diag.truncation_fraction == 0.5
 
 
 def test_tied_bhat_takes_adaptive_branch():
     # bhat == delta exactly must not count as truncated
-    state = agd_init(1)
     hp = HyperParams(alpha=1e-3, delta=1.0)
+    state = init_state("agd", 1, hp)
     # t=1 with |g|=1 gives bhat = 1 = delta
-    _, _, diag = agd_step(state, np.zeros(1), np.ones(1), 1, hp)
+    _, _, diag = agd_step(state, np.zeros(1), np.ones(1))
     assert diag.truncation_fraction == 0.0
 
 
@@ -183,11 +184,11 @@ def test_tied_bhat_takes_adaptive_branch():
 
 def test_amsgrad_keeps_b_nondecreasing():
     rng = np.random.default_rng(3)
-    state = agd_init(8, amsgrad=True)
+    state = init_state("agd_amsgrad", 8, HP)
     w = np.zeros(8)
     prev_b = state.b.copy()
-    for t in range(1, 301):
-        state, w, _ = agd_step(state, w, rng.normal(size=8), t, HP)
+    for _ in range(300):
+        state, w, _ = agd_step(state, w, rng.normal(size=8))
         assert (state.b >= prev_b).all()
         prev_b = state.b.copy()
 
@@ -209,12 +210,12 @@ def test_single_switch_transition_for_constant_gradient():
     # g identically 1: s_t = 1 at t=1 then 0, so b decays geometrically and
     # bhat crosses delta = 1e-2 exactly once, at t = 2398
     hp = HyperParams(alpha=1e-3, delta=1e-2)
-    state = agd_init(1)
+    state = init_state("agd", 1, hp)
     w = np.zeros(1)
     flips = []
     prev = None
     for t in range(1, 3001):
-        state, w, diag = agd_step(state, w, np.ones(1), t, hp)
+        state, w, diag = agd_step(state, w, np.ones(1))
         frac = diag.truncation_fraction
         if prev is not None and frac != prev:
             flips.append((t, frac))
@@ -226,10 +227,10 @@ def test_switch_step_monotone_in_delta():
     # a larger floor can only switch sooner
     def first_switch(delta):
         hp = HyperParams(alpha=1e-3, delta=delta)
-        state = agd_init(1)
+        state = init_state("agd", 1, hp)
         w = np.zeros(1)
         for t in range(1, 4001):
-            state, w, diag = agd_step(state, w, np.ones(1), t, hp)
+            state, w, diag = agd_step(state, w, np.ones(1))
             if diag.truncation_fraction == 1.0:
                 return t
         return None
@@ -246,13 +247,13 @@ def test_switch_step_monotone_in_delta():
 def test_adam_matches_hand_recurrence():
     hp = HyperParams(alpha=0.1, delta=1e-8)
     grads = [np.array([1.0, -2.0]), np.array([0.5, 0.5])]
-    state = init_state("adam", 2)
+    state = init_state("adam", 2, hp)
     w = np.zeros(2)
     w_prev = w.copy()
     m = np.zeros(2)
     v = np.zeros(2)
     for t, g in enumerate(grads, start=1):
-        state, w, _ = adam_step(state, w, g, t, hp)
+        state, w, _ = adam_step(state, w, g)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         mhat = m / (1 - 0.9**t)
@@ -266,8 +267,8 @@ def test_adabelief_tracks_innovation():
     # t=1, g=1: m=0.1 so the innovation is 0.9 and
     # v = (1-beta2)*0.81 + delta
     hp = HyperParams(alpha=1e-3, delta=1e-8)
-    state, _, _ = adabelief_step(init_state("adabelief", 1), np.zeros(1),
-                                 np.ones(1), 1, hp)
+    state, _, _ = adabelief_step(init_state("adabelief", 1, hp), np.zeros(1),
+                                 np.ones(1))
     assert abs(state.v[0] - (0.001 * 0.81 + 1e-8)) < 1e-18
 
 
@@ -275,11 +276,11 @@ def test_adabelief_constant_gradient_shrinks_v():
     # innovations g - m_t = beta1**t die off geometrically, so v climbs while
     # they dominate, peaks, then drains at the slow beta2 rate
     hp = HyperParams(alpha=1e-3, delta=1e-12)
-    state = init_state("adabelief", 1)
+    state = init_state("adabelief", 1, hp)
     w = np.zeros(1)
     v_hist = []
-    for t in range(1, 200):
-        state, w, _ = adabelief_step(state, w, np.ones(1), t, hp)
+    for _ in range(199):
+        state, w, _ = adabelief_step(state, w, np.ones(1))
         v_hist.append(float(state.v[0]))
     assert abs(1.0 - state.m[0]) < 1e-8          # m locked onto g
     peak = int(np.argmax(v_hist))
@@ -291,11 +292,11 @@ def test_adabelief_constant_gradient_shrinks_v():
 def test_sgd_momentum_two_steps():
     # mu=0.9, lr=1, g=1: buffer goes 1.0 then 1.9
     hp = HyperParams(alpha=1.0, beta1=0.9)
-    state = init_state("sgd", 1)
+    state = init_state("sgd", 1, hp)
     w = np.zeros(1)
-    state, w, d1 = sgd_momentum_step(state, w, np.ones(1), 1, hp)
+    state, w, d1 = sgd_momentum_step(state, w, np.ones(1))
     assert w[0] == -1.0
-    state, w, d2 = sgd_momentum_step(state, w, np.ones(1), 2, hp)
+    state, w, d2 = sgd_momentum_step(state, w, np.ones(1))
     assert w[0] == -2.9
     assert d1.truncation_fraction == 1.0 and d2.bhat_histogram is None
 
@@ -303,36 +304,28 @@ def test_sgd_momentum_two_steps():
 # -------------------------------------------------------------- step hygiene
 
 
-def test_steps_reject_counter_skips():
-    state = agd_init(1)
-    with pytest.raises(ConfigError, match="step counter mismatch"):
-        dispatch_step(state, np.zeros(1), np.ones(1), 2, HP)
-
-
 def test_agd_step_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
-        dispatch_step(agd_init(2), np.zeros(2), np.ones(3), 1, HP)
+        dispatch_step(init_state("agd", 2, HP), np.zeros(2), np.ones(3))
 
 
 @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
 def test_dispatch_checks_every_optimizer(name):
-    # counter and shapes are checked in one place, whatever the optimizer
-    with pytest.raises(ConfigError, match="step counter mismatch"):
-        dispatch_step(init_state(name, 2), np.zeros(2), np.ones(2), 2, HP)
+    # shapes are checked in one place, whatever the optimizer
     with pytest.raises(ShapeError):
-        dispatch_step(init_state(name, 1), np.zeros(2), np.ones(2), 1, HP)
+        dispatch_step(init_state(name, 1, HP), np.zeros(2), np.ones(2))
     with pytest.raises(ShapeError):
-        dispatch_step(init_state(name, 2), np.zeros(2), np.ones(3), 1, HP)
+        dispatch_step(init_state(name, 2, HP), np.zeros(2), np.ones(3))
 
 
 def test_dispatch_routes_by_state_type():
     for name in OPTIMIZER_NAMES:
-        state = init_state(name, 2)
-        state2, w, diag = dispatch_step(state, np.zeros(2), np.ones(2), 1, HP)
+        state = init_state(name, 2, HP)
+        state2, w, diag = dispatch_step(state, np.zeros(2), np.ones(2))
         assert type(state2) is type(state)
         assert state2.t == 1
     with pytest.raises(ConfigError):
-        dispatch_step(object(), np.zeros(2), np.ones(2), 1, HP)
+        dispatch_step(object(), np.zeros(2), np.ones(2))
 
 
 @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
@@ -340,7 +333,7 @@ def test_dispatch_applies_decoupled_decay(name):
     # zero gradient and zero state: the only move is the decay shrinkage
     hp = HyperParams(alpha=0.1, weight_decay=0.5)
     w0 = np.full(2, 2.0)
-    _, w, _ = dispatch_step(init_state(name, 2), w0, np.zeros(2), 1, hp)
+    _, w, _ = dispatch_step(init_state(name, 2, hp), w0, np.zeros(2))
     assert np.array_equal(w, w0 * (1.0 - 0.1 * 0.5))
     assert np.array_equal(w0, [2.0, 2.0])
 
@@ -348,8 +341,8 @@ def test_dispatch_applies_decoupled_decay(name):
 def test_steps_do_not_mutate_inputs():
     w = np.ones(3)
     g = np.full(3, 2.0)
-    state = agd_init(3)
-    agd_step(state, w, g, 1, HP)
+    state = init_state("agd", 3, HP)
+    agd_step(state, w, g)
     assert (w == 1.0).all() and (g == 2.0).all()
     assert (state.m == 0.0).all() and state.t == 0
 
@@ -362,13 +355,13 @@ def test_effective_lr_bounded_by_floor_rate(gs, steps):
     hp = HyperParams(alpha=1e-3, delta=1e-8)
     n = len(gs)
     rng = np.random.default_rng(0)
-    state = agd_init(n)
+    state = init_state("agd", n, hp)
     base = np.asarray(gs)
     for t in range(1, steps + 1):
         g = base + rng.normal(size=n)
         # the state does not depend on w, so stepping from zero returns
         # -update exactly
-        state, neg_update, _ = agd_step(state, np.zeros(n), g, t, hp)
+        state, neg_update, _ = agd_step(state, np.zeros(n), g)
         cap = hp.lr_at(t) / ((1.0 - state.beta1_prod) * hp.delta)
         assert (np.abs(neg_update) <= cap * np.abs(state.m) * (1 + 1e-12)).all()
 
@@ -379,9 +372,108 @@ def test_histogram_agrees_with_truncation_fraction(seed):
     hp = HyperParams(alpha=1e-3, delta=1e-8)
     rng = np.random.default_rng(seed)
     n = 16
-    state = agd_init(n)
+    state = init_state("agd", n, hp)
     w = np.zeros(n)
     g = 10.0 ** rng.uniform(-12, 2, size=n)
-    state, w, diag = agd_step(state, w, g, 1, hp)
+    state, w, diag = agd_step(state, w, g)
     below = diag.bhat_histogram[:9].sum()
     assert below == round(diag.truncation_fraction * n)
+
+
+# ------------------------------------------------------- differential oracle
+
+
+def reference_steps(name, hp, w0, grads):
+    """Scalar-Python transcription of the README update equations.
+
+    Yields (w_t, truncation_fraction) per step; shares no code with optim.
+    """
+    n = len(w0)
+    w = list(w0)
+    m, second = [0.0] * n, [0.0] * n
+    B = 1.0
+    for t, g in enumerate(grads, start=1):
+        lr = hp.alpha
+        if hp.lr_schedule == "inverse_sqrt":
+            lr = hp.alpha / math.sqrt(t)
+        elif hp.lr_schedule == "milestones":
+            for step, factor in hp.milestones:
+                if step <= t:
+                    lr *= factor
+        beta1_t = {"constant": hp.beta1, "over_sqrt_t": hp.beta1 / math.sqrt(t),
+                   "over_t": hp.beta1 / t}[hp.beta1_schedule]
+        B_prev, B = B, B * beta1_t
+        w = [wi * (1 - lr * hp.weight_decay) for wi in w]
+        floored = 0
+        for i in range(n):
+            if name == "sgd":
+                m[i] = hp.beta1 * m[i] + g[i]
+                w[i] -= lr * m[i]
+                continue
+            m_prev = m[i]
+            m[i] = beta1_t * m[i] + (1 - beta1_t) * g[i]
+            if name in ("agd", "agd_amsgrad"):
+                s = m[i] / (1 - B) - (m_prev / (1 - B_prev) if t > 1 else 0.0)
+                b = hp.beta2 * second[i] + (1 - hp.beta2) * s ** 2
+                second[i] = max(b, second[i]) if name == "agd_amsgrad" else b
+                bhat = math.sqrt(second[i] / (1 - hp.beta2 ** t))
+                floored += bhat < hp.delta
+                w[i] -= lr / (1 - B) * m[i] / max(bhat, hp.delta)
+            else:
+                x = g[i] - m[i] if name == "adabelief" else g[i]
+                second[i] = hp.beta2 * second[i] + (1 - hp.beta2) * x ** 2
+                if name == "adabelief":
+                    second[i] += hp.delta
+                rms = math.sqrt(second[i] / (1 - hp.beta2 ** t))
+                w[i] -= lr * (m[i] / (1 - B)) / (rms + hp.delta)
+        if name == "sgd":
+            yield w, 1.0
+        else:
+            yield w, floored / n  # 0 for the Adam family, which never floors
+
+
+@st.composite
+def oracle_hyperparams(draw):
+    lr_schedule = draw(st.sampled_from(LR_KINDS))
+    milestones = ()
+    if lr_schedule == "milestones":
+        milestones = tuple(draw(st.lists(
+            st.tuples(st.integers(1, 30), st.floats(0.1, 2.0)), max_size=3)))
+    return HyperParams(
+        alpha=10.0 ** draw(st.floats(-4, 0)),
+        beta1=draw(st.floats(0.0, 0.99)),
+        beta2=draw(st.floats(0.0, 0.9999)),
+        delta=10.0 ** draw(st.floats(-10, -2)),
+        weight_decay=draw(st.sampled_from((0.0, 0.0, 1e-2, 0.5))),
+        lr_schedule=lr_schedule,
+        milestones=milestones,
+        beta1_schedule=draw(st.sampled_from(BETA1_KINDS)),
+    )
+
+
+@st.composite
+def oracle_case(draw):
+    n = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 30))
+    w0 = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    # random sign, magnitude 1e-6 to 1e6, and about 15% exact zeros
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grads = rng.choice((-1.0, 1.0), size=(steps, n)) * 10.0 ** rng.uniform(-6, 6, (steps, n))
+    grads[rng.random((steps, n)) < 0.15] = 0.0
+    return w0, grads.tolist()
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(OPTIMIZER_NAMES), oracle_hyperparams(), oracle_case())
+def test_dispatch_matches_scalar_reference(name, hp, case):
+    w0, grads = case
+    state = init_state(name, len(w0), hp)
+    w = np.array(w0)
+    # the error is relative to the largest magnitude each coordinate has had:
+    # a step that nearly cancels w leaves a result far below its rounding
+    scale = np.abs(w)
+    for g, (w_ref, fraction_ref) in zip(grads, reference_steps(name, hp, w0, grads)):
+        state, w, diag = dispatch_step(state, w, np.array(g), collect_histogram=False)
+        assert diag.truncation_fraction == fraction_ref
+        scale = np.maximum(scale, np.abs(w_ref))
+        assert (np.abs(w - w_ref) <= 1e-12 * scale).all()

@@ -203,6 +203,12 @@ def test_norm_bound_group_size_must_divide():
         norm_bound_check(np.zeros((10, 10)), hp, group_size=3)
 
 
+def test_norm_bound_rejects_bad_hyperparams():
+    # refused before the bound divides by 1 - beta1
+    with pytest.raises(ConfigError, match="beta1"):
+        norm_bound_check(np.ones((3, 2)), HyperParams(alpha=1e-3, beta1=1.0))
+
+
 def test_norm_bound_rejects_flat_stream():
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(ConfigError):
