@@ -7,11 +7,13 @@ Every optimizer works on flat float64 vectors and exposes a step of the shape
 
 where the state, made by `optim.init_state(name, n, hp)`, carries the
 hyperparameters and the step counter; step t = state.t + 1 starts at 1. Steps
-are pure: inputs are never mutated, fresh state comes back. `optimizer_step`
-is the front door for library callers: it validates the state's
-hyperparameters and the vectors, hands the step to `optim.dispatch_step`
-(which checks shapes and applies decoupled weight decay) and refuses a
-non-finite result.
+are pure: inputs are never mutated, and a fresh state and a fresh w' come
+back. `optimizer_step` is the front door for library callers: it validates
+the state's hyperparameters and the vectors, hands the step to
+`optim.dispatch_step` (which checks shapes and applies decoupled weight decay)
+and refuses a non-finite result. The kernels' optional `out=` state, which
+they overwrite instead of allocating, is for the run loop alone
+(`diagnostics.run_steps`); no library path passes it.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ objects are cheap and deterministic, so every run rebuilds its own. One
 generator, `run_steps`, drives every run: it binds the validated
 hyperparameters into the optimizer state once up front, steps through
 `optim.dispatch_step` (which applies decoupled weight decay), projects
-when the problem asks for it, and ends the run at divergence. `record_run` and
+when the problem asks for it, and ends the run at divergence. It owns two
+state sets and has each step overwrite the one the previous step read, so a
+run allocates no optimizer state per step; each iterate it yields is a fresh
+array and stays valid after later steps. `record_run` and
 `race` consume it. `record_run` returns a `Trajectory` of per-step columns
 (loss, step norm, truncation fraction, denominator histograms at the
 snapshot cadence), which are the run's switch timeline.
@@ -113,7 +116,8 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
     if snapshot_every is not None and snapshot_every < 1:
         raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
     w = as_param_vector(problem.init_params(), "start params")
-    state = init_state(optimizer, w.size, hp)
+    # two state sets used in turn: each step reads one and overwrites the other
+    state, spare = init_state(optimizer, w.size, hp), init_state(optimizer, w.size, hp)
     project = getattr(problem, "project", None)
     yield 0, None, w, None
     for t in range(1, steps + 1):
@@ -125,7 +129,8 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
             yield t, loss, w, None
             return
         snap = snapshot_every is not None and (t % snapshot_every == 0 or t == steps)
-        state, w, diag = dispatch_step(state, w, g, collect_histogram=snap)
+        new, w, diag = dispatch_step(state, w, g, collect_histogram=snap, out=spare)
+        state, spare = new, state
         if project is not None:
             w = project(w)
         yield t, loss, w, diag

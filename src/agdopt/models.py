@@ -133,7 +133,8 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 def _forward(spec: MlpSpec, params, inputs):
     w1, b1, w2, b2 = _unpack(spec, params)
-    pre = inputs @ w1 + b1
+    pre = inputs @ w1
+    pre += b1
     hid = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
     out = hid @ w2 + b2
     return pre, hid, out
@@ -144,7 +145,9 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
     """Mean loss over the batch and its gradient w.r.t. the flat params.
 
     Backprop is written out by hand; the loss heads use the numerically
-    stable forms (max-subtracted log-softmax, softplus via log1p).
+    stable forms (max-subtracted log-softmax, softplus via log1p). Each
+    layer's gradient is written through `_unpack` views straight into one
+    fresh flat vector; params is never written.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != spec.in_dim:
@@ -178,16 +181,22 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
         loss = float(0.5 * np.mean((resid * resid).sum(axis=1)))
         dout = resid / batch
 
-    dw2 = hid.T @ dout
-    db2 = dout.sum(axis=0)
-    dhid = dout @ _unpack(spec, params)[2].T
-    if spec.activation == "tanh":
-        dpre = dhid * (1.0 - hid * hid)
+    grad = np.empty(spec.n_params)
+    dw1, db1, dw2, db2 = _unpack(spec, grad)
+    # dW2 = hid.T @ dout, computed as (dout.T @ hid) into the transposed view:
+    # with one output BLAS then writes one contiguous row, in about half the
+    # time of an (h, 1) column
+    np.matmul(dout.T, hid, out=dw2.T)
+    np.sum(dout, axis=0, out=db2)
+    dpre = dout @ _unpack(spec, params)[2].T  # dL/dhid, then dL/dpre in place
+    if spec.activation == "tanh":  # hid is not read again: 1 - hid**2 in its place
+        np.multiply(hid, hid, out=hid)
+        np.subtract(1.0, hid, out=hid)
+        np.multiply(dpre, hid, out=dpre)
     else:
-        dpre = dhid * (pre > 0.0)
-    dw1 = inputs.T @ dpre
-    db1 = dpre.sum(axis=0)
-    grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        np.multiply(dpre, pre > 0.0, out=dpre)
+    np.matmul(inputs.T, dpre, out=dw1)
+    np.sum(dpre, axis=0, out=db1)
     return loss, grad
 
 

@@ -108,12 +108,6 @@ class TestFunction:
     def dim(self) -> int:
         return self.optimum.size
 
-    def value(self, point) -> float:
-        return self.fn(point)[0]
-
-    def grad(self, point) -> np.ndarray:
-        return self.fn(point)[1]
-
     def hess_diag(self, point) -> np.ndarray:
         return np.diag(self.hess(point))
 
@@ -190,7 +184,7 @@ def hessian_diag_vs_gradient_difference(fn: TestFunction, params_seq) -> GradDif
         if not np.any(dw):
             skipped += 1
             continue
-        lhs = fn.grad(cur) - fn.grad(prev)
+        lhs = fn.fn(cur)[1] - fn.fn(prev)[1]
         rhs = fn.hess(cur) @ dw
         scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
         residuals.append(float(np.abs(lhs - rhs).max() / scale))

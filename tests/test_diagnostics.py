@@ -12,7 +12,7 @@ from agdopt.diagnostics import (
 )
 from agdopt.models import MlpSpec, two_moons
 from agdopt.testfns import TESTFNS
-from agdopt.optim import init_state
+from agdopt.optim import CHUNK, dispatch_step, init_state
 from agdopt.theory import RegretProblem, make_quadratic_stream
 
 HP = HyperParams(alpha=1e-3)
@@ -329,3 +329,68 @@ def test_race_rejects_bad_tol():
     p = TestFnProblem(TESTFNS["quad_skew"])
     with pytest.raises(ConfigError):
         race(p, ["agd"], {"agd": HP}, tol=0.0)
+
+
+# ------------------------------------------------------------ buffer path
+
+BUFFER_CASES = {
+    "agd": HyperParams(alpha=1e-2, delta=1e-3),
+    "agd_amsgrad": HyperParams(alpha=1e-2, delta=1e-3, weight_decay=1e-2,
+                               lr_schedule="inverse_sqrt"),
+    "adam": HyperParams(alpha=1e-2, lr_schedule="milestones",
+                        milestones=((3, 0.5), (5, 0.1))),
+    "adamw": HyperParams(alpha=1e-2, weight_decay=1e-1),
+    "adabelief": HyperParams(alpha=1e-2, beta1_schedule="over_t"),
+    "sgd": HyperParams(alpha=1e-3, weight_decay=1e-2, lr_schedule="milestones",
+                       milestones=((2, 0.5),)),
+}
+
+
+class NoisyQuadratic:
+    """Quadratic loss plus a seeded noise stream; one draw per call, and
+    every seventh gradient coordinate is exactly zero."""
+
+    name = "noisy-quadratic"
+    optimum = None
+
+    def __init__(self, n):
+        self.n = n
+        self.rng = np.random.default_rng(n)
+        self.curv = np.linspace(0.1, 10.0, n)
+
+    def init_params(self):
+        return np.random.default_rng(self.n + 1).standard_normal(self.n)
+
+    def loss_grad(self, w):
+        g = self.curv * w + self.rng.standard_normal(self.n)
+        g[::7] = 0.0
+        return float(0.5 * np.dot(self.curv * w, w)), g
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("name", sorted(BUFFER_CASES))
+def test_run_steps_buffers_match_pure_steps(name, n):
+    hp = BUFFER_CASES[name]
+    steps = 6
+    # consumed to the end first, so every yielded iterate must have survived
+    # the steps after it
+    items = list(run_steps(NoisyQuadratic(n), name, hp, steps, snapshot_every=2))
+    ref = NoisyQuadratic(n)
+    w = ref.init_params()
+    state = init_state(name, n, hp)
+    assert items[0][0] == 0 and _bits(items[0][2]) == _bits(w)
+    for t, loss, w_t, diag in items[1:]:
+        f, g = ref.loss_grad(w)
+        state, w, d = dispatch_step(state, w, g, collect_histogram=t % 2 == 0 or t == steps)
+        assert loss == f
+        assert _bits(w_t) == _bits(w), (name, n, t)
+        assert _bits(diag.step_norm) == _bits(d.step_norm)
+        assert diag.truncation_fraction == d.truncation_fraction
+        assert _bits(diag.bhat_histogram) == _bits(d.bhat_histogram)
+    assert len(items) == steps + 1
+    if name.startswith("agd") and n > 2:  # both branches of the switch ran
+        assert 0.0 < items[-1][3].truncation_fraction < 1.0

@@ -296,3 +296,67 @@ def test_minibatch_stream_rejects_bad_batch():
         next(minibatch_stream(ds, 0, seed=0))
     with pytest.raises(ConfigError):
         next(minibatch_stream(ds, 9, seed=0))
+
+
+def _reference_loss_grad(spec, params, inputs, targets):
+    """The backprop with a fresh array per operation and a concatenated
+    gradient, which mlp_loss_grad must match bit for bit."""
+    i, h, o = spec.in_dim, spec.hidden_dim, spec.out_dim
+    w1 = params[:i * h].reshape(i, h)
+    b1 = params[i * h:i * h + h]
+    w2 = params[i * h + h:i * h + h + h * o].reshape(h, o)
+    b2 = params[i * h + h + h * o:]
+    batch = inputs.shape[0]
+    pre = inputs @ w1 + b1
+    hid = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
+    out = hid @ w2 + b2
+    if spec.loss == "softmax_ce":
+        shifted = out - out.max(axis=1, keepdims=True)
+        logz = np.log(np.exp(shifted).sum(axis=1))
+        loss = float(np.mean(logz - shifted[np.arange(batch), targets]))
+        dout = np.exp(shifted - logz[:, None])
+        dout[np.arange(batch), targets] -= 1.0
+        dout /= batch
+    elif spec.loss == "logistic":
+        z = out[:, 0]
+        loss = float(np.mean(np.maximum(z, 0.0) - z * targets
+                             + np.log1p(np.exp(-np.abs(z)))))
+        dout = ((1.0 / (1.0 + np.exp(-z)) - targets) / batch)[:, None]
+    else:
+        resid = out - targets
+        loss = float(0.5 * np.mean((resid * resid).sum(axis=1)))
+        dout = resid / batch
+    dw2 = hid.T @ dout
+    db2 = dout.sum(axis=0)
+    dhid = dout @ w2.T
+    if spec.activation == "tanh":
+        dpre = dhid * (1.0 - hid * hid)
+    else:
+        dpre = dhid * (pre > 0.0)
+    dw1 = inputs.T @ dpre
+    db1 = dpre.sum(axis=0)
+    return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+@pytest.mark.parametrize("hidden", [5, 300])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("loss", ["logistic", "softmax_ce", "squared"])
+def test_loss_grad_matches_the_reference_bits(loss, activation, batch, hidden):
+    out_dim = 1 if loss == "logistic" else 2
+    spec = MlpSpec(2, hidden, out_dim, activation, loss)
+    rng = rng_stream(11, 0)
+    params = rng.standard_normal(spec.n_params)
+    inputs = rng.standard_normal((batch, 2))
+    if loss == "softmax_ce":
+        targets = rng.integers(0, out_dim, size=batch)
+    elif loss == "logistic":
+        targets = rng.integers(0, 2, size=batch).astype(np.float64)
+    else:
+        targets = rng.standard_normal((batch, out_dim))
+    kept = params.copy()
+    f, g = mlp_loss_grad(spec, params, inputs, targets)
+    f_ref, g_ref = _reference_loss_grad(spec, params, inputs, targets)
+    assert f == f_ref
+    assert g.tobytes() == g_ref.tobytes()
+    assert params.tobytes() == kept.tobytes()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from agdopt.core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, ShapeError
 from agdopt.optim import (
+    CHUNK,
     AdamLikeState,
     AgdState,
     OPTIMIZER_NAMES,
@@ -477,3 +478,39 @@ def test_dispatch_matches_scalar_reference(name, hp, case):
         assert diag.truncation_fraction == fraction_ref
         scale = np.maximum(scale, np.abs(w_ref))
         assert (np.abs(w - w_ref) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("n", [3, CHUNK + 1])
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_kernels_without_out_leave_inputs_unchanged(name, n):
+    rng = np.random.default_rng(3)
+    state = init_state(name, n, HyperParams(alpha=1e-2, weight_decay=1e-2))
+    w = rng.standard_normal(n)
+    for _ in range(3):  # a state whose vectors are all nonzero
+        state, w, _ = dispatch_step(state, w, rng.standard_normal(n))
+    g = rng.standard_normal(n)
+    before = [(k, v.copy() if isinstance(v, np.ndarray) else v)
+              for k, v in vars(state).items()]
+    w_before, g_before = w.copy(), g.copy()
+    kernel = {AgdState: agd_step, AdamLikeState: adam_step,
+              SgdState: sgd_momentum_step}[type(state)]
+    for step in (kernel, dispatch_step):
+        new, new_w, _ = step(state, w, g)
+        assert new is not state and new_w is not w
+        for k, v in before:
+            assert np.array_equal(getattr(state, k), v), k
+        assert np.array_equal(w, w_before) and np.array_equal(g, g_before)
+    # with out, only out is written
+    out = init_state(name, n, HP)
+    new, _, _ = dispatch_step(state, w, g, out=out)
+    assert new is out and out.t == state.t + 1 and out.hp is state.hp
+    for k, v in before:
+        assert np.array_equal(getattr(state, k), v), k
+
+
+def test_dispatch_rejects_a_bad_out_state():
+    state = init_state("agd", 2, HP)
+    w, g = np.zeros(2), np.ones(2)
+    for out in (state, init_state("adam", 2, HP), init_state("agd", 3, HP)):
+        with pytest.raises(ShapeError):
+            dispatch_step(state, w, g, out=out)

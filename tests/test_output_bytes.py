@@ -6,10 +6,12 @@ item per line), floats at 17 significant digits, integral floats without a
 fraction, and null for non-finite floats and absent values.
 """
 
+import hashlib
 import json
 import re
 
 import numpy as np
+import pytest
 
 from agdopt.cli import main
 
@@ -181,3 +183,61 @@ def test_verify_report_bytes(tmp_path):
  }
 ]
 """
+
+
+# MLP runs, pinned by the sha256 of trajectory.csv, histograms.json and the
+# masked summary.json. Ten points in batches of 4 leave a trailing batch of 2;
+# hidden_dim 16384 (n = 65537 with the logistic head) spans several kernel
+# chunks with a one-element tail.
+MLP_CASES = {
+    # (activation, loss, batch_size, optimizer, weight_decay, hidden_dim)
+    ("tanh", "logistic", 1, "agd", 0.0, 6):
+        "a9d61830d084892989bbca011b8e3da9141a54c3ab46be06aa2d0a9172ec5c76",
+    ("relu", "softmax_ce", 4, "agd", 0.01, 6):
+        "8f0fb261dc9a81a1cedce26c924b712a1226560da6bc9de2e75b7616e33ae1fb",
+    ("tanh", "squared", 4, "agd_amsgrad", 0.0, 6):
+        "5fe6652ea90479a6360d9ca130352e9bbd92a284eab5c2190582711128f7b309",
+    ("relu", "logistic", 1, "agd_amsgrad", 0.01, 6):
+        "95464d0115ba80936c115c3ffe0a2ff290c16acff67ebc0274c29545c0739e83",
+    ("tanh", "softmax_ce", 4, "adam", 0.0, 6):
+        "29b143bc9ee6998790d49d3c8be71b3a52c401d9c418fec8cd8047ca466f90b5",
+    ("relu", "squared", 1, "adam", 0.01, 6):
+        "e8be678ca1bf1d899c17d285c12f432abd1ff38b7287d8513981eee238a5f94e",
+    ("tanh", "logistic", 4, "adamw", 0.0, 6):
+        "739b354d9546f1f00e2968f7c1d8f419d5df7d17c58eb768858c87c5e157d8f4",
+    ("relu", "softmax_ce", 1, "adamw", 0.01, 6):
+        "1cc3579d6f6f8646086b086e8aebd1ab3cd88c4d108c3ba5d3d3d302c79c5b1b",
+    ("tanh", "squared", 1, "adabelief", 0.0, 6):
+        "d7ecec25d20008a36cdc0ce653d5ab4234068c415bf9e0391517d3598731ded3",
+    ("relu", "logistic", 4, "adabelief", 0.01, 6):
+        "32fe8490a653eb407a902b278c715554bc5b3e8d9502f3ba460283bc4250be33",
+    ("tanh", "softmax_ce", 1, "sgd", 0.0, 6):
+        "7c7a3f8c32dd782f8b71f819487df0aba743bb24a6a55597f37390e99a7f598a",
+    ("relu", "squared", 4, "sgd", 0.01, 6):
+        "849e05b0b94457f2e08565ece77d2754c0c8f8b018f0d975812880541c444d01",
+    ("tanh", "logistic", 1, "agd", 0.01, 16384):
+        "519c24ce4143136476c336416affac0c6ff84c7a10456c387fac7eda16479392",
+    ("relu", "logistic", 4, "agd_amsgrad", 0.0, 16384):
+        "e7f38e69e8e76cda9b975cf1c6bdbf869bc627fd9dadc1ea61c1c59330664965",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MLP_CASES), ids=lambda c: "-".join(map(str, c)))
+def test_mlp_run_bytes(tmp_path, case):
+    activation, loss, batch, optimizer, wd, hidden = case
+    cfg = {
+        "problem": {"kind": "mlp", "hidden_dim": hidden, "activation": activation,
+                    "loss": loss, "dataset": {"name": "two_moons", "n": 10},
+                    "batch_size": batch},
+        "optimizer": optimizer,
+        "hyperparams": {"alpha": 1e-2, "weight_decay": wd},
+        "seed": 5,
+        "steps": 7,
+        "snapshot_every": 3,
+    }
+    out = _run(tmp_path, cfg)
+    digest = hashlib.sha256()
+    for text in ((out / "trajectory.csv").read_text(),
+                 (out / "histograms.json").read_text(), _masked_summary(out)):
+        digest.update(text.encode())
+    assert digest.hexdigest() == MLP_CASES[case]

@@ -56,3 +56,17 @@ def test_traced_run_and_race_reach_every_layer(spans, tmp_path):
     # each kernel span records its own name, adabelief included
     assert {kernel for kernel, _ in tracer.sizes.values()} == {
         "adam_step", "adabelief_step", "sgd_momentum_step"}
+
+
+def test_traced_mlp_run_reaches_the_model_layers(spans, tmp_path):
+    cfg = tmp_path / "mlp.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "mlp", "hidden_dim": 6,
+                    "dataset": {"name": "two_moons", "n": 8}, "batch_size": 2},
+        "optimizer": "agd", "hyperparams": {"alpha": 1e-3},
+        "seed": 0, "steps": 3,
+    }))
+    tracer = _trace(spans, ["run", "--config", str(cfg), "--out", str(tmp_path / "mlp")])
+    assert {"models.loss_grad", "models.setup", "optim.step"} <= set(tracer.names)
+    # 2*6 + 6 + 6*1 + 1 parameters: each step went through the traced kernel
+    assert list(tracer.sizes.values()) == [("agd_step", 25)] * 3
