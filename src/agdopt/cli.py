@@ -25,9 +25,9 @@ import time
 import numpy as np
 
 from .core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams
-from .diagnostics import MlpProblem, TestFnProblem, race, record_run
+from .diagnostics import MlpProblem, TestFnProblem, race, record_run, record_runs
 from .models import ACTIVATIONS, LOSSES, MlpSpec, two_moons
-from .optim import OPTIMIZER_NAMES
+from .optim import CHUNK, OPTIMIZER_NAMES
 from .testfns import TESTFNS, get_testfn
 from .theory import RegretProblem, make_quadratic_stream, verify_suite
 
@@ -271,27 +271,50 @@ def _build_problem(cfg: dict):
 # ---------------------------------------------------------------- run verb
 
 
+def _steps(cfg: dict, problem) -> int:
+    return cfg["steps"] or cfg["epochs"] * problem.steps_per_epoch
+
+
 def run_command(cfg: dict, out_dir: str) -> dict:
     """Run a parsed config (see parse_run_config) and write its outputs."""
     problem = _build_problem(cfg)
-    steps = cfg["steps"] or cfg["epochs"] * problem.steps_per_epoch
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    traj = record_run(problem, cfg["optimizer"], _hp(cfg["hyperparams"]), steps,
-                      snapshot_every=cfg["snapshot_every"], tol=cfg["tol"])
-    wall = time.perf_counter() - t0
+    traj = record_run(problem, cfg["optimizer"], _hp(cfg["hyperparams"]),
+                      _steps(cfg, problem), snapshot_every=cfg["snapshot_every"],
+                      tol=cfg["tol"])
+    return _write_run(cfg, problem, traj, time.perf_counter() - t0, out_dir)
 
-    rows = ["t,loss,step_norm,truncation_fraction"] + [
-        f"{t},{f:.17g},{sn:.17g},{tf:.17g}" for t, (f, sn, tf) in enumerate(zip(
-            traj.loss.tolist(), traj.step_norm.tolist(), traj.truncation_fraction.tolist()), 1)]
-    _atomic_write(os.path.join(out_dir, "trajectory.csv"), "\n".join(rows) + "\n")
 
-    # json.dumps(hists, indent=1) from preformatted rows: the stdlib's
-    # indented encoder is pure Python and holds every token at once
-    hists = [f' {{\n  "t": {t},\n  "counts": [\n   ' + ",\n   ".join(map(str, counts))
-             + "\n  ]\n }" for t, counts in zip(traj.hist_t.tolist(), traj.hists.tolist())]
-    text = "[\n" + ",\n".join(hists) + "\n]" if hists else "[]"
-    _atomic_write(os.path.join(out_dir, "histograms.json"), text + "\n")
+def _trajectory_csv(traj) -> str:
+    rows = [f"{t},{f:.17g},{sn:.17g},{tf:.17g}" for t, (f, sn, tf) in enumerate(zip(
+        traj.loss.tolist(), traj.step_norm.tolist(), traj.truncation_fraction.tolist()), 1)]
+    rows.insert(0, "t,loss,step_norm,truncation_fraction")
+    rows.append("")
+    return "\n".join(rows)
+
+
+def _histograms_json(traj) -> str:
+    """json.dumps(hists, indent=1) from preformatted rows: the stdlib's
+    indented encoder is pure Python and holds every token at once."""
+    hist_t, hists = traj.hist_t.tolist(), []
+    for lo in range(0, len(hist_t), 1024):  # a block at a time bounds tolist()'s lists
+        hists += [f' {{\n  "t": {t},\n  "counts": [\n   ' + ",\n   ".join(map(str, counts))
+                  + "\n  ]\n }" for t, counts in zip(hist_t[lo:lo + 1024],
+                                                  traj.hists[lo:lo + 1024].tolist())]
+    if not hists:
+        return "[]\n"
+    # the brackets join the first and last item, so the text is built once
+    hists[0] = "[\n" + hists[0]
+    hists[-1] += "\n]\n"
+    return ",\n".join(hists)
+
+
+def _write_run(cfg: dict, problem, traj, wall: float, out_dir: str) -> dict:
+    """Write a recorded run's trajectory.csv, histograms.json and summary.json;
+    return the summary."""
+    _atomic_write(os.path.join(out_dir, "trajectory.csv"), _trajectory_csv(traj))
+    _atomic_write(os.path.join(out_dir, "histograms.json"), _histograms_json(traj))
 
     summary: dict = {
         "status": "diverged" if traj.diverged else "completed",
@@ -333,11 +356,35 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _M64
 
 
+def _run_points(cfgs: list, dirs: list) -> list:
+    """Run sweep points as one population and write each point's outputs.
+
+    The points share all but their hyperparameters and seed; each gets its
+    own problem. Every point's wall_time_s is the population's loop time.
+    """
+    problems = [_build_problem(cfg) for cfg in cfgs]
+    for out_dir in dirs:
+        os.makedirs(out_dir, exist_ok=True)
+    first = cfgs[0]
+    t0 = time.perf_counter()
+    trajs = record_runs(problems, first["optimizer"],
+                        [_hp(cfg["hyperparams"]) for cfg in cfgs],
+                        _steps(first, problems[0]),
+                        snapshot_every=first["snapshot_every"], tol=first["tol"])
+    wall = time.perf_counter() - t0
+    return [_write_run(cfg, problem, traj, wall, out_dir)
+            for cfg, problem, traj, out_dir in zip(cfgs, problems, trajs, dirs)]
+
+
 def sweep_command(base_dict: dict, path: str, values, out_dir: str,
                   jobs: int = 1) -> list:
     """Run the base config once per value of `path`; return the summaries.
 
-    Every point's config is parsed before any point runs.
+    Every point's config is parsed before any point runs. The points are
+    split into `jobs` contiguous groups, run in parallel processes when
+    jobs > 1, and each group steps as one population (`record_runs`). Above
+    optim.CHUNK coordinates, where vector work and not per-step overhead
+    dominates, every point is a group of its own.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -357,12 +404,18 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
         cfgs.append(parse_run_config(dict(base, seed=seed, hyperparams=hp)))
     dirs = [os.path.join(out_dir, f"point_{i:03d}") for i in range(len(cfgs))]
     os.makedirs(out_dir, exist_ok=True)
+    k, n = len(cfgs), _build_problem(base).init_params().size
+    groups = k if n > CHUNK else min(jobs, k)
+    bounds = [k * g // groups for g in range(groups + 1)]
+    parts = ([cfgs[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+             [dirs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(run_command, cfgs, dirs))
+            done = list(pool.map(_run_points, *parts))
     else:
-        summaries = list(map(run_command, cfgs, dirs))
+        done = list(map(_run_points, *parts))
+    summaries = [summary for group in done for summary in group]
     rows = ["index,value,seed,status,final_loss"]
     for i, (value, cfg, summary) in enumerate(zip(values, cfgs, summaries)):
         rows.append(

@@ -129,9 +129,17 @@ HIST_BINS = HIST_EDGES.size + 1
 
 
 def bhat_histogram(values: np.ndarray) -> np.ndarray:
-    """Counts per bucket; always sums to values.size."""
+    """Counts per bucket; always sums to values.size.
+
+    A (K, n) block of K runs gives a (K, HIST_BINS) array, one histogram per
+    row, from one searchsorted and one bincount over row-offset buckets.
+    """
     idx = np.searchsorted(HIST_EDGES, values, side="right")
-    return np.bincount(idx, minlength=HIST_BINS)
+    if idx.ndim == 1:
+        return np.bincount(idx, minlength=HIST_BINS)
+    k = idx.shape[0]
+    idx += np.arange(0, k * HIST_BINS, HIST_BINS)[:, None]
+    return np.bincount(idx.ravel(), minlength=k * HIST_BINS).reshape(k, HIST_BINS)
 
 
 @dataclass
@@ -144,6 +152,10 @@ class StepDiagnostics:
       caller asked to skip collection or the optimizer has no second moment.
     step_norm: the 2-norm of the optimizer's own update. Decoupled weight
       decay is applied before the update and is not counted.
+
+    A population step (see `optim.init_state`) reports one value per row:
+    (K,) truncation_fraction and step_norm arrays (a constant fraction may
+    stay one float) and a (K, HIST_BINS) histogram block.
     """
 
     truncation_fraction: float
@@ -172,6 +184,8 @@ def optimizer_step(state, w, g, collect_histogram: bool = True):
     """
     from . import optim  # deferred to avoid an import cycle
 
+    if not isinstance(state.hp, HyperParams):
+        raise ShapeError("optimizer_step takes the state of one run, not a population")
     state.hp.validate()
     w = as_param_vector(w, "params")
     g = as_param_vector(g, "gradient")

@@ -1,29 +1,35 @@
-"""The run loop, run recording and head-to-head races.
+"""The run loops, run recording and head-to-head races.
 
 A Problem bundles a start point with a loss/gradient callback; fresh problem
-objects are cheap and deterministic, so every run rebuilds its own. One
-generator, `run_steps`, drives every run: it binds the validated
-hyperparameters into the optimizer state once up front, steps through
-`optim.dispatch_step` (which applies decoupled weight decay), projects
-when the problem asks for it, and ends the run at divergence. It owns two
-state sets and has each step overwrite the one the previous step read, so a
-run allocates no optimizer state per step; each iterate it yields is a fresh
-array and stays valid after later steps. `record_run` and
-`race` consume it. `record_run` returns a `Trajectory` of per-step columns
-(loss, step norm, truncation fraction, denominator histograms at the
-snapshot cadence), which are the run's switch timeline.
+objects are cheap and deterministic, so every run rebuilds its own. Both
+loops bind the validated hyperparameters into the optimizer state once up
+front, step through `optim.dispatch_step` (which works out decoupled weight
+decay), project when the problem asks for it, and end a run at divergence.
+Each owns two state sets and has each step overwrite the one the previous
+step read, so a run allocates no optimizer state per step.
+
+`record_runs` records K independent runs of one optimizer, each on its own
+problem object with its own hyperparameters, stepped together as one (K, n)
+population state (one row, the plain (n,) state), and returns one
+`Trajectory` of per-step columns per run (loss, step norm, truncation
+fraction, denominator histograms at the snapshot cadence), which are the
+run's switch timeline. `record_run` is its one-run call. `run_steps` is the
+generator of one run that `race` consumes; each iterate it yields is a
+fresh array and stays valid after later steps.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HIST_BINS, ConfigError, HyperParams, StepDiagnostics, as_param_vector
+from .core import HIST_BINS, ConfigError, HyperParams, ShapeError, as_param_vector
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
-from .optim import dispatch_step, init_state
+from .optim import dispatch_step, init_state, select_rows
 from .testfns import TestFunction
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
     "TestFnProblem",
     "MlpProblem",
     "Trajectory",
+    "record_runs",
     "record_run",
     "RaceResult",
     "race",
@@ -38,8 +45,6 @@ __all__ = [
 
 # a loss above this (or any non-finite value) flags the run as diverged
 DIVERGENCE_LOSS = 1e12
-# the diagnostics row of a diverging step, which takes no optimizer step
-_DIVERGED = StepDiagnostics(truncation_fraction=math.nan, step_norm=math.nan)
 
 
 class TestFnProblem:
@@ -136,6 +141,173 @@ def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
         yield t, loss, w, diag
 
 
+def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int = 1,
+                tol: float | None = None) -> Sequence[Trajectory]:
+    """Record independent runs of one optimizer, stepped as one population.
+
+    Run i optimizes problems[i] (its own object, oracle and optional
+    project(w)) under hps[i]. The runs share the step budget, and their
+    problems the number of coordinates. Returns a sequence of one Trajectory
+    per run, as record_run documents it, each built when it is indexed; every
+    row carries the bits that record_run gives its run alone.
+
+    While the runs go, the columns grow as compact typed arrays (histogram
+    counts in the narrowest unsigned type that holds n), never preallocated
+    for the step budget. A run that diverges stops there and its row leaves
+    the population, so it touches the other rows neither through their bits
+    nor through warnings.
+    """
+    if tol is not None and tol <= 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if snapshot_every < 1:
+        raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    problems, hps = list(problems), tuple(hps)
+    if not problems or len(problems) != len(hps):
+        raise ConfigError(f"need one HyperParams per problem, got {len(hps)} "
+                          f"for {len(problems)}")
+    starts = [as_param_vector(p.init_params(), "start params") for p in problems]
+    if len({w.size for w in starts}) > 1:
+        raise ShapeError("the problems of a population must share their size")
+    k, n = len(problems), starts[0].size
+    one = k == 1  # a lone run steps the flat (n,) state of the library path
+    state = init_state(optimizer, n, hps[0] if one else hps)
+    spare = init_state(optimizer, n, hps[0] if one else hps)
+    W = starts[0][None] if one else np.stack(starts)
+    del starts
+    projects = [getattr(p, "project", None) for p in problems]
+    optima = [getattr(p, "optimum", None) for p in problems]
+    pending = [tol is not None and o is not None for o in optima]  # per row
+    tracking = any(pending)
+    # the optimum of each row; rows without one are never pending, and
+    # without any the (k, 1) zeros only follow the rows
+    opt = (np.array([np.zeros(n) if o is None else o for o in optima])
+           if tracking else np.zeros((k, 1)))
+
+    count_type = np.min_scalar_type(n)
+    # The columns live in segments: one per stretch of steps between two
+    # divergences, over a fixed set of runs, stored step-major, so that a
+    # step appends each column's values for all rows at once.
+    segments = []  # (runs, loss, step_norm, truncation_fraction, counts)
+    live = list(range(k))  # the run of each population row
+    params, diverged_at, steps_to_tol = [None] * k, [None] * k, [None] * k
+    diverging_loss = {}  # run -> the loss of its diverging step
+    hist_t = []
+
+    def begin_segment():
+        segments.append((live, array("d"), array("d"), array("d"),
+                         array(count_type.char)))
+        return segments[-1][1:]
+
+    def reached(t):
+        nonlocal tracking
+        d = W - opt
+        for r, dist_sq in enumerate(np.vecdot(d, d).tolist()):
+            if pending[r] and dist_sq <= tol * tol:
+                steps_to_tol[live[r]] = t
+                pending[r] = False
+        tracking = any(pending)
+
+    loss_col, norm_col, fraction_col, count_col = begin_segment()
+    with np.errstate(over="ignore"):  # overflow on the way to divergence is a result
+        if tracking:
+            reached(0)
+        for t in range(1, steps + 1):
+            losses, grads, gone = [], [], []
+            for r, problem in enumerate(problems):
+                try:
+                    loss, g = problem.loss_grad(W[r])
+                except OverflowError:
+                    loss = math.inf
+                losses.append(loss)
+                if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+                    gone.append(r)
+                else:
+                    grads.append(g)
+            if gone:
+                for r in gone:
+                    i = live[r]
+                    diverged_at[i], diverging_loss[i], params[i] = t, losses[r], W[r]
+                keep = [r for r in range(len(live)) if r not in gone]
+                if not keep:
+                    break
+                W, opt = W[keep], opt[keep]
+                state, spare = select_rows(state, keep), select_rows(spare, keep)
+                problems, projects, live, pending, losses = (
+                    [x[r] for r in keep] for x in (problems, projects, live, pending, losses))
+                loss_col, norm_col, fraction_col, count_col = begin_segment()
+            loss_col.extend(losses)
+            snap = t % snapshot_every == 0 or t == steps
+            if one:
+                new, w, diag = dispatch_step(state, W[0], grads[0],
+                                             collect_histogram=snap, out=spare)
+                W = w[None]
+                norm_col.append(diag.step_norm)
+                fraction_col.append(diag.truncation_fraction)
+            else:
+                G = np.empty_like(W)
+                for r, g in enumerate(grads):
+                    G[r] = g
+                new, W, diag = dispatch_step(state, W, G, collect_histogram=snap,
+                                             out=spare)
+                norm_col.extend(diag.step_norm.tolist())
+                fractions = diag.truncation_fraction
+                # a per-row array, or one float (Adam family, SGD) for every row
+                fraction_col.extend(fractions.tolist() if isinstance(fractions, np.ndarray)
+                                    else [fractions] * len(live))
+            state, spare = new, state
+            for r, project in enumerate(projects):
+                if project is not None:
+                    W[r] = project(W[r])
+            if diag.bhat_histogram is not None:
+                count_col.frombytes(diag.bhat_histogram.astype(count_type).tobytes())
+                hist_t.append(t)
+            if tracking:
+                reached(t)
+        else:
+            for r, i in enumerate(live):
+                params[i] = W[r]
+
+    def trajectory(i: int) -> Trajectory:
+        # run i's stretch of each segment it was in, then its diverging step
+        cols = [[], [], [], []]
+        for runs, *seg_cols in segments:
+            if i not in runs:
+                break
+            r, width = runs.index(i), len(runs)
+            for col, seg_col in zip(cols[:3], seg_cols):
+                col.append(np.frombuffer(seg_col)[r::width])
+            counts = np.frombuffer(seg_cols[3], count_type)
+            cols[3].append(counts.reshape(-1, width, HIST_BINS)[:, r])
+        if i in diverging_loss:
+            for col, last in zip(cols, (diverging_loss[i], math.nan, math.nan)):
+                col.append([last])
+        loss, step_norm, fraction = (np.concatenate(col) for col in cols[:3])
+        hists = np.concatenate(cols[3]).astype(np.int64)
+        return Trajectory(
+            loss=loss, step_norm=step_norm, truncation_fraction=fraction,
+            hist_t=np.array(hist_t[:len(hists)], dtype=np.int64), hists=hists,
+            params=params[i], diverged=i in diverging_loss, diverged_at=diverged_at[i],
+            steps_to_tol=steps_to_tol[i],
+        )
+
+    return _Runs(trajectory, k)
+
+
+class _Runs(Sequence):
+    """The Trajectories of record_runs, each built when it is indexed."""
+
+    def __init__(self, build, k: int):
+        self._build, self._k = build, k
+
+    def __len__(self) -> int:
+        return self._k
+
+    def __getitem__(self, i: int) -> Trajectory:
+        return self._build(range(self._k)[i])
+
+
 def record_run(problem, optimizer: str, hp: HyperParams, steps: int,
                snapshot_every: int = 1, tol: float | None = None) -> Trajectory:
     """Run an optimizer and record it as the columns of a Trajectory.
@@ -143,48 +315,17 @@ def record_run(problem, optimizer: str, hp: HyperParams, steps: int,
     loss, step_norm and truncation_fraction have one row per step run (row
     t-1 is step t); hists has one histogram row per entry of hist_t, taken
     every snapshot_every steps and at the final step. params is the final
-    iterate. Divergence (see run_steps) stops the run and flags it; it is a
-    result, not an error: the last row holds the diverging loss, with NaN
-    step_norm and truncation_fraction, and params the iterate w_{t-1} it was
-    evaluated at. When the problem exposes a known optimum and tol is given,
-    steps_to_tol records the first step whose post-step parameters are within
-    tol of it (0 for a start already inside, None if never reached), with the
-    same accounting as race().
+    iterate. Divergence (a loss that is non-finite or above DIVERGENCE_LOSS,
+    or an OverflowError in the oracle, read as loss inf) stops the run and
+    flags it; it is a result, not an error: the last row holds the diverging
+    loss, with NaN step_norm and truncation_fraction, and params the iterate
+    w_{t-1} it was evaluated at. When the problem exposes a known optimum and
+    tol is given, steps_to_tol records the first step whose post-step
+    parameters are within tol of it (0 for a start already inside, None if
+    never reached), with the same accounting as race(). This is the one-run
+    call of record_runs.
     """
-    if tol is not None and tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    optimum = getattr(problem, "optimum", None)
-    track = tol is not None and optimum is not None
-    # grown per step run, not preallocated: a step budget may be huge
-    loss, step_norm, fraction, hist_t, hists = [], [], [], [], []
-    diverged_at = steps_to_tol = None
-    with np.errstate(over="ignore"):  # overflow on the way to divergence is a result
-        for t, f, w, diag in run_steps(problem, optimizer, hp, steps, snapshot_every):
-            if t and diag is None:
-                diverged_at = t
-                diag = _DIVERGED
-            elif track and steps_to_tol is None:
-                d = w - optimum
-                if float(d @ d) <= tol * tol:
-                    steps_to_tol = t
-            if t:
-                loss.append(f)
-                step_norm.append(diag.step_norm)
-                fraction.append(diag.truncation_fraction)
-                if diag.bhat_histogram is not None:
-                    hist_t.append(t)
-                    hists.append(diag.bhat_histogram)
-    return Trajectory(
-        loss=np.array(loss, dtype=np.float64),
-        step_norm=np.array(step_norm, dtype=np.float64),
-        truncation_fraction=np.array(fraction, dtype=np.float64),
-        hist_t=np.array(hist_t, dtype=np.int64),
-        hists=np.array(hists, dtype=np.int64).reshape(-1, HIST_BINS),
-        params=w,
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
-        steps_to_tol=steps_to_tol,
-    )
+    return record_runs([problem], optimizer, [hp], steps, snapshot_every, tol)[0]
 
 
 @dataclass

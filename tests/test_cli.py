@@ -421,6 +421,19 @@ def test_diverging_run_and_race_warn_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_diverging_sweep_point_warns_nothing(tmp_path, capsys):
+    # the diverging point leaves the population without a numpy warning, and
+    # the points beside it run on
+    cfg = write_config(tmp_path, dict(BASE, **DIVERGING))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--param", "hyperparams.alpha",
+                 "--values", "1e-3,1e250,2e-3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "sweep.csv").read_text().strip().split("\n")
+    assert [r.split(",")[3] for r in rows[1:]] == ["completed", "diverged", "completed"]
+
+
 def test_run_verb_diverging_with_a_huge_step_budget(tmp_path, capsys):
     # the run records the steps it ran, not the budget it was given
     cfg = write_config(tmp_path, dict(BASE, **DIVERGING, steps=1_000_000_000))
@@ -463,15 +476,28 @@ def test_sweep_extension_keeps_existing_points(tmp_path):
     assert a == b
 
 
+def _masked_files(out):
+    """Every file under out by relative path, wall_time_s masked."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.name == "summary.json":
+            text = re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": X', text)
+        files[str(path.relative_to(out))] = text
+    return files
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = write_config(tmp_path, BASE)
-    ser, par = tmp_path / "ser", tmp_path / "par"
-    assert main(["sweep", "--config", cfg, "--param", "hyperparams.delta",
-                 "--values", "1e-8,1e-6,1e-4", "--out", str(ser)]) == 0
-    assert main(["sweep", "--config", cfg, "--param", "hyperparams.delta",
-                 "--values", "1e-8,1e-6,1e-4", "--out", str(par),
-                 "--jobs", "3"]) == 0
-    assert (ser / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
+    values = "1e-8,1e-6,1e-4,1e-3,1e-2,0.1,0.5,2"
+    outs = {}
+    for jobs in (1, 3, 8):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", cfg, "--param", "hyperparams.delta",
+                     "--values", values, "--out", str(out), "--jobs", str(jobs)]) == 0
+        outs[jobs] = _masked_files(out)
+    assert len(outs[1]) == 1 + 8 * 3  # sweep.csv and three files per point
+    assert outs[1] == outs[3] == outs[8]
 
 
 def test_cli_import_leaves_process_pools_unloaded():

@@ -220,6 +220,13 @@ def test_optimizer_step_rejects_state_with_bad_hyperparams():
         optimizer_step(state, np.zeros(2), np.ones(2))
 
 
+def test_optimizer_step_rejects_a_population_state():
+    # populations step through the run loop; the front door takes one run
+    state = init_state("agd", 2, [HyperParams(alpha=1e-3)] * 3)
+    with pytest.raises(ShapeError, match="population"):
+        optimizer_step(state, np.zeros((3, 2)), np.ones((3, 2)))
+
+
 def test_optimizer_step_rejects_shape_mismatch():
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(ShapeError):

@@ -1,13 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from agdopt.core import ConfigError, HyperParams, optimizer_step
+from agdopt.core import ConfigError, HyperParams, ShapeError, optimizer_step
 from agdopt.diagnostics import (
     DIVERGENCE_LOSS,
     MlpProblem,
     TestFnProblem,
     race,
     record_run,
+    record_runs,
     run_steps,
 )
 from agdopt.models import MlpSpec, two_moons
@@ -394,3 +398,128 @@ def test_run_steps_buffers_match_pure_steps(name, n):
     assert len(items) == steps + 1
     if name.startswith("agd") and n > 2:  # both branches of the switch ran
         assert 0.0 < items[-1][3].truncation_fraction < 1.0
+
+
+# ------------------------------------------------------------ populations
+
+
+class BlowsUpAt(TestFnProblem):
+    """A test function whose oracle reports a loss beyond DIVERGENCE_LOSS at
+    its call number `at`."""
+
+    def __init__(self, fn, at, start=None):
+        super().__init__(fn, start)
+        self.at, self.calls = at, 0
+
+    def loss_grad(self, w):
+        self.calls += 1
+        loss, g = super().loss_grad(w)
+        return (10 * DIVERGENCE_LOSS if self.calls == self.at else loss), g
+
+
+def _assert_population_matches_runs(make, optimizer, hps, steps, snapshot_every=3,
+                                    tol=None):
+    """record_runs over fresh problems make(i) against one record_run per row,
+    bit for bit."""
+    runs = record_runs([make(i) for i in range(len(hps))], optimizer, hps, steps,
+                       snapshot_every, tol)
+    assert len(runs) == len(hps)
+    for i, hp in enumerate(hps):
+        with np.errstate(over="ignore"):
+            ref = record_run(make(i), optimizer, hp, steps, snapshot_every, tol)
+        got = runs[i]
+        for name in ("loss", "step_norm", "truncation_fraction", "hist_t", "hists",
+                     "params"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (i, name)
+            assert a.tobytes() == b.tobytes(), (i, name)
+        assert (got.diverged, got.diverged_at, got.steps_to_tol) == (
+            ref.diverged, ref.diverged_at, ref.steps_to_tol), i
+    return runs
+
+
+# one row per sweepable hyperparameter and per schedule, around BASE_HP
+BASE_HP = HyperParams(alpha=2e-2, delta=1e-3)
+POPULATION_HPS = [
+    BASE_HP,
+    replace(BASE_HP, alpha=5e-2),
+    replace(BASE_HP, beta1=0.5),
+    replace(BASE_HP, beta2=0.99),
+    replace(BASE_HP, delta=1e-8),
+    replace(BASE_HP, weight_decay=0.1),
+    replace(BASE_HP, lr_schedule="inverse_sqrt"),
+    replace(BASE_HP, lr_schedule="milestones", milestones=((4, 0.5), (9, 0.1))),
+    replace(BASE_HP, beta1_schedule="over_t", weight_decay=1e-2),
+    BASE_HP,  # diverges at step 1
+    BASE_HP,  # diverges mid-run
+]
+
+
+@pytest.mark.parametrize("optimizer", ["agd", "agd_amsgrad", "adam", "adamw",
+                                       "adabelief", "sgd"])
+def test_record_runs_matches_separate_runs(optimizer):
+    fn = TESTFNS["quad_skew"]
+    starts = [(2.0, -1.0), (1.5, 0.5), (-1.0, 2.0)]
+
+    def make(i):
+        start = starts[i % len(starts)]
+        if i == len(POPULATION_HPS) - 2:
+            return BlowsUpAt(fn, 1, start)
+        if i == len(POPULATION_HPS) - 1:
+            return BlowsUpAt(fn, 7, start)
+        return TestFnProblem(fn, start)
+
+    runs = _assert_population_matches_runs(make, optimizer, POPULATION_HPS, 14,
+                                           tol=0.5)
+    assert [r.diverged_at for r in runs] == [None] * (len(runs) - 2) + [1, 7]
+
+
+def test_record_runs_rows_diverge_on_their_own():
+    # heavy-ball on quad_skew grows past DIVERGENCE_LOSS at step 7 (alpha 3)
+    # and at step 33 (alpha 1) while the third row goes on
+    runs = _assert_population_matches_runs(
+        lambda i: TestFnProblem(TESTFNS["quad_skew"]), "sgd",
+        [HyperParams(alpha=a) for a in (3.0, 1.0, 1e-3)], 40, snapshot_every=1, tol=1e-2)
+    assert [r.diverged_at for r in runs] == [7, 33, None]
+    # an oracle that overflows at step 2 beside a row that goes on
+    runs = _assert_population_matches_runs(
+        lambda i: TestFnProblem(TESTFNS["rosenbrock"]), "agd",
+        [HyperParams(alpha=a) for a in (1e250, 1e-3)], 40, snapshot_every=1, tol=1e-2)
+    assert [r.diverged_at for r in runs] == [2, None]
+
+
+def test_record_runs_projected_regret_rows():
+    hp = HyperParams(alpha=0.5, lr_schedule="inverse_sqrt", beta1_schedule="over_t")
+    hps = [hp, replace(hp, alpha=0.1), replace(hp, delta=1e-2)]
+    _assert_population_matches_runs(
+        lambda i: RegretProblem(make_quadratic_stream(3, 50, seed=i)), "agd_amsgrad",
+        hps, 50, snapshot_every=7)
+
+
+def test_record_runs_mlp_rows_over_seed():
+    spec = MlpSpec(2, 16, 1)
+
+    def make(i):
+        return MlpProblem(spec, two_moons(24, 0.15, seed=10 + i), 4, seed=10 + i)
+
+    runs = _assert_population_matches_runs(make, "agd", [HyperParams(alpha=1e-2)] * 4,
+                                           15, snapshot_every=4)
+    assert all(r.params.size == spec.n_params for r in runs)
+
+
+def test_record_runs_checks_its_rows():
+    p = TestFnProblem(TESTFNS["quad_skew"])
+    with pytest.raises(ConfigError):
+        record_runs([p, p], "agd", [HP], 5)
+    with pytest.raises(ConfigError):
+        record_runs([], "agd", [], 5)
+    with pytest.raises(ShapeError):
+        record_runs([p, ZeroGradProblem(dim=3)], "agd", [HP, HP], 5)
+
+
+def test_record_runs_diverging_rows_stop_with_a_huge_budget():
+    # the columns grow with the steps run, not with the budget
+    runs = record_runs([TestFnProblem(TESTFNS["rosenbrock"])] * 2, "agd",
+                       [HyperParams(alpha=1e250)] * 2, 10**9)
+    assert [len(r.loss) for r in runs] == [2, 2]
+    assert math.isinf(runs[1].loss[-1])

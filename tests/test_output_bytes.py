@@ -241,3 +241,50 @@ def test_mlp_run_bytes(tmp_path, case):
                  (out / "histograms.json").read_text(), _masked_summary(out)):
         digest.update(text.encode())
     assert digest.hexdigest() == MLP_CASES[case]
+
+
+# Sweeps, pinned by the sha256 of every file under --out (paths included),
+# with wall_time_s masked in each point's summary.json.
+def _sweep_digest(out):
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        text = path.read_text()
+        if path.name == "summary.json":
+            text, n = re.subn(r'"wall_time_s": [^,\n]+', '"wall_time_s": X', text)
+            assert n == 1
+        digest.update(f"{path.relative_to(out)}\n{text}".encode())
+    return digest.hexdigest()
+
+
+SWEEP_CASES = {
+    # an agd alpha sweep on rosenbrock whose last point overflows at step 2
+    "agd-rosenbrock-alpha": (
+        {"problem": {"kind": "testfn", "name": "rosenbrock"}, "optimizer": "agd",
+         "hyperparams": {"alpha": 1e-3}, "seed": 3, "steps": 40, "snapshot_every": 3},
+        "hyperparams.alpha", "1e-3,2e-2,0.3,1e250",
+        "414d6b9da1a47696f666d4f03c93de21961b663db7ca2f63fe188c57cfe72783"),
+    "adamw-quad_skew-weight_decay": (
+        {"problem": {"kind": "testfn", "name": "quad_skew", "start": [2.0, -1.0]},
+         "optimizer": "adamw", "hyperparams": {"alpha": 1e-2}, "seed": 4,
+         "steps": 25, "snapshot_every": 5},
+        "hyperparams.weight_decay", "0,1e-2,0.5",
+        "710209a5ba7227df0847537179966c4142ae204706a02d9ebc03803bc1aea66c"),
+    "regret-seed": (
+        {"problem": {"kind": "regret", "dim": 3}, "optimizer": "agd_amsgrad",
+         "hyperparams": {"alpha": 0.5, "lr_schedule": "inverse_sqrt",
+                         "beta1_schedule": "over_t"},
+         "seed": 0, "steps": 30, "snapshot_every": 10},
+        "seed", "3,4,5",
+        "c5e9bfbc933c0651e4f9c5e94fbc78e31c77c0882a8a2642b041ef76adccf980"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_bytes(tmp_path, case):
+    cfg, param, values, expected = SWEEP_CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--param", param,
+                 "--values", values, "--out", str(out)]) == 0
+    assert _sweep_digest(out) == expected

@@ -70,3 +70,21 @@ def test_traced_mlp_run_reaches_the_model_layers(spans, tmp_path):
     assert {"models.loss_grad", "models.setup", "optim.step"} <= set(tracer.names)
     # 2*6 + 6 + 6*1 + 1 parameters: each step went through the traced kernel
     assert list(tracer.sizes.values()) == [("agd_step", 25)] * 3
+
+
+def test_traced_sweep_steps_its_points_as_one_population(spans, tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "testfn", "name": "rosenbrock"},
+        "optimizer": "agd", "hyperparams": {"alpha": 1e-3},
+        "seed": 0, "steps": 2,
+    }))
+    tracer = _trace(spans, ["sweep", "--config", str(cfg), "--param", "hyperparams.alpha",
+                            "--values", "1e-4,2e-4,5e-4,1e-3,2e-3,5e-3,1e-2,2e-2",
+                            "--out", str(tmp_path / "sweep")])
+    # each step of the eight n = 2 points is one traced dispatch, one kernel
+    # call on 16 coordinates and one histogram call; the oracle runs per point
+    assert list(tracer.sizes.values()) == [("agd_step", 16)] * 2
+    assert [tracer.names.count(name) for name in (
+        "optim.dispatch", "optim.step", "core.histogram", "testfns.loss_grad")] == [
+        2, 2, 2, 16]
