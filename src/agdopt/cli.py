@@ -245,8 +245,9 @@ _RUN = {
 def parse_run_config(d) -> dict:
     """The canonical dict of a run config (see the module docstring)."""
     cfg = _section(d, _RUN, "config")
-    if cfg["steps"] is None and cfg["epochs"] is None:
-        raise ConfigError("config needs 'steps' (or 'epochs' for mlp problems)")
+    if (cfg["steps"] is None) == (cfg["epochs"] is None):
+        raise ConfigError("config needs one of 'steps' and 'epochs' (epochs for mlp "
+                          "problems), not both")
     if cfg["epochs"] is not None and cfg["problem"]["kind"] != "mlp":
         raise ConfigError("'epochs' only applies to mlp problems")
     return cfg
@@ -554,7 +555,7 @@ def main(argv=None) -> int:
             try:  # an integer seed stays exact; float() rounds it above 2**53
                 values = [int(v) if args.param == "seed"
                           and v.strip().lstrip("+-").isdecimal() else float(v)
-                          for v in args.values.split(",") if v]
+                          for v in args.values.split(",")]
             except ValueError:
                 raise ConfigError(f"--values must be comma-separated numbers, "
                                   f"got {args.values!r}") from None

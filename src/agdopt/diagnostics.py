@@ -13,9 +13,10 @@ problem object with its own hyperparameters, stepped together as one (K, n)
 population state (one row, the plain (n,) state), and returns one
 `Trajectory` of per-step columns per run (loss, step norm, truncation
 fraction, denominator histograms at the snapshot cadence), which are the
-run's switch timeline. `record_run` is its one-run call. `run_steps` is the
-generator of one run that `race` consumes; each iterate it yields is a
-fresh array and stays valid after later steps.
+run's switch timeline. A run that diverges keeps its row until the loop
+ends, stepped with a zero gradient and never read again. `record_run` is its
+one-run call. `run_steps` is the generator of one run that `race` consumes;
+each iterate it yields is a fresh array and stays valid after later steps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .core import HIST_BINS, ConfigError, HyperParams, ShapeError, as_param_vector
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
-from .optim import dispatch_step, init_state, select_rows
+from .optim import dispatch_step, init_state
 from .testfns import TestFunction
 
 __all__ = [
@@ -153,9 +154,10 @@ def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int =
 
     While the runs go, the columns grow as compact typed arrays (histogram
     counts in the narrowest unsigned type that holds n), never preallocated
-    for the step budget. A run that diverges stops there and its row leaves
-    the population, so it touches the other rows neither through their bits
-    nor through warnings.
+    for the step budget. A run that diverges keeps its row, stepped with a
+    zero gradient and never read again: every kernel op is per row, so it
+    touches the other rows neither through their bits nor through warnings.
+    The loop ends once every run has diverged.
     """
     if tol is not None and tol <= 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -175,121 +177,97 @@ def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int =
     state = init_state(optimizer, n, hps[0] if one else hps)
     spare = init_state(optimizer, n, hps[0] if one else hps)
     W = starts[0][None] if one else np.stack(starts)
+    # every row's gradient is written at step 1; a diverged row keeps zeros
+    G = None if one else np.empty((k, n))
     del starts
     projects = [getattr(p, "project", None) for p in problems]
     optima = [getattr(p, "optimum", None) for p in problems]
     pending = [tol is not None and o is not None for o in optima]  # per row
     tracking = any(pending)
-    # the optimum of each row; rows without one are never pending, and
-    # without any the (k, 1) zeros only follow the rows
-    opt = (np.array([np.zeros(n) if o is None else o for o in optima])
-           if tracking else np.zeros((k, 1)))
+    if tracking:  # rows without an optimum are never pending
+        opt = np.array([np.zeros(n) if o is None else o for o in optima])
 
+    # step-major columns: each step appends its k values (a snapshot its k
+    # histograms), so run i's values are col[i::k]
     count_type = np.min_scalar_type(n)
-    # The columns live in segments: one per stretch of steps between two
-    # divergences, over a fixed set of runs, stored step-major, so that a
-    # step appends each column's values for all rows at once.
-    segments = []  # (runs, loss, step_norm, truncation_fraction, counts)
-    live = list(range(k))  # the run of each population row
+    loss_col, norm_col, fraction_col = array("d"), array("d"), array("d")
+    count_col, hist_t = array(count_type.char), []
     params, diverged_at, steps_to_tol = [None] * k, [None] * k, [None] * k
-    diverging_loss = {}  # run -> the loss of its diverging step
-    hist_t = []
-
-    def begin_segment():
-        segments.append((live, array("d"), array("d"), array("d"),
-                         array(count_type.char)))
-        return segments[-1][1:]
 
     def reached(t):
         nonlocal tracking
         d = W - opt
         for r, dist_sq in enumerate(np.vecdot(d, d).tolist()):
             if pending[r] and dist_sq <= tol * tol:
-                steps_to_tol[live[r]] = t
+                steps_to_tol[r] = t
                 pending[r] = False
         tracking = any(pending)
 
-    loss_col, norm_col, fraction_col, count_col = begin_segment()
     with np.errstate(over="ignore"):  # overflow on the way to divergence is a result
         if tracking:
             reached(0)
         for t in range(1, steps + 1):
-            losses, grads, gone = [], [], []
             for r, problem in enumerate(problems):
+                if diverged_at[r] is not None:
+                    loss_col.append(math.nan)
+                    continue
                 try:
                     loss, g = problem.loss_grad(W[r])
                 except OverflowError:
                     loss = math.inf
-                losses.append(loss)
+                loss_col.append(loss)
                 if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                    gone.append(r)
-                else:
-                    grads.append(g)
-            if gone:
-                for r in gone:
-                    i = live[r]
-                    diverged_at[i], diverging_loss[i], params[i] = t, losses[r], W[r]
-                keep = [r for r in range(len(live)) if r not in gone]
-                if not keep:
-                    break
-                W, opt = W[keep], opt[keep]
-                state, spare = select_rows(state, keep), select_rows(spare, keep)
-                problems, projects, live, pending, losses = (
-                    [x[r] for r in keep] for x in (problems, projects, live, pending, losses))
-                loss_col, norm_col, fraction_col, count_col = begin_segment()
-            loss_col.extend(losses)
+                    diverged_at[r], params[r], pending[r] = t, W[r], False
+                    g = 0.0
+                if not one:
+                    G[r] = g
+            if None not in diverged_at:
+                break
             snap = t % snapshot_every == 0 or t == steps
             if one:
-                new, w, diag = dispatch_step(state, W[0], grads[0],
-                                             collect_histogram=snap, out=spare)
+                new, w, diag = dispatch_step(state, W[0], g, collect_histogram=snap,
+                                             out=spare)
                 W = w[None]
                 norm_col.append(diag.step_norm)
                 fraction_col.append(diag.truncation_fraction)
             else:
-                G = np.empty_like(W)
-                for r, g in enumerate(grads):
-                    G[r] = g
                 new, W, diag = dispatch_step(state, W, G, collect_histogram=snap,
                                              out=spare)
                 norm_col.extend(diag.step_norm.tolist())
                 fractions = diag.truncation_fraction
                 # a per-row array, or one float (Adam family, SGD) for every row
                 fraction_col.extend(fractions.tolist() if isinstance(fractions, np.ndarray)
-                                    else [fractions] * len(live))
+                                    else [fractions] * k)
             state, spare = new, state
             for r, project in enumerate(projects):
-                if project is not None:
+                if project is not None and diverged_at[r] is None:
                     W[r] = project(W[r])
             if diag.bhat_histogram is not None:
                 count_col.frombytes(diag.bhat_histogram.astype(count_type).tobytes())
                 hist_t.append(t)
             if tracking:
                 reached(t)
-        else:
-            for r, i in enumerate(live):
-                params[i] = W[r]
+    for r in range(k):
+        if params[r] is None:
+            params[r] = W[r]
 
     def trajectory(i: int) -> Trajectory:
-        # run i's stretch of each segment it was in, then its diverging step
-        cols = [[], [], [], []]
-        for runs, *seg_cols in segments:
-            if i not in runs:
-                break
-            r, width = runs.index(i), len(runs)
-            for col, seg_col in zip(cols[:3], seg_cols):
-                col.append(np.frombuffer(seg_col)[r::width])
-            counts = np.frombuffer(seg_cols[3], count_type)
-            cols[3].append(counts.reshape(-1, width, HIST_BINS)[:, r])
-        if i in diverging_loss:
-            for col, last in zip(cols, (diverging_loss[i], math.nan, math.nan)):
-                col.append([last])
-        loss, step_norm, fraction = (np.concatenate(col) for col in cols[:3])
-        hists = np.concatenate(cols[3]).astype(np.int64)
+        # run i's entries of each column, cut at its diverging step, which
+        # has a loss and no diagnostics
+        end = diverged_at[i]
+        ran = len(loss_col) // k if end is None else end
+        loss, step_norm, fraction = (np.array(np.frombuffer(col)[i::k][:ran])
+                                     for col in (loss_col, norm_col, fraction_col))
+        snaps = np.array(hist_t, dtype=np.int64)
+        if end is not None:
+            step_norm, fraction = (np.append(col[:end - 1], math.nan)
+                                   for col in (step_norm, fraction))
+            snaps = snaps[snaps < end]
+        counts = np.frombuffer(count_col, count_type).reshape(-1, k, HIST_BINS)
         return Trajectory(
-            loss=loss, step_norm=step_norm, truncation_fraction=fraction,
-            hist_t=np.array(hist_t[:len(hists)], dtype=np.int64), hists=hists,
-            params=params[i], diverged=i in diverging_loss, diverged_at=diverged_at[i],
-            steps_to_tol=steps_to_tol[i],
+            loss=loss, step_norm=step_norm, truncation_fraction=fraction, hist_t=snaps,
+            hists=counts[:len(snaps), i].astype(np.int64), params=params[i],
+            diverged=end is not None, diverged_at=end, steps_to_tol=steps_to_tol[i],
         )
 
     return _Runs(trajectory, k)

@@ -8,13 +8,13 @@ t = state.t + 1.
 Buffer contract: a kernel never writes state, w or g. Called without `out`
 it is pure and returns a fresh state; given `out`, a second state of the same
 type and size, it overwrites out's vectors and fields and returns it, so a
-loop that alternates two states allocates none per step (only
-`diagnostics.run_steps` does so). w' is a fresh array either way. Each vector
-operation writes into a preallocated destination, in the order and with the
-scalars of the equations below, so the bits are those of the plain
-expressions. Above CHUNK coordinates the body runs one L2-sized chunk at a
-time; elementwise arithmetic gives the same bits on a slice, and step_norm
-stays one dot over the whole update.
+loop that alternates two states allocates none per step (only the run loops
+`diagnostics.run_steps` and `diagnostics.record_runs` pass it). w' is a
+fresh array either way. Each vector operation writes into a preallocated
+destination, in the order and with the scalars of the equations below, so
+the bits are those of the plain expressions. Above CHUNK coordinates the
+body runs one L2-sized chunk at a time; elementwise arithmetic gives the
+same bits on a slice, and step_norm stays one dot over the whole update.
 
 Populations: `init_state(name, n, hps)` with a sequence of K HyperParams
 makes one state for K independent runs of one optimizer. Its vectors are
@@ -25,8 +25,7 @@ each computed by the same HyperParams expressions as for a lone run (or
 stays one float where every row's is the same), and the reductions are
 taken per row: truncation counts, step_norm through np.vecdot, which takes
 each row's dot as np.dot does, and one histogram per row. So every row
-carries the bits of its own run. `select_rows` drops rows, as the run loop
-does with a run that diverges.
+carries the bits of its own run, whatever the other rows hold.
 
 Main update (per coordinate, defaults beta1=0.9, beta2=0.999):
 
@@ -58,7 +57,7 @@ as it writes w'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +69,6 @@ __all__ = [
     "SgdState",
     "OPTIMIZER_NAMES",
     "init_state",
-    "select_rows",
     "agd_step",
     "adam_step",
     "adabelief_step",
@@ -140,13 +138,6 @@ def init_state(name: str, n: int, hp):
     if name == "sgd":
         return SgdState(buffer=np.zeros(shape), t=0, hp=hp)
     raise ConfigError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
-
-
-def select_rows(state, rows):
-    """A new population state holding the given rows (an index array) of state."""
-    arrays = {f.name: getattr(state, f.name)[rows] for f in fields(state)
-              if isinstance(getattr(state, f.name), np.ndarray)}
-    return replace(state, hp=tuple(state.hp[r] for r in rows), **arrays)
 
 
 # Above this many coordinates a kernel body runs chunk by chunk, so that each

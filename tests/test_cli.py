@@ -283,6 +283,15 @@ def test_run_verb_mlp_epochs(tmp_path):
     assert summary["steps_run"] == 2 * 4  # 64 points / batch 16 per epoch
 
 
+def test_run_verb_rejects_steps_with_epochs(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(MLP, steps=3))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    message = last_error(capsys)
+    assert "steps" in message and "epochs" in message
+    assert not out.exists()
+
+
 def test_run_verb_seed_override(tmp_path):
     cfg = write_config(tmp_path, MLP)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -548,6 +557,17 @@ def test_sweep_checks_every_point_before_any_runs(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--param", "hyperparams.beta1",
                  "--values", "0.5,0.9,1.5", "--out", str(out)]) == 2
     assert "beta1" in last_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["1e-3,,2e-3", "1e-3,2e-3,"])
+def test_sweep_rejects_empty_values(tmp_path, capsys, values):
+    # a dropped entry would shift every later point's index and derived seed
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--param", "hyperparams.alpha",
+                 "--values", values, "--out", str(out)]) == 2
+    assert "--values" in last_error(capsys)
     assert not out.exists()
 
 

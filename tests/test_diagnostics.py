@@ -461,17 +461,23 @@ def test_record_runs_matches_separate_runs(optimizer):
     fn = TESTFNS["quad_skew"]
     starts = [(2.0, -1.0), (1.5, 0.5), (-1.0, 2.0)]
 
+    blowups = []
+
     def make(i):
         start = starts[i % len(starts)]
         if i == len(POPULATION_HPS) - 2:
-            return BlowsUpAt(fn, 1, start)
-        if i == len(POPULATION_HPS) - 1:
-            return BlowsUpAt(fn, 7, start)
-        return TestFnProblem(fn, start)
+            blowups.append(BlowsUpAt(fn, 1, start))
+        elif i == len(POPULATION_HPS) - 1:
+            blowups.append(BlowsUpAt(fn, 7, start))
+        else:
+            return TestFnProblem(fn, start)
+        return blowups[-1]
 
     runs = _assert_population_matches_runs(make, optimizer, POPULATION_HPS, 14,
                                            tol=0.5)
     assert [r.diverged_at for r in runs] == [None] * (len(runs) - 2) + [1, 7]
+    # a diverged row's oracle is never called again
+    assert [p.calls for p in blowups] == [p.at for p in blowups]
 
 
 def test_record_runs_rows_diverge_on_their_own():
@@ -486,6 +492,13 @@ def test_record_runs_rows_diverge_on_their_own():
         lambda i: TestFnProblem(TESTFNS["rosenbrock"]), "agd",
         [HyperParams(alpha=a) for a in (1e250, 1e-3)], 40, snapshot_every=1, tol=1e-2)
     assert [r.diverged_at for r in runs] == [2, None]
+    # a row that diverges at step 10 while its momentum would still carry it
+    # into the tol ball (at step 27) never scores
+    fn = TESTFNS["quad_skew"]
+    runs = _assert_population_matches_runs(
+        lambda i: BlowsUpAt(fn, 10) if i == 0 else TestFnProblem(fn), "sgd",
+        [HyperParams(alpha=3e-2)] * 2, 40, tol=0.5)
+    assert [r.steps_to_tol for r in runs] == [None, 16]
 
 
 def test_record_runs_projected_regret_rows():
