@@ -8,8 +8,9 @@ target directory, then rename); JSON files take the stdlib's indent=1 layout.
 Floats are printed at 17 significant digits so they round-trip exactly, and
 non-finite floats in JSON as null.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error (with a
-one-line JSON error object on stderr).
+Exit codes: 0 success, 1 verification failure or a failed sweep group (one
+JSON line per group on stderr), 2 configuration error (with a one-line JSON
+error object on stderr).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +52,7 @@ SWEEPABLE = (
     "hyperparams.weight_decay",
     "seed",
 )
+_BLOCK = 512  # rows per `%` template in the writers, which bounds their transient strings
 
 
 def _fmt(x: float) -> str:
@@ -81,8 +84,8 @@ def _json_dumps(obj, indent: int = 0) -> str:
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "w") as fh:  # in slices: one write would encode a copy of it all
+            fh.writelines(text[lo:lo + 65536] for lo in range(0, len(text), 65536))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -288,27 +291,34 @@ def run_command(cfg: dict, out_dir: str) -> dict:
 
 
 def _trajectory_csv(traj) -> str:
-    rows = [f"{t},{f:.17g},{sn:.17g},{tf:.17g}" for t, (f, sn, tf) in enumerate(zip(
-        traj.loss.tolist(), traj.step_norm.tolist(), traj.truncation_fraction.tolist()), 1)]
-    rows.insert(0, "t,loss,step_norm,truncation_fraction")
-    rows.append("")
-    return "\n".join(rows)
+    blocks = ["t,loss,step_norm,truncation_fraction\n"]
+    for lo in range(0, len(traj.loss), _BLOCK):
+        cols = [col[lo:lo + _BLOCK].tolist()
+                for col in (traj.loss, traj.step_norm, traj.truncation_fraction)]
+        cells = chain.from_iterable(zip(range(lo + 1, lo + _BLOCK + 1), *cols))
+        blocks.append("%d,%.17g,%.17g,%.17g\n" * len(cols[0]) % tuple(cells))
+    return "".join(blocks)
 
 
 def _histograms_json(traj) -> str:
-    """json.dumps(hists, indent=1) from preformatted rows: the stdlib's
-    indented encoder is pure Python and holds every token at once."""
-    hist_t, hists = traj.hist_t.tolist(), []
-    for lo in range(0, len(hist_t), 1024):  # a block at a time bounds tolist()'s lists
-        hists += [f' {{\n  "t": {t},\n  "counts": [\n   ' + ",\n   ".join(map(str, counts))
-                  + "\n  ]\n }" for t, counts in zip(hist_t[lo:lo + 1024],
-                                                  traj.hists[lo:lo + 1024].tolist())]
-    if not hists:
+    """The layout of json.dumps(hists, indent=1), from one item template per
+    block; each distinct counts row, keyed on its bytes, is formatted once."""
+    bodies, blocks = {}, []
+    for lo in range(0, len(traj.hist_t), _BLOCK):
+        rows = np.ascontiguousarray(traj.hists[lo:lo + _BLOCK])
+        keys = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()
+        for key in set(keys) - bodies.keys():
+            bodies[key] = ",\n   ".join(map(str, np.frombuffer(key, rows.dtype).tolist()))
+        cells = chain.from_iterable(zip(traj.hist_t[lo:lo + _BLOCK].tolist(),
+                                        map(bodies.__getitem__, keys)))
+        blocks.append(' {\n  "t": %d,\n  "counts": [\n   %s\n  ]\n },\n' * len(keys)
+                      % tuple(cells))
+    if not blocks:
         return "[]\n"
-    # the brackets join the first and last item, so the text is built once
-    hists[0] = "[\n" + hists[0]
-    hists[-1] += "\n]\n"
-    return ",\n".join(hists)
+    # the brackets replace the end blocks' edges, so the whole text is built once
+    blocks[0] = "[\n" + blocks[0]
+    blocks[-1] = blocks[-1][:-2] + "\n]\n"
+    return "".join(blocks)
 
 
 def _write_run(cfg: dict, problem, traj, wall: float, out_dir: str) -> dict:
@@ -361,20 +371,25 @@ def _run_points(cfgs: list, dirs: list) -> list:
     """Run sweep points as one population and write each point's outputs.
 
     The points share all but their hyperparameters and seed; each gets its
-    own problem. Every point's wall_time_s is the population's loop time.
+    own problem. Every point's wall_time_s is the population's loop time. A
+    group that raises is a result, not a crash: each of its points gets the
+    summary {"status": "error", "message": ...}, and the other groups run on.
     """
-    problems = [_build_problem(cfg) for cfg in cfgs]
-    for out_dir in dirs:
-        os.makedirs(out_dir, exist_ok=True)
-    first = cfgs[0]
-    t0 = time.perf_counter()
-    trajs = record_runs(problems, first["optimizer"],
-                        [_hp(cfg["hyperparams"]) for cfg in cfgs],
-                        _steps(first, problems[0]),
-                        snapshot_every=first["snapshot_every"], tol=first["tol"])
-    wall = time.perf_counter() - t0
-    return [_write_run(cfg, problem, traj, wall, out_dir)
-            for cfg, problem, traj, out_dir in zip(cfgs, problems, trajs, dirs)]
+    try:
+        problems = [_build_problem(cfg) for cfg in cfgs]
+        for out_dir in dirs:
+            os.makedirs(out_dir, exist_ok=True)
+        first = cfgs[0]
+        t0 = time.perf_counter()
+        trajs = record_runs(problems, first["optimizer"],
+                            [_hp(cfg["hyperparams"]) for cfg in cfgs],
+                            _steps(first, problems[0]),
+                            snapshot_every=first["snapshot_every"], tol=first["tol"])
+        wall = time.perf_counter() - t0
+        return [_write_run(cfg, problem, traj, wall, out_dir)
+                for cfg, problem, traj, out_dir in zip(cfgs, problems, trajs, dirs)]
+    except Exception as e:  # the boundary of a group: its rows record the failure
+        return [{"status": "error", "message": f"{type(e).__name__}: {e}"} for _ in cfgs]
 
 
 def sweep_command(base_dict: dict, path: str, values, out_dir: str,
@@ -385,7 +400,8 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
     split into `jobs` contiguous groups, run in parallel processes when
     jobs > 1, and each group steps as one population (`record_runs`). Above
     optim.CHUNK coordinates, where vector work and not per-step overhead
-    dominates, every point is a group of its own.
+    dominates, every point is a group of its own. A group that raises prints
+    one JSON line on stderr, and its points' rows get status error.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -416,12 +432,17 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
             done = list(pool.map(_run_points, *parts))
     else:
         done = list(map(_run_points, *parts))
+    for lo, hi, group in zip(bounds, bounds[1:], done):
+        if group[0]["status"] == "error":
+            print(json.dumps({"error": "sweep", "points": list(range(lo, hi)),
+                              "message": group[0]["message"]}), file=sys.stderr)
     summaries = [summary for group in done for summary in group]
     rows = ["index,value,seed,status,final_loss"]
     for i, (value, cfg, summary) in enumerate(zip(values, cfgs, summaries)):
         rows.append(
             f"{i},{_fmt(value) if isinstance(value, float) else value},"
-            f"{cfg['seed']},{summary['status']},{_fmt(summary['final_loss'])}"
+            f"{cfg['seed']},{summary['status']},"
+            + ("" if summary["status"] == "error" else _fmt(summary["final_loss"]))
         )
     _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(rows) + "\n")
     return summaries
@@ -559,8 +580,8 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(f"--values must be comma-separated numbers, "
                                   f"got {args.values!r}") from None
-            sweep_command(d, args.param, values, args.out, jobs=args.jobs)
-            return 0
+            summaries = sweep_command(d, args.param, values, args.out, jobs=args.jobs)
+            return 1 if any(s["status"] == "error" for s in summaries) else 0
         if args.verb == "verify":
             hp = HyperParams(alpha=1e-3, beta1=args.beta1, beta2=args.beta2,
                              delta=args.delta)

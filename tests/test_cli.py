@@ -541,6 +541,38 @@ def test_sweep_divergent_row_isolated(tmp_path):
     assert statuses == ["completed", "diverged"]
 
 
+def test_sweep_failed_group_is_rows_not_a_crash(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    values = "1e-3,2e-3,4e-3,8e-3"
+    clean, out = tmp_path / "clean", tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--param", "hyperparams.alpha",
+                 "--values", values, "--out", str(clean), "--jobs", "2"]) == 0
+    out.mkdir()
+    # a plain file where the second group's last point directory goes: its
+    # os.makedirs fails in a worker process, and the first group runs on
+    (out / "point_003").write_text("in the way\n")
+    capsys.readouterr()
+    assert main(["sweep", "--config", cfg, "--param", "hyperparams.alpha",
+                 "--values", values, "--out", str(out), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "sweep" and error["points"] == [2, 3]
+    assert "point_003" in error["message"]
+    rows = (out / "sweep.csv").read_text().split("\n")
+    clean_rows = (clean / "sweep.csv").read_text().split("\n")
+    assert rows[:3] == clean_rows[:3]  # the header and the first group
+    assert [r.split(",")[3:] for r in rows[3:5]] == [["error", ""], ["error", ""]]
+    assert [r.split(",")[:3] for r in rows[3:5]] == \
+        [r.split(",")[:3] for r in clean_rows[3:5]]
+    assert rows[5:] == [""]
+    files, clean_files = _masked_files(out), _masked_files(clean)
+    for point in ("point_000", "point_001"):
+        for name in ("trajectory.csv", "histograms.json", "summary.json"):
+            key = f"{point}/{name}"
+            assert files[key] == clean_files[key]
+
+
 def test_sweep_over_seed_uses_given_values(tmp_path):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "seeds"

@@ -1,19 +1,23 @@
-"""The exact bytes of every JSON file the CLI writes.
+"""The exact bytes of every file the CLI writes.
 
 Reruns are byte-identical by contract, and a change to the writers that moves
 a byte changes behaviour. These tests pin the layout (one-space indent, one
 item per line), floats at 17 significant digits, integral floats without a
-fraction, and null for non-finite floats and absent values.
+fraction, null for non-finite floats and absent values in JSON, and `nan`,
+`inf` and `-inf` for non-finite CSV cells.
 """
 
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from agdopt.cli import main
+from agdopt.cli import _histograms_json, _trajectory_csv, main
+from agdopt.core import HIST_BINS
+from agdopt.diagnostics import Trajectory
 
 QUAD = {
     "problem": {"kind": "testfn", "name": "quad_skew", "start": [2.0, -1.0]},
@@ -288,3 +292,116 @@ def test_sweep_bytes(tmp_path, case):
     assert main(["sweep", "--config", str(path), "--param", param,
                  "--values", values, "--out", str(out)]) == 0
     assert _sweep_digest(out) == expected
+
+
+# A long run, pinned like the MLP runs: 2500 rows of trajectory.csv and 2500
+# histograms span several of the writers' blocks, with a partial last one.
+def test_long_run_bytes(tmp_path):
+    cfg = {"problem": {"kind": "testfn", "name": "rosenbrock"}, "optimizer": "agd",
+           "hyperparams": {"alpha": 1e-3}, "seed": 0, "steps": 2500, "snapshot_every": 1}
+    out = _run(tmp_path, cfg)
+    digest = hashlib.sha256()
+    for text in ((out / "trajectory.csv").read_text(),
+                 (out / "histograms.json").read_text(), _masked_summary(out)):
+        digest.update(text.encode())
+    assert digest.hexdigest() == \
+        "b9628f13de2d3330a494d5ef09c4c5ef06c7f39bf7c6321a7776a5753954f7ca"
+
+
+def test_diverging_run_csv_tokens(tmp_path):
+    cfg = {"problem": {"kind": "testfn", "name": "rosenbrock"}, "optimizer": "agd",
+           "hyperparams": {"alpha": 1e250}, "seed": 0, "steps": 50}
+    with np.errstate(over="ignore"):
+        out = _run(tmp_path, cfg)
+    # the diverging step: an overflowed loss, and no step
+    assert (out / "trajectory.csv").read_text().splitlines()[-1] == "2,inf,nan,nan"
+
+
+# The writers as they were before they formatted from one template per block:
+# per-row f-strings, the reference that the template writers must match.
+def _reference_trajectory_csv(traj) -> str:
+    rows = [f"{t},{f:.17g},{sn:.17g},{tf:.17g}" for t, (f, sn, tf) in enumerate(zip(
+        traj.loss.tolist(), traj.step_norm.tolist(), traj.truncation_fraction.tolist()), 1)]
+    rows.insert(0, "t,loss,step_norm,truncation_fraction")
+    rows.append("")
+    return "\n".join(rows)
+
+
+def _reference_histograms_json(traj) -> str:
+    hist_t, hists = traj.hist_t.tolist(), []
+    for lo in range(0, len(hist_t), 1024):
+        hists += [f' {{\n  "t": {t},\n  "counts": [\n   ' + ",\n   ".join(map(str, counts))
+                  + "\n  ]\n }" for t, counts in zip(hist_t[lo:lo + 1024],
+                                                  traj.hists[lo:lo + 1024].tolist())]
+    if not hists:
+        return "[]\n"
+    hists[0] = "[\n" + hists[0]
+    hists[-1] += "\n]\n"
+    return ",\n".join(hists)
+
+
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1.0, 0.5)
+
+
+def _synthetic(steps: int, hists, hist_t=None) -> Trajectory:
+    """`steps` rows whose columns cycle through SPECIAL (10 values, so with a
+    stride of 3 every column takes every value), and the given histograms."""
+    cells = np.resize(np.array(SPECIAL), 3 * steps)
+    hists = np.asarray(hists, dtype=np.int64).reshape(-1, HIST_BINS)
+    if hist_t is None:
+        hist_t = np.arange(1, len(hists) + 1)
+    return Trajectory(loss=cells[0::3], step_norm=cells[1::3],
+                      truncation_fraction=cells[2::3], hist_t=np.asarray(hist_t),
+                      hists=hists, params=np.zeros(2))
+
+
+def _many_hists(rows: int) -> np.ndarray:
+    """`rows` histograms drawn from 6 distinct rows, half of them equal to
+    another but for the last count."""
+    rng = np.random.default_rng(0)
+    base = rng.integers(0, 4, size=(3, HIST_BINS))
+    near = base.copy()
+    near[:, -1] += 1
+    return np.concatenate([base, near])[rng.integers(0, 6, size=rows)]
+
+
+def _boundary_hists() -> np.ndarray:
+    # the narrowest count types of record_runs change at 256 and 65536
+    rows = np.zeros((6, HIST_BINS), dtype=np.int64)
+    rows[:, 0] = (255, 256, 65535, 65536, 2**32, 255)
+    rows[:, -1] = (1, 255, 256, 65536, 0, 1)
+    return np.asfortranarray(rows)  # the writer must not assume C order
+
+
+WRITER_CASES = {
+    "special-cells": lambda: _synthetic(12, [0] * 17 + [2, 0, 0], [12]),
+    "diverged-at-step-1": lambda: Trajectory(
+        loss=np.array([math.inf]), step_norm=np.array([math.nan]),
+        truncation_fraction=np.array([math.nan]), hist_t=np.zeros(0, dtype=np.int64),
+        hists=np.zeros((0, HIST_BINS), dtype=np.int64), params=np.zeros(2),
+        diverged=True, diverged_at=1),
+    "one-row": lambda: _synthetic(1, [1] * HIST_BINS),
+    "count-type-boundaries": lambda: _synthetic(6, _boundary_hists()),
+    "2500-rows": lambda: _synthetic(2500, _many_hists(2500)),
+    "1024-rows": lambda: _synthetic(1024, _many_hists(1024)),
+    "1025-rows": lambda: _synthetic(1025, _many_hists(1025)),
+    "sparse-snapshots": lambda: _synthetic(3000, _many_hists(3), [1000, 2000, 3000]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_writers_match_reference(case):
+    traj = WRITER_CASES[case]()
+    assert _trajectory_csv(traj) == _reference_trajectory_csv(traj)
+    assert _histograms_json(traj) == _reference_histograms_json(traj)
+
+
+def test_writer_tokens():
+    traj = _synthetic(4, [0] * HIST_BINS)
+    assert _trajectory_csv(traj) == (
+        "t,loss,step_norm,truncation_fraction\n"
+        "1,nan,inf,-inf\n"
+        "2,-0,0,4.9406564584124654e-324\n"
+        "3,1e+308,0.10000000000000001,1\n"
+        "4,0.5,nan,inf\n")
+    assert _histograms_json(WRITER_CASES["diverged-at-step-1"]()) == "[]\n"
