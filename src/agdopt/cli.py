@@ -397,11 +397,12 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
     """Run the base config once per value of `path`; return the summaries.
 
     Every point's config is parsed before any point runs. The points are
-    split into `jobs` contiguous groups, run in parallel processes when
-    jobs > 1, and each group steps as one population (`record_runs`). Above
-    optim.CHUNK coordinates, where vector work and not per-step overhead
-    dominates, every point is a group of its own. A group that raises prints
-    one JSON line on stderr, and its points' rows get status error.
+    split into at most `jobs` contiguous groups, and each group steps as one
+    population (`record_runs`). Above optim.CHUNK coordinates, where vector
+    work and not per-step overhead dominates, every point is a group of its
+    own. The groups run in min(jobs, groups) worker processes when that is
+    more than one, else in this process. A group that raises prints one JSON
+    line on stderr, and its points' rows get status error.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -426,9 +427,10 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
     bounds = [k * g // groups for g in range(groups + 1)]
     parts = ([cfgs[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
              [dirs[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
-    if jobs > 1:
+    workers = min(jobs, groups)  # a pool forks all its workers up front
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_points, *parts))
     else:
         done = list(map(_run_points, *parts))

@@ -12,9 +12,8 @@ back. `optimizer_step` is the front door for library callers: it validates
 the state's hyperparameters and the vectors, hands the step to
 `optim.dispatch_step` (which checks shapes and applies decoupled weight decay)
 and refuses a non-finite result. The kernels' optional `out=` state, which
-they overwrite instead of allocating, is for the run loops alone
-(`diagnostics.run_steps` and `diagnostics.record_runs`); no library path
-passes it.
+they overwrite instead of allocating, is for the run loop of `diagnostics`
+alone; no library path passes it.
 """
 
 from __future__ import annotations

@@ -1,22 +1,17 @@
-"""The run loops, run recording and head-to-head races.
+"""The run loop, run recording and head-to-head races.
 
 A Problem bundles a start point with a loss/gradient callback; fresh problem
-objects are cheap and deterministic, so every run rebuilds its own. Both
-loops bind the validated hyperparameters into the optimizer state once up
-front, step through `optim.dispatch_step` (which works out decoupled weight
-decay), project when the problem asks for it, and end a run at divergence.
-Each owns two state sets and has each step overwrite the one the previous
-step read, so a run allocates no optimizer state per step.
+objects are cheap and deterministic, so every run rebuilds its own.
 
-`record_runs` records K independent runs of one optimizer, each on its own
-problem object with its own hyperparameters, stepped together as one (K, n)
-population state (one row, the plain (n,) state), and returns one
-`Trajectory` of per-step columns per run (loss, step norm, truncation
-fraction, denominator histograms at the snapshot cadence), which are the
-run's switch timeline. A run that diverges keeps its row until the loop
-ends, stepped with a zero gradient and never read again. `record_run` is its
-one-run call. `run_steps` is the generator of one run that `race` consumes;
-each iterate it yields is a fresh array and stays valid after later steps.
+`_Population` is the one run loop: it steps K independent runs of one
+optimizer, each on its own problem object with its own hyperparameters, as
+one (K, n) population state (one run, the plain (n,) state) through
+`optim.dispatch_step`, and allocates no optimizer state per step.
+`record_runs` records its runs as one `Trajectory` of per-step columns each
+(loss, step norm, truncation fraction, denominator histograms at the
+snapshot cadence), which are the run's switch timeline; `record_run` is its
+one-run call. `race` steps each entrant through the same loop to tolerance
+and records no columns.
 """
 
 from __future__ import annotations
@@ -105,41 +100,96 @@ class Trajectory:
     steps_to_tol: int | None = None
 
 
-def run_steps(problem, optimizer: str, hp: HyperParams, steps: int,
-              snapshot_every: int | None = None):
-    """Step `optimizer` on `problem`, yielding (t, loss, w, diag).
+class _Population:
+    """K runs of one optimizer stepped as one population state.
 
-    The first item is the validated start, (0, None, w_0, None). Step t yields
-    the loss at w_{t-1}, the new iterate w_t and the step's diagnostics, with
-    a histogram every snapshot_every steps and at the last (never if None).
-    A problem may define project(w), applied after every optimizer step.
-    Divergence ends the run: a loss that is non-finite or above
-    DIVERGENCE_LOSS, or an OverflowError in the oracle (loss inf), yields
-    (t, loss, w_{t-1}, None) as the last item.
+    It validates its callers' inputs, the step budget `steps` among them,
+    binds the hyperparameters into two state sets that the steps use in turn
+    (each step reads one and overwrites the other), steps every row through
+    `optim.dispatch_step` and projects a row whose problem defines
+    project(w). W holds the rows' current iterates (a lone run steps the
+    flat (n,) state, seen as one row). A row diverges when its oracle's loss
+    is non-finite or above DIVERGENCE_LOSS, or the oracle raises
+    OverflowError (loss inf): it keeps its row, stepped with a zero gradient
+    and never read again, and params[r] holds the iterate w_{t-1} its loss
+    diverged at. When tol is given, steps_to_tol[r] is the first step whose
+    post-step iterate lies within tol of row r's known optimum (0 for a
+    start inside). The caller runs the steps under np.errstate(over="ignore"),
+    from construction on.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if snapshot_every is not None and snapshot_every < 1:
-        raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    w = as_param_vector(problem.init_params(), "start params")
-    # two state sets used in turn: each step reads one and overwrites the other
-    state, spare = init_state(optimizer, w.size, hp), init_state(optimizer, w.size, hp)
-    project = getattr(problem, "project", None)
-    yield 0, None, w, None
-    for t in range(1, steps + 1):
-        try:
-            loss, g = problem.loss_grad(w)
-        except OverflowError:
-            loss = math.inf
-        if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-            yield t, loss, w, None
-            return
-        snap = snapshot_every is not None and (t % snapshot_every == 0 or t == steps)
-        new, w, diag = dispatch_step(state, w, g, collect_histogram=snap, out=spare)
-        state, spare = new, state
-        if project is not None:
-            w = project(w)
-        yield t, loss, w, diag
+
+    def __init__(self, problems, optimizer: str, hps, steps: int, tol: float | None):
+        if tol is not None and not tol > 0.0:
+            raise ConfigError(f"tol must be positive, got {tol}")
+        if steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {steps}")
+        self._problems, hps = list(problems), tuple(hps)
+        if not self._problems or len(self._problems) != len(hps):
+            raise ConfigError(f"need one HyperParams per problem, got {len(hps)} "
+                              f"for {len(self._problems)}")
+        starts = [as_param_vector(p.init_params(), "start params") for p in self._problems]
+        if len({w.size for w in starts}) > 1:
+            raise ShapeError("the problems of a population must share their size")
+        k, n = len(starts), starts[0].size
+        self._one = k == 1  # a lone run steps the flat (n,) state of the library path
+        hp = hps[0] if self._one else hps
+        self._state, self._spare = init_state(optimizer, n, hp), init_state(optimizer, n, hp)
+        self.W = starts[0][None] if self._one else np.stack(starts)
+        # the gradient each step takes. A lone run's is the oracle's own (n,)
+        # array, kept until the next one arrives: dropping it at the end of
+        # each step raised a 1M-parameter run's peak RSS by 4 MiB. A
+        # population's rows are written at step 1; a diverged row keeps zeros.
+        self._G = None if self._one else np.empty((k, n))
+        projects = [getattr(p, "project", None) for p in self._problems]
+        self._projects = [(r, f) for r, f in enumerate(projects) if f is not None]
+        self.params, self.diverged_at, self.steps_to_tol = [None] * k, [None] * k, [None] * k
+        optima = [getattr(p, "optimum", None) for p in self._problems]
+        self._pending = [tol is not None and o is not None for o in optima]
+        if any(self._pending):  # rows without an optimum are never pending
+            self._tol_sq = tol * tol
+            self._opt = np.array([np.zeros(n) if o is None else o for o in optima])
+            self._reached(0)
+
+    def _reached(self, t: int) -> None:
+        d = self.W - self._opt
+        for r, dist_sq in enumerate(np.vecdot(d, d).tolist()):
+            if self._pending[r] and dist_sq <= self._tol_sq:
+                self.steps_to_tol[r], self._pending[r] = t, False
+
+    def step(self, t: int, snap: bool):
+        """Step t of every row, with histograms if snap. Returns the rows'
+        losses at w_{t-1} (NaN for a row diverged earlier) and the step's
+        diagnostics, or None in their place once every row has diverged,
+        when no step is taken."""
+        W, losses = self.W, []
+        for r, problem in enumerate(self._problems):
+            if self.diverged_at[r] is not None:
+                losses.append(math.nan)
+                continue
+            try:
+                loss, g = problem.loss_grad(W[r])
+            except OverflowError:
+                loss = math.inf
+            losses.append(loss)
+            if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+                self.diverged_at[r], self.params[r], self._pending[r] = t, W[r], False
+                g = 0.0
+            if self._one:
+                self._G = g
+            else:
+                self._G[r] = g
+        if None not in self.diverged_at:
+            return losses, None
+        new, w, diag = dispatch_step(self._state, W[0] if self._one else W, self._G,
+                                     collect_histogram=snap, out=self._spare)
+        self._state, self._spare = new, self._state
+        self.W = W = w[None] if self._one else w
+        for r, project in self._projects:
+            if self.diverged_at[r] is None:
+                W[r] = project(W[r])
+        if any(self._pending):
+            self._reached(t)
+        return losses, diag
 
 
 def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int = 1,
@@ -159,97 +209,32 @@ def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int =
     touches the other rows neither through their bits nor through warnings.
     The loop ends once every run has diverged.
     """
-    if tol is not None and tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
     if snapshot_every < 1:
         raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    problems, hps = list(problems), tuple(hps)
-    if not problems or len(problems) != len(hps):
-        raise ConfigError(f"need one HyperParams per problem, got {len(hps)} "
-                          f"for {len(problems)}")
-    starts = [as_param_vector(p.init_params(), "start params") for p in problems]
-    if len({w.size for w in starts}) > 1:
-        raise ShapeError("the problems of a population must share their size")
-    k, n = len(problems), starts[0].size
-    one = k == 1  # a lone run steps the flat (n,) state of the library path
-    state = init_state(optimizer, n, hps[0] if one else hps)
-    spare = init_state(optimizer, n, hps[0] if one else hps)
-    W = starts[0][None] if one else np.stack(starts)
-    # every row's gradient is written at step 1; a diverged row keeps zeros
-    G = None if one else np.empty((k, n))
-    del starts
-    projects = [getattr(p, "project", None) for p in problems]
-    optima = [getattr(p, "optimum", None) for p in problems]
-    pending = [tol is not None and o is not None for o in optima]  # per row
-    tracking = any(pending)
-    if tracking:  # rows without an optimum are never pending
-        opt = np.array([np.zeros(n) if o is None else o for o in optima])
-
     # step-major columns: each step appends its k values (a snapshot its k
     # histograms), so run i's values are col[i::k]
-    count_type = np.min_scalar_type(n)
-    loss_col, norm_col, fraction_col = array("d"), array("d"), array("d")
-    count_col, hist_t = array(count_type.char), []
-    params, diverged_at, steps_to_tol = [None] * k, [None] * k, [None] * k
-
-    def reached(t):
-        nonlocal tracking
-        d = W - opt
-        for r, dist_sq in enumerate(np.vecdot(d, d).tolist()):
-            if pending[r] and dist_sq <= tol * tol:
-                steps_to_tol[r] = t
-                pending[r] = False
-        tracking = any(pending)
-
+    loss_col, norm_col, fraction_col, hist_t = array("d"), array("d"), array("d"), []
     with np.errstate(over="ignore"):  # overflow on the way to divergence is a result
-        if tracking:
-            reached(0)
+        run = _Population(problems, optimizer, hps, steps, tol)
+        k, n = run.W.shape
+        count_type = np.min_scalar_type(n)
+        count_col = array(count_type.char)
         for t in range(1, steps + 1):
-            for r, problem in enumerate(problems):
-                if diverged_at[r] is not None:
-                    loss_col.append(math.nan)
-                    continue
-                try:
-                    loss, g = problem.loss_grad(W[r])
-                except OverflowError:
-                    loss = math.inf
-                loss_col.append(loss)
-                if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                    diverged_at[r], params[r], pending[r] = t, W[r], False
-                    g = 0.0
-                if not one:
-                    G[r] = g
-            if None not in diverged_at:
+            losses, diag = run.step(t, t % snapshot_every == 0 or t == steps)
+            loss_col.extend(losses)
+            if diag is None:
                 break
-            snap = t % snapshot_every == 0 or t == steps
-            if one:
-                new, w, diag = dispatch_step(state, W[0], g, collect_histogram=snap,
-                                             out=spare)
-                W = w[None]
-                norm_col.append(diag.step_norm)
-                fraction_col.append(diag.truncation_fraction)
-            else:
-                new, W, diag = dispatch_step(state, W, G, collect_histogram=snap,
-                                             out=spare)
-                norm_col.extend(diag.step_norm.tolist())
-                fractions = diag.truncation_fraction
-                # a per-row array, or one float (Adam family, SGD) for every row
-                fraction_col.extend(fractions.tolist() if isinstance(fractions, np.ndarray)
-                                    else [fractions] * k)
-            state, spare = new, state
-            for r, project in enumerate(projects):
-                if project is not None and diverged_at[r] is None:
-                    W[r] = project(W[r])
+            # one float for a lone run; per-row arrays for a population, but
+            # one float for every row of the Adam family's and SGD's fraction
+            norms, fractions = diag.step_norm, diag.truncation_fraction
+            norm_col.extend(norms.tolist() if isinstance(norms, np.ndarray) else [norms])
+            fraction_col.extend(fractions.tolist() if isinstance(fractions, np.ndarray)
+                                else [fractions] * k)
             if diag.bhat_histogram is not None:
                 count_col.frombytes(diag.bhat_histogram.astype(count_type).tobytes())
                 hist_t.append(t)
-            if tracking:
-                reached(t)
-    for r in range(k):
-        if params[r] is None:
-            params[r] = W[r]
+    params = [run.W[r] if w is None else w for r, w in enumerate(run.params)]
+    diverged_at, steps_to_tol = run.diverged_at, run.steps_to_tol
 
     def trajectory(i: int) -> Trajectory:
         # run i's entries of each column, cut at its diverging step, which
@@ -330,29 +315,24 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
     optimum; every entrant restarts from problem.init_params(). Distance is
     checked before the first step, so a start inside the ball scores 0.
     Results do not depend on the order optimizers are listed in. An entrant
-    that diverges (see run_steps) stops at that step and is DNF.
+    that diverges (see record_run) stops at that step and is DNF, and its
+    final distance is that of the iterate its loss diverged at. Each entrant
+    steps through the run loop of record_runs and records no columns.
     """
-    if tol <= 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
     optimum = problem.optimum
     if optimum is None:
         raise ConfigError(f"problem {problem.name!r} has no known optimum to race to")
-    tol_sq = tol * tol
     steps_to_tol: dict[str, int | None] = {}
     final_distance: dict[str, float] = {}
     with np.errstate(over="ignore"):  # overflow on the way to divergence is a DNF
         for name in optimizers:
-            result: int | None = None
-            for t, _, w, diag in run_steps(problem, name, hp_map[name], max_steps):
-                if t and diag is None:
+            run = _Population([problem], name, [hp_map[name]], max_steps, tol)
+            for t in range(1, max_steps + 1):
+                if run.steps_to_tol[0] is not None or run.diverged_at[0] is not None:
                     break
-                d = w - optimum
-                if float(d @ d) <= tol_sq:
-                    result = t
-                    break
-            steps_to_tol[name] = result
-            d = w - optimum
+                run.step(t, False)
+            steps_to_tol[name] = run.steps_to_tol[0]
+            d = (run.W[0] if run.params[0] is None else run.params[0]) - optimum
             final_distance[name] = math.sqrt(float(d @ d))
     return RaceResult(steps_to_tol=steps_to_tol, final_distance=final_distance,
                       tol=tol, max_steps=max_steps)
-

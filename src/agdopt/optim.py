@@ -8,13 +8,13 @@ t = state.t + 1.
 Buffer contract: a kernel never writes state, w or g. Called without `out`
 it is pure and returns a fresh state; given `out`, a second state of the same
 type and size, it overwrites out's vectors and fields and returns it, so a
-loop that alternates two states allocates none per step (only the run loops
-`diagnostics.run_steps` and `diagnostics.record_runs` pass it). w' is a
-fresh array either way. Each vector operation writes into a preallocated
-destination, in the order and with the scalars of the equations below, so
-the bits are those of the plain expressions. Above CHUNK coordinates the
-body runs one L2-sized chunk at a time; elementwise arithmetic gives the
-same bits on a slice, and step_norm stays one dot over the whole update.
+loop that alternates two states allocates none per step (only the run loop
+of `diagnostics` passes it). w' is a fresh array either way. Each vector
+operation writes into a preallocated destination, in the order and with the
+scalars of the equations below, so the bits are those of the plain
+expressions. Above CHUNK coordinates the body runs one L2-sized chunk at a
+time; elementwise arithmetic gives the same bits on a slice, and step_norm
+stays one dot over the whole update.
 
 Populations: `init_state(name, n, hps)` with a sequence of K HyperParams
 makes one state for K independent runs of one optimizer. Its vectors are

@@ -509,6 +509,48 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert outs[1] == outs[3] == outs[8]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swaps a serial stand-in for ProcessPoolExecutor that starts no process
+    and records the max_workers of each pool asked for."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_sweep_asks_for_no_more_workers_than_groups(tmp_path, pool_sizes):
+    cfg = write_config(tmp_path, BASE)
+    # above optim.CHUNK coordinates (4 * 8192 + 1) each point is a group
+    wide = dict(MLP, problem=dict(MLP["problem"], hidden_dim=8192), steps=2)
+    del wide["epochs"]
+    wide_cfg = write_config(tmp_path, wide, "wide.json")
+    cases = [(cfg, 5, "1e-3,2e-3,4e-3"), (cfg, 2, "1e-3,2e-3,4e-3"), (cfg, 4, "1e-3"),
+             (cfg, 1, "1e-3,2e-3"), (wide_cfg, 3, "1e-3,2e-3")]
+    for i, (config, jobs, values) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main(["sweep", "--config", config, "--param", "hyperparams.alpha",
+                     "--values", values, "--out", str(out), "--jobs", str(jobs)]) == 0
+    # one pool per sweep with two or more groups, and no more workers than
+    # groups; one group runs in this process
+    assert pool_sizes == [3, 2, 2]
+
+
 def test_cli_import_leaves_process_pools_unloaded():
     # only `sweep --jobs N` with N > 1 needs the process pool machinery
     code = "import sys, agdopt.cli; print('concurrent.futures.process' in sys.modules)"

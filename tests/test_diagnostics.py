@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from agdopt.diagnostics import (
     race,
     record_run,
     record_runs,
-    run_steps,
 )
 from agdopt.models import MlpSpec, two_moons
 from agdopt.testfns import TESTFNS
@@ -37,6 +37,32 @@ class ZeroGradProblem:
 
     def loss_grad(self, w):
         return 0.0, np.zeros(self.dim)
+
+
+def _pure_steps(problem, optimizer, hp, steps, snapshot_every=None):
+    """Reference run loop of pure dispatch_step calls, yielding (t, loss, w,
+    diag): first (0, None, w_0, None), then step t's loss at w_{t-1}, the
+    projected w_t and the diagnostics, with a histogram every snapshot_every
+    steps and at the last (never if None). A step whose loss diverges
+    (non-finite, above DIVERGENCE_LOSS, or an OverflowError read as inf)
+    yields (t, loss, w_{t-1}, None) and ends the run."""
+    w = problem.init_params()
+    state = init_state(optimizer, w.size, hp)
+    project = getattr(problem, "project", None)
+    yield 0, None, w, None
+    for t in range(1, steps + 1):
+        try:
+            loss, g = problem.loss_grad(w)
+        except OverflowError:
+            loss = math.inf
+        if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+            yield t, loss, w, None
+            return
+        snap = snapshot_every is not None and (t % snapshot_every == 0 or t == steps)
+        state, w, diag = dispatch_step(state, w, g, collect_histogram=snap)
+        if project is not None:
+            w = project(w)
+        yield t, loss, w, diag
 
 
 # ---------------------------------------------------------------- problems
@@ -84,7 +110,7 @@ def test_record_run_shapes_and_cadence():
     assert np.isfinite(traj.step_norm).all()
     assert np.isfinite(traj.truncation_fraction).all()
     # histograms at the cadence plus the final step; params at the final step
-    assert np.array_equal(traj.params, list(run_steps(p, "agd", HP, steps=10))[-1][2])
+    assert np.array_equal(traj.params, list(_pure_steps(p, "agd", HP, steps=10))[-1][2])
     assert traj.hist_t.tolist() == [4, 8, 10]
     assert traj.hists.shape == (3, 20)
     assert not traj.diverged
@@ -122,7 +148,7 @@ def test_record_run_keeps_only_the_last_iterate():
     p = TestFnProblem(TESTFNS["rosenbrock"])
     hp = HyperParams(alpha=10.0, beta1=0.9)
     traj = record_run(p, "sgd", hp, steps=50)
-    iterates = [w for _, _, w, _ in run_steps(p, "sgd", hp, steps=50)]
+    iterates = [w for _, _, w, _ in _pure_steps(p, "sgd", hp, steps=50)]
     # diverged at t=2: params holds w_1, where its loss was evaluated
     assert len(traj.loss) == 2
     assert np.array_equal(traj.params, iterates[1])
@@ -163,21 +189,20 @@ def test_record_run_bounded_updates_stay_finite():
 
 def test_record_run_applies_weight_decay():
     hp = HyperParams(alpha=0.1, weight_decay=0.5)
-    iterates = [w for t, _, w, _ in run_steps(ZeroGradProblem(dim=2, w0=2.0),
-                                              "adam", hp, steps=3) if t]
-    assert len(iterates) == 3
     # zero gradients: params shrink by exactly (1 - lr*decay) each step
     factor = 1.0 - 0.1 * 0.5
     expect = 2.0
-    for w in iterates:
+    for steps in (1, 2, 3):
         expect *= factor
+        w = record_run(ZeroGradProblem(dim=2, w0=2.0), "adam", hp, steps).params
         assert np.allclose(w, expect, rtol=0, atol=1e-15)
 
 
-def _columns_from_run_steps(p, optimizer, hp, steps, snapshot_every):
-    """The Trajectory columns, rebuilt item by item from run_steps."""
+def _columns_from_pure_steps(p, optimizer, hp, steps, snapshot_every):
+    """The Trajectory columns and params, rebuilt item by item from
+    _pure_steps."""
     rows, hist_t, hists = [], [], []
-    for t, loss, _, diag in run_steps(p, optimizer, hp, steps, snapshot_every):
+    for t, loss, w, diag in _pure_steps(p, optimizer, hp, steps, snapshot_every):
         if t and diag is None:
             rows.append((loss, float("nan"), float("nan")))
         elif t:
@@ -185,7 +210,7 @@ def _columns_from_run_steps(p, optimizer, hp, steps, snapshot_every):
             if diag.bhat_histogram is not None:
                 hist_t.append(t)
                 hists.append(diag.bhat_histogram.tolist())
-    return rows, hist_t, hists
+    return rows, hist_t, hists, w
 
 
 def _assert_columns_match(traj, rows, hist_t, hists):
@@ -201,11 +226,11 @@ def _assert_columns_match(traj, rows, hist_t, hists):
 
 
 def test_switch_timeline_matches_points():
-    # the columns are the switch timeline: every row matches run_steps
+    # the columns are the switch timeline: every row matches a pure step
     p = TestFnProblem(TESTFNS["quad_skew"])
     for optimizer in ("agd", "adam", "sgd"):
         traj = record_run(p, optimizer, HP, steps=10, snapshot_every=4)
-        rows, hist_t, hists = _columns_from_run_steps(p, optimizer, HP, 10, 4)
+        rows, hist_t, hists, _ = _columns_from_pure_steps(p, optimizer, HP, 10, 4)
         _assert_columns_match(traj, rows, hist_t, hists)
         assert len(traj.loss) == 10
         assert all(0.0 <= f <= 1.0 for f in traj.truncation_fraction)
@@ -218,7 +243,7 @@ def test_switch_timeline_matches_points():
     hp = HyperParams(alpha=1e250)
     traj = record_run(p, "agd", hp, steps=50, snapshot_every=1)
     with np.errstate(over="ignore"):  # the reference loop runs unguarded
-        rows, hist_t, hists = _columns_from_run_steps(p, "agd", hp, 50, 1)
+        rows, hist_t, hists, _ = _columns_from_pure_steps(p, "agd", hp, 50, 1)
     _assert_columns_match(traj, rows, hist_t, hists)
     assert traj.step_norm.tolist()[0] == float("inf") and hist_t == [1]
     assert np.isnan(traj.step_norm[1]) and np.isnan(traj.truncation_fraction[1])
@@ -243,28 +268,37 @@ def test_record_run_tol_start_inside():
 
 def test_record_run_rejects_bad_tol():
     p = TestFnProblem(TESTFNS["quad_skew"])
-    with pytest.raises(ConfigError):
-        record_run(p, "agd", HP, steps=5, tol=0.0)
+    # NaN compares False both ways: as a tol it could never be reached
+    for tol in (0.0, math.nan):
+        with pytest.raises(ConfigError, match="tol"):
+            record_run(p, "agd", HP, steps=5, tol=tol)
 
 
 # ------------------------------------------------- projected online runs
 
 
+class BoxCheckingRegretProblem(RegretProblem):
+    """A RegretProblem that checks every iterate its oracle sees is in the box."""
+
+    def loss_grad(self, w):
+        assert np.all(w >= self.exp.lo - 1e-15)
+        assert np.all(w <= self.exp.hi + 1e-15)
+        return super().loss_grad(w)
+
+
 def test_regret_problem_stays_in_box():
     exp = make_quadratic_stream(dim=3, horizon=300, seed=4)
-    p = RegretProblem(exp)
+    p = BoxCheckingRegretProblem(exp)
     hp = HyperParams(alpha=0.5, lr_schedule="inverse_sqrt",
                      beta1_schedule="over_t")
-    losses = []
-    for t, loss, w, _ in run_steps(p, "agd_amsgrad", hp, steps=300):
-        assert np.all(w >= exp.lo - 1e-15)
-        assert np.all(w <= exp.hi + 1e-15)
-        if t:
-            losses.append(loss)
+    traj = record_run(p, "agd_amsgrad", hp, steps=300)
+    # w_0 .. w_299 went through the checking oracle; w_300 is params
+    assert np.all(traj.params >= exp.lo - 1e-15)
+    assert np.all(traj.params <= exp.hi + 1e-15)
     # cumulative regret vs the offline box minimizer is nonnegative at the
     # full horizon
-    assert len(losses) == 300
-    assert float(np.sum(losses)) >= -1e-9
+    assert len(traj.loss) == 300
+    assert float(np.sum(traj.loss)) >= -1e-9
 
 
 def test_regret_problem_stream_exhausts():
@@ -331,8 +365,31 @@ def test_race_requires_optimum():
 
 def test_race_rejects_bad_tol():
     p = TestFnProblem(TESTFNS["quad_skew"])
-    with pytest.raises(ConfigError):
-        race(p, ["agd"], {"agd": HP}, tol=0.0)
+    # a NaN tol would make every entrant a DNF
+    for tol in (0.0, math.nan):
+        with pytest.raises(ConfigError, match="tol"):
+            race(p, ["agd"], {"agd": HP}, tol=tol)
+
+
+def test_race_rejects_an_empty_budget():
+    p = TestFnProblem(TESTFNS["quad_skew"])
+    with pytest.raises(ConfigError, match="steps"):
+        race(p, ["agd"], {"agd": HP}, max_steps=0)
+
+
+def test_race_entrant_memory_does_not_grow_with_its_steps():
+    # 20k steps of an entrant that never reaches the ball; per-step columns
+    # of loss, step norm and fraction alone would take 480 KB
+    p = TestFnProblem(TESTFNS["quad_skew"])
+    hp = {"sgd": HyperParams(alpha=1e-7)}
+    tracemalloc.start()
+    try:
+        result = race(p, ["sgd"], hp, tol=1e-2, max_steps=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.steps_to_tol == {"sgd": None}
+    assert peak < 64 * 1024
 
 
 # ------------------------------------------------------------ buffer path
@@ -378,26 +435,17 @@ def _bits(x):
 @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
 def test_run_steps_buffers_match_pure_steps(name, n):
+    # the run loop's two alternating state sets against fresh pure steps:
+    # each loss is evaluated at the iterate before it, so every iterate is
+    # checked bit for bit, and params is the last one
     hp = BUFFER_CASES[name]
     steps = 6
-    # consumed to the end first, so every yielded iterate must have survived
-    # the steps after it
-    items = list(run_steps(NoisyQuadratic(n), name, hp, steps, snapshot_every=2))
-    ref = NoisyQuadratic(n)
-    w = ref.init_params()
-    state = init_state(name, n, hp)
-    assert items[0][0] == 0 and _bits(items[0][2]) == _bits(w)
-    for t, loss, w_t, diag in items[1:]:
-        f, g = ref.loss_grad(w)
-        state, w, d = dispatch_step(state, w, g, collect_histogram=t % 2 == 0 or t == steps)
-        assert loss == f
-        assert _bits(w_t) == _bits(w), (name, n, t)
-        assert _bits(diag.step_norm) == _bits(d.step_norm)
-        assert diag.truncation_fraction == d.truncation_fraction
-        assert _bits(diag.bhat_histogram) == _bits(d.bhat_histogram)
-    assert len(items) == steps + 1
+    traj = record_run(NoisyQuadratic(n), name, hp, steps, snapshot_every=2)
+    rows, hist_t, hists, w = _columns_from_pure_steps(NoisyQuadratic(n), name, hp, steps, 2)
+    _assert_columns_match(traj, rows, hist_t, hists)
+    assert len(rows) == steps and _bits(traj.params) == _bits(w), (name, n)
     if name.startswith("agd") and n > 2:  # both branches of the switch ran
-        assert 0.0 < items[-1][3].truncation_fraction < 1.0
+        assert 0.0 < traj.truncation_fraction[-1] < 1.0
 
 
 # ------------------------------------------------------------ populations
