@@ -37,8 +37,13 @@ LOSSES = ("softmax_ce", "logistic", "squared")
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream); same key, same draws."""
-    return np.random.Generator(np.random.Philox(key=[seed & _M64, stream & _M64]))
+    """Philox generator keyed by (seed, stream); same key, same draws.
+
+    The key is built as uint64: from a list, NumPy would take a value at or
+    above 2**63 through float64 and lose its low bits.
+    """
+    key = np.array([seed & _M64, stream & _M64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -33,6 +35,21 @@ def test_rng_streams_independent():
     c = rng_stream(8, 0).normal(size=5)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_rng_stream_keeps_every_bit_of_a_64_bit_seed():
+    # NumPy takes a list entry at or above 2**63 through float64
+    a = rng_stream(2**63 + 1, 0).normal(size=5)
+    b = rng_stream(2**63 + 2, 0).normal(size=5)
+    assert not np.array_equal(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng_stream(2**64 - 1, 0).normal(size=5)
+        rng_stream(-1, 3).normal(size=5)  # masked to 2**64 - 1
+    # a seed below 2**63 keeps the draws of the plain (seed, stream) key
+    for seed in (0, 7, 2**63 - 1):
+        ref = np.random.Generator(np.random.Philox(key=[seed, 5])).normal(size=5)
+        assert np.array_equal(rng_stream(seed, 5).normal(size=5), ref)
 
 
 # ---------------------------------------------------------------- two moons

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from agdopt.core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, ShapeError
 from agdopt.optim import (
     CHUNK,
+    FLOAT_MAX_N,
     AdamLikeState,
     AgdState,
     OPTIMIZER_NAMES,
@@ -480,7 +481,51 @@ def test_dispatch_matches_scalar_reference(name, hp, case):
         assert (np.abs(w - w_ref) <= 1e-12 * scale).all()
 
 
-@pytest.mark.parametrize("n", [3, CHUNK + 1])
+# gradients beyond the reference's range: zeros of both signs, subnormals,
+# values whose squares overflow, infinities and NaN, among ordinary values
+EXTREME_GRADS = (0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, math.inf, -math.inf,
+                 math.nan)
+
+
+def _same_bits(a, b):
+    """Equal shapes and bits, with NaN (of any payload) equal to NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(("agd", "agd_amsgrad", "adam", "adamw", "adabelief")),
+       oracle_hyperparams(), st.integers(1, FLOAT_MAX_N + 1), st.integers(1, 6),
+       st.data())
+def test_float_body_matches_numpy_body(name, hp, n, steps, data):
+    # a lone run at n <= FLOAT_MAX_N takes the float body; the (1, n)
+    # population of the same run takes the NumPy body
+    value = st.one_of(st.sampled_from(EXTREME_GRADS), st.floats(-10.0, 10.0))
+    w = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    lone, row, w_row = init_state(name, n, hp), init_state(name, n, [hp]), w[None]
+    fields = [k for k, v in vars(lone).items() if isinstance(v, np.ndarray)]
+    for _ in range(steps):
+        g = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        snap = data.draw(st.booleans())
+        with np.errstate(all="ignore"):  # n = FLOAT_MAX_N + 1 is NumPy on both sides
+            lone, w, diag = dispatch_step(lone, w, g, snap)
+            row, w_row, row_diag = dispatch_step(row, w_row, g[None], snap)
+        for k in fields:
+            assert _same_bits(getattr(lone, k), getattr(row, k)[0]), k
+        assert _same_bits(w, w_row[0])
+        assert _same_bits(diag.truncation_fraction,
+                          np.ravel(row_diag.truncation_fraction)[0])
+        assert _same_bits(diag.step_norm, row_diag.step_norm[0])
+        if snap:
+            assert np.array_equal(diag.bhat_histogram, row_diag.bhat_histogram[0])
+        else:
+            assert diag.bhat_histogram is row_diag.bhat_histogram is None
+        assert lone.beta1_prod == row.beta1_prod and lone.t == row.t
+
+
+@pytest.mark.parametrize("n", [2, 3, CHUNK + 1])
 @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
 def test_kernels_without_out_leave_inputs_unchanged(name, n):
     rng = np.random.default_rng(3)
@@ -495,15 +540,18 @@ def test_kernels_without_out_leave_inputs_unchanged(name, n):
     kernel = {AgdState: agd_step, AdamLikeState: adam_step,
               SgdState: sgd_momentum_step}[type(state)]
     for step in (kernel, dispatch_step):
-        new, new_w, _ = step(state, w, g)
-        assert new is not state and new_w is not w
+        fresh, new_w, _ = step(state, w, g)
+        assert fresh is not state and new_w is not w
         for k, v in before:
             assert np.array_equal(getattr(state, k), v), k
         assert np.array_equal(w, w_before) and np.array_equal(g, g_before)
-    # with out, only out is written
+    # with out, only out is written, into its own vectors
     out = init_state(name, n, HP)
+    vectors = {k: v for k, v in vars(out).items() if isinstance(v, np.ndarray)}
     new, _, _ = dispatch_step(state, w, g, out=out)
     assert new is out and out.t == state.t + 1 and out.hp is state.hp
+    for k, v in vectors.items():
+        assert getattr(out, k) is v and np.array_equal(v, getattr(fresh, k)), k
     for k, v in before:
         assert np.array_equal(getattr(state, k), v), k
 
