@@ -128,12 +128,37 @@ HIST_EDGES = 10.0 ** np.arange(-16, 3)
 HIST_BINS = HIST_EDGES.size + 1
 
 
+# Above this many coordinates a kernel body runs chunk by chunk, so that each
+# chunk's vectors stay in L2 between its ufunc passes.
+CHUNK = 32_768
+
+
+def chunked(body, n: int, arrays):
+    """Run body over arrays of n coordinates; return the sum of its results.
+
+    Up to CHUNK coordinates body runs once on the whole arrays, above it once
+    per chunk of CHUNK coordinates on their slices (of every row).
+    """
+    if n <= CHUNK:
+        return body(*arrays)
+    total = 0
+    for lo in range(0, n, CHUNK):
+        total += body(*[a[..., lo:lo + CHUNK] for a in arrays])
+    return total
+
+
 def bhat_histogram(values: np.ndarray) -> np.ndarray:
     """Counts per bucket; always sums to values.size.
 
     A (K, n) block of K runs gives a (K, HIST_BINS) array, one histogram per
     row, from one searchsorted and one bincount over row-offset buckets.
+    Above CHUNK coordinates the counts are those of the chunks added up, so
+    the bucket indices never take a whole vector's worth of memory.
     """
+    return chunked(_bucket_counts, values.shape[-1], (values,))
+
+
+def _bucket_counts(values: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(HIST_EDGES, values, side="right")
     if idx.ndim == 1:
         return np.bincount(idx, minlength=HIST_BINS)

@@ -151,6 +151,11 @@ class _Population:
             self._reached(0)
 
     def _reached(self, t: int) -> None:
+        if self._one:  # np.dot of one row gives that row's np.vecdot bits
+            d = self.W[0] - self._opt[0]
+            if float(np.dot(d, d)) <= self._tol_sq:
+                self.steps_to_tol[0], self._pending[0] = t, False
+            return
         d = self.W - self._opt
         for r, dist_sq in enumerate(np.vecdot(d, d).tolist()):
             if self._pending[r] and dist_sq <= self._tol_sq:

@@ -188,20 +188,37 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
 
     grad = np.empty(spec.n_params)
     dw1, db1, dw2, db2 = _unpack(spec, grad)
+    w2 = _unpack(spec, params)[2]
+    # A product with inner dimension 1 (every weight gradient at batch 1,
+    # dL/dhid with one output) is an outer product: a multiply gives the
+    # gemm's bits, once `+= 0.0` turns its -0.0 into the gemm's +0.0.
+    outer = batch == 1
     # dW2 = hid.T @ dout, computed as (dout.T @ hid) into the transposed view:
     # with one output BLAS then writes one contiguous row, in about half the
     # time of an (h, 1) column
-    np.matmul(dout.T, hid, out=dw2.T)
+    if outer:
+        np.multiply(dout.T, hid, out=dw2.T)
+        dw2 += 0.0
+    else:
+        np.matmul(dout.T, hid, out=dw2.T)
     np.sum(dout, axis=0, out=db2)
-    dpre = dout @ _unpack(spec, params)[2].T  # dL/dhid, then dL/dpre in place
+    # dL/dhid, then dL/dpre in place. At batch 1 its zeros keep the multiply's
+    # sign: dW1 and db1, its only readers, add 0.0 after their own multiply.
+    dpre = np.multiply(dout, w2.T) if outer and spec.out_dim == 1 else dout @ w2.T
     if spec.activation == "tanh":  # hid is not read again: 1 - hid**2 in its place
         np.multiply(hid, hid, out=hid)
         np.subtract(1.0, hid, out=hid)
         np.multiply(dpre, hid, out=dpre)
     else:
         np.multiply(dpre, pre > 0.0, out=dpre)
-    np.matmul(inputs.T, dpre, out=dw1)
-    np.sum(dpre, axis=0, out=db1)
+    if outer:
+        np.multiply(inputs.T, dpre, out=dw1)
+        dw1 += 0.0
+        # not a copy: a sum over one row also turns -0.0 into +0.0
+        np.add(dpre[0], 0.0, out=db1)
+    else:
+        np.matmul(inputs.T, dpre, out=dw1)
+        np.sum(dpre, axis=0, out=db1)
     return loss, grad
 
 

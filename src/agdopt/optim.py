@@ -63,7 +63,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfigError, HyperParams, ShapeError, StepDiagnostics, bhat_histogram
+from .core import (  # CHUNK is re-exported for cli
+    CHUNK,
+    ConfigError,
+    HyperParams,
+    ShapeError,
+    StepDiagnostics,
+    bhat_histogram,
+    chunked,
+)
 
 __all__ = [
     "AgdState",
@@ -142,10 +150,6 @@ def init_state(name: str, n: int, hp):
     raise ConfigError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
 
 
-# Above this many coordinates a kernel body runs chunk by chunk, so that each
-# chunk's vectors stay in L2 between its ufunc passes.
-CHUNK = 32_768
-
 # Besides out's vectors a kernel writes two fresh arrays, the update and w',
 # and no other scratch. Under decoupled decay w' = (w * decay) - update, with
 # the two roundings of decaying w first and then stepping. The update holds the body's intermediate terms (`s`)
@@ -154,20 +158,6 @@ CHUNK = 32_768
 # from it, unless a histogram needs that estimate whole. The ufuncs take
 # their destination positionally, which costs less than out= on the tiny
 # vectors of a 2-D problem (np.maximum accepts only out=).
-
-
-def _chunked(body, n: int, arrays):
-    """Run body over arrays of n coordinates; return the sum of its results.
-
-    Up to CHUNK coordinates body runs once on the whole arrays, above it once
-    per chunk of CHUNK coordinates on their slices (of every row).
-    """
-    if n <= CHUNK:
-        return body(*arrays)
-    total = 0
-    for lo in range(0, n, CHUNK):
-        total += body(*[a[..., lo:lo + CHUNK] for a in arrays])
-    return total
 
 
 def _per_row(terms, hp, t: int):
@@ -318,9 +308,9 @@ def agd_step(state: AgdState, w, g, collect_histogram: bool = True, out=None,
     else:
         update, new_w = np.empty(w.shape), np.empty(w.shape)
         bhat = np.empty(w.shape) if collect_histogram else new_w
-        truncated = _chunked(body, n, (state.m, state.b, state.prev_corrected, g, w,
-                                       out.m, out.b, out.prev_corrected, update, new_w,
-                                       bhat))
+        truncated = chunked(body, n, (state.m, state.b, state.prev_corrected, g, w,
+                                      out.m, out.b, out.prev_corrected, update, new_w,
+                                      bhat))
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),
@@ -392,8 +382,8 @@ def adam_step(state: AdamLikeState, w, g, collect_histogram: bool = True, out=No
     else:
         update, new_w = np.empty(w.shape), np.empty(w.shape)
         rms = np.empty(w.shape) if collect_histogram else new_w
-        _chunked(body, w.shape[-1], (state.m, state.v, g, w, out.m, out.v, update, new_w,
-                                     rms))
+        chunked(body, w.shape[-1], (state.m, state.v, g, w, out.m, out.v, update, new_w,
+                                    rms))
     diag = StepDiagnostics(
         truncation_fraction=0.0,
         step_norm=_norm(update),
@@ -429,7 +419,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
         return 0
 
     update, new_w = np.empty(w.shape), np.empty(w.shape)
-    _chunked(body, w.shape[-1], (state.buffer, g, w, out.buffer, update, new_w))
+    chunked(body, w.shape[-1], (state.buffer, g, w, out.buffer, update, new_w))
     diag = StepDiagnostics(
         truncation_fraction=1.0,
         step_norm=_norm(update),

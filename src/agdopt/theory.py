@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HyperParams
+from .core import BETA1_KINDS, ConfigError, HyperParams
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -37,6 +37,10 @@ __all__ = [
 STREAM_VARIANCE = 101
 STREAM_CENTERS = 102
 STREAM_GRADS = 103
+
+# samples per block of variance_ratio_mc's momentum updates: with three beta1
+# values the block's draws, moments and scratch take 320 KiB
+MC_BLOCK = 8192
 
 
 def variance_ratio_analytic(beta1: float, t: int) -> float:
@@ -65,7 +69,10 @@ def variance_ratio_mc(combos, samples: int, seed: int) -> list[tuple[float, floa
     max(t) gradient vectors are drawn once and every distinct beta1 keeps its
     own momentum array. A counter-based stream's first k draws do not depend
     on what is drawn after them, so each combo sees exactly the draws it would
-    see alone. Returns (empirical, analytic) pairs in combo order.
+    see alone. The updates run MC_BLOCK samples at a time, every beta1 on a
+    block before the next, so the block's draws, moments and scratch stay in
+    L2; each element gets the same three operations in the same order.
+    Returns (empirical, analytic) pairs in combo order.
     """
     combos = list(combos)
     if not combos:
@@ -79,15 +86,19 @@ def variance_ratio_mc(combos, samples: int, seed: int) -> list[tuple[float, floa
         wanted.setdefault(t, set()).add(b1)
     rng = rng_stream(seed, STREAM_VARIANCE)
     moments = {b1: np.zeros(samples) for b1, _ in combos}
-    tmp = np.empty(samples)
+    z, tmp = np.empty(samples), np.empty(MC_BLOCK)
     empirical = {}
     for step in range(1, max(wanted) + 1):
-        z = rng.standard_normal(samples)
-        for b1, m in moments.items():
-            # m = b1*m + (1-b1)*z, in place
-            np.multiply(m, b1, out=m)
-            np.multiply(z, 1.0 - b1, out=tmp)
-            m += tmp
+        rng.standard_normal(out=z)  # the draws standard_normal(samples) gives
+        for lo in range(0, samples, MC_BLOCK):
+            zb = z[lo:lo + MC_BLOCK]
+            tb = tmp[:zb.size]
+            for b1, m in moments.items():
+                # m = b1*m + (1-b1)*z, in place
+                mb = m[lo:lo + MC_BLOCK]
+                np.multiply(mb, b1, out=mb)
+                np.multiply(zb, 1.0 - b1, out=tb)
+                mb += tb
         for b1 in wanted.get(step, ()):
             mhat = moments[b1] / (1.0 - b1 ** step)
             mean = _compensated_sum(mhat) / samples
@@ -118,17 +129,38 @@ def alpha_hat_series(alpha: float, beta1: float, beta1_schedule: str,
         raise ConfigError(f"beta1 must lie in [0, 1), got {beta1}")
     if T < 1:
         raise ConfigError(f"T must be >= 1, got {T}")
-    t = np.arange(1, T + 1, dtype=np.float64)
-    if beta1_schedule == "constant":
-        b1t = np.full(T, beta1)
-    elif beta1_schedule == "over_sqrt_t":
-        b1t = beta1 / np.sqrt(t)
-    elif beta1_schedule == "over_t":
-        b1t = beta1 / t
-    else:
+    if beta1_schedule not in BETA1_KINDS:
         raise ConfigError(f"unknown beta1 schedule {beta1_schedule!r}")
-    lr = alpha / np.sqrt(t)
-    return lr * np.sqrt(1.0 - beta2 ** t) / (1.0 - b1t ** t)
+    t = np.arange(1, T + 1, dtype=np.float64)
+    sqrt_t = np.sqrt(t)
+    # every schedule starts at beta1 and never rises, so beta1_t**t <=
+    # beta1**t and beta1's cut bounds them all; a schedule that rises breaks this
+    k = _power_cut(beta1, T)
+    if beta1_schedule == "constant":
+        b1t = np.full(k, beta1)
+    elif beta1_schedule == "over_sqrt_t":
+        b1t = beta1 / sqrt_t[:k]
+    else:
+        b1t = beta1 / t[:k]
+    debias1 = np.ones(T)
+    np.subtract(1.0, b1t ** t[:k], out=debias1[:k])
+    k = _power_cut(beta2, T)
+    debias2 = np.ones(T)
+    np.subtract(1.0, beta2 ** t[:k], out=debias2[:k])
+    lr = alpha / sqrt_t
+    return lr * np.sqrt(debias2) / debias1
+
+
+def _power_cut(base: float, T: int) -> int:
+    """How many of the steps 1..T need 1 - base**t taken.
+
+    From step ceil(80 / -log2(base)) on, base**t lies below 2**-80, and any
+    computed power below 2**-54 gives 1.0 - x == 1.0 exactly (2**-54 itself
+    ties and rounds to even); pow's error is far too small to close that gap.
+    """
+    if base == 0.0:
+        return 0
+    return min(T, math.ceil(80.0 / -math.log2(base)))
 
 
 def project_box(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

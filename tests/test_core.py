@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from agdopt.core import (
+    CHUNK,
     ConfigError,
+    HIST_BINS,
     HIST_EDGES,
     HyperParams,
     NumericError,
@@ -160,6 +162,28 @@ def test_histogram_matches_truncation_count_at_bin_edge(values):
     delta = 1e-8
     counts = bhat_histogram(v)
     assert counts[:9].sum() == int((v < delta).sum())
+
+
+def test_histogram_chunks_add_up_to_one_binning():
+    # every edge with both neighbours, signed zeros, subnormals, infinities
+    # and NaNs of both signs, some of them straddling the chunk boundaries
+    edges = np.concatenate([HIST_EDGES, np.nextafter(HIST_EDGES, 0.0),
+                            np.nextafter(HIST_EDGES, np.inf)])
+    nan = np.float64("nan")
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                        np.inf, -np.inf, nan, np.copysign(nan, -1.0)])
+    n = 3 * CHUNK + 5
+    v = 10.0 ** np.random.default_rng(4).uniform(-20, 4, size=n)
+    v[:edges.size] = edges
+    for boundary in (CHUNK, 2 * CHUNK):
+        v[boundary - 3:boundary + 3] = special[:6]
+        v[boundary + 3:boundary + 6] = edges[[0, 19, 38]]
+    v[-special.size:] = special  # across the last boundary, 3 * CHUNK
+    want = np.bincount(np.searchsorted(HIST_EDGES, v, side="right"), minlength=HIST_BINS)
+    got = bhat_histogram(v)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    block = np.stack([v, v[::-1]])
+    assert bhat_histogram(block).tolist() == [want.tolist()] * 2
 
 
 # ---------------------------------------------------------------- vectors

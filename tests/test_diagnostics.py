@@ -266,6 +266,16 @@ def test_record_run_tol_start_inside():
     assert traj.steps_to_tol == 0
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_lone_tolerance_dot_has_the_population_bits(n):
+    # a lone run checks its tolerance with a 1-D np.dot, a population with
+    # np.vecdot: the same bits keep steps_to_tol the same either way
+    d = np.random.default_rng(n).standard_normal((2000, n)) * 10.0 ** (
+        np.random.default_rng(n + 1).uniform(-8, 3, size=(2000, 1)))
+    rows = np.vecdot(d, d).tolist()
+    assert [float(np.dot(row, row)) for row in d] == rows
+
+
 def test_record_run_rejects_bad_tol():
     p = TestFnProblem(TESTFNS["quad_skew"])
     # NaN compares False both ways: as a tol it could never be reached

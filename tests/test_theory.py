@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from agdopt.core import ConfigError, HyperParams
 from agdopt.models import rng_stream
 from agdopt.theory import (
+    MC_BLOCK,
     STREAM_VARIANCE,
     _compensated_sum,
     alpha_hat_series,
@@ -72,13 +73,16 @@ def _variance_ratio_mc_per_combo(beta1, t, samples, seed):
 SUITE_COMBOS = [(b1, t) for b1 in (0.5, 0.9, 0.99) for t in (2, 10, 100)]
 
 
-@pytest.mark.parametrize("combos", [
-    SUITE_COMBOS,
-    [(0.9, 100), (0.5, 3), (0.9, 2), (0.99, 7), (0.5, 3), (0.9, 100)],
-], ids=["suite", "unsorted_repeated"])
-def test_variance_ratio_mc_matches_per_combo_reference(combos):
-    got = variance_ratio_mc(combos, samples=20_000, seed=3)
-    want = [_variance_ratio_mc_per_combo(b1, t, 20_000, 3) for b1, t in combos]
+@pytest.mark.parametrize("combos, samples", [
+    pytest.param(SUITE_COMBOS, 20_000, id="suite"),
+    pytest.param([(0.9, 100), (0.5, 3), (0.9, 2), (0.99, 7), (0.5, 3), (0.9, 100)],
+                 20_000, id="unsorted_repeated"),
+    # a last block of one sample (one block plus one is below the 1e4 guard)
+    pytest.param(SUITE_COMBOS, 2 * MC_BLOCK + 1, id="suite_last_block_of_one"),
+])
+def test_variance_ratio_mc_matches_per_combo_reference(combos, samples):
+    got = variance_ratio_mc(combos, samples=samples, seed=3)
+    want = [_variance_ratio_mc_per_combo(b1, t, samples, 3) for b1, t in combos]
     assert got == want  # exact float equality, combo order kept
 
 
@@ -107,6 +111,25 @@ def test_alpha_hat_strictly_decreasing_samples():
                           (0.0, "constant", 0.999), (0.5, "over_sqrt_t", 0.9)]:
         series = alpha_hat_series(1e-3, b1, sched, b2, 5000)
         assert (np.diff(series) < 0).all(), (b1, sched, b2)
+
+
+def _alpha_hat_plain(alpha, beta1, beta1_schedule, beta2, T):
+    """Reference: every power taken, as in the claim's formula."""
+    t = np.arange(1, T + 1, dtype=np.float64)
+    b1t = {"constant": np.full(T, beta1), "over_sqrt_t": beta1 / np.sqrt(t),
+           "over_t": beta1 / t}[beta1_schedule]
+    lr = alpha / np.sqrt(t)
+    return lr * np.sqrt(1.0 - beta2 ** t) / (1.0 - b1t ** t)
+
+
+@pytest.mark.parametrize("T", [1, 7, 600, 100_000])
+def test_alpha_hat_matches_the_plain_expression_bits(T):
+    for b1 in (0.0, 0.5, 0.9, 0.99):
+        for b2 in (0.0, 0.9, 0.999, 0.9999):
+            for sched in ("constant", "over_sqrt_t", "over_t"):
+                got = alpha_hat_series(1e-3, b1, sched, b2, T)
+                want = _alpha_hat_plain(1e-3, b1, sched, b2, T)
+                assert got.tobytes() == want.tobytes(), (b1, b2, sched)
 
 
 def test_alpha_hat_domain():
