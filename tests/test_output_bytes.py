@@ -223,6 +223,10 @@ MLP_CASES = {
         "519c24ce4143136476c336416affac0c6ff84c7a10456c387fac7eda16479392",
     ("relu", "logistic", 4, "agd_amsgrad", 0.0, 16384):
         "e7f38e69e8e76cda9b975cf1c6bdbf869bc627fd9dadc1ea61c1c59330664965",
+    ("relu", "softmax_ce", 1, "adam", 0.01, 16384):
+        "9a218a26a7a892dba8040a4e87db93c318e1f5d0d0ec295eb558a35033ca2fd2",
+    ("tanh", "squared", 4, "adabelief", 0.0, 16384):
+        "b96bf4575ea4fc0b14879f9e31d388059ae7c9f71b127942d816b2f2824d4102",
 }
 
 
@@ -280,6 +284,14 @@ SWEEP_CASES = {
          "seed": 0, "steps": 30, "snapshot_every": 10},
         "seed", "3,4,5",
         "c5e9bfbc933c0651e4f9c5e94fbc78e31c77c0882a8a2642b041ef76adccf980"),
+    # an adabelief population whose rows differ in beta1_t, with decoupled
+    # decay; its beta1 = 0 point diverges
+    "adabelief-beale-beta1": (
+        {"problem": {"kind": "testfn", "name": "beale", "start": [1.0, 1.0]},
+         "optimizer": "adabelief", "hyperparams": {"alpha": 1e-2, "weight_decay": 1e-3},
+         "seed": 2, "steps": 30, "snapshot_every": 4},
+        "hyperparams.beta1", "0,0.5,0.9,0.99",
+        "432c9a49d29684fcec9b37cb6fbb3c830ae2b38dc857dd0f038a9579a6150ee7"),
 }
 
 
