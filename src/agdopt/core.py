@@ -90,7 +90,7 @@ class HyperParams:
             raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}")
         for entry in self.milestones:
             step, factor = entry
-            if step < 1 or factor <= 0.0:
+            if step < 1 or not (factor > 0.0 and math.isfinite(factor)):
                 raise ConfigError(f"bad milestone {entry!r}")
 
     def lr_at(self, t: int) -> float:

@@ -48,12 +48,13 @@ the rest take an rms-preconditioned step. The amsgrad flag additionally keeps
 b_t elementwise non-decreasing, which the sublinear-regret run mode requires.
 
 The Adam / AdamW / AdaBelief and SGD+momentum baselines share the same calling
-convention so runs and races can treat optimizers uniformly. One Adam-family
-kernel serves all three variants: AdamW differs from Adam only through the
-decoupled weight decay, and AdaBelief feeds the second moment with g_t - m_t
-instead of g_t. `dispatch_step` is the one place that checks a step's shapes
-and works out decoupled weight decay; a kernel only applies its factor to w
-as it writes w'.
+convention so runs and races can treat optimizers uniformly. One kernel serves
+five optimizers under three names (agd_step, adam_step, adabelief_step): AGD
+and its amsgrad flag, and the Adam family, which differs from AGD only in
+feeding the second moment with g_t (Adam; AdamW adds nothing but the decoupled
+weight decay) or g_t - m_t (AdaBelief) and dividing by sqrt(vhat) + delta.
+`dispatch_step` is the one place that checks a step's shapes and works out
+decoupled weight decay; a kernel only applies its factor to w as it writes w'.
 """
 
 from __future__ import annotations
@@ -150,16 +151,6 @@ def init_state(name: str, n: int, hp):
     raise ConfigError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
 
 
-# Besides out's vectors a kernel writes two fresh arrays, the update and w',
-# and no other scratch. Under decoupled decay w' = (w * decay) - update, with
-# the two roundings of decaying w first and then stepping. The update holds the body's intermediate terms (`s`)
-# until its last passes write the update itself there, and w' holds the rms
-# estimate until the decayed w is written there and the update subtracted
-# from it, unless a histogram needs that estimate whole. The ufuncs take
-# their destination positionally, which costs less than out= on the tiny
-# vectors of a 2-D problem (np.maximum accepts only out=).
-
-
 def _per_row(terms, hp, t: int):
     """terms(hp, t), a tuple of floats, for one run's HyperParams.
 
@@ -198,7 +189,7 @@ def _norm(update):
 
 
 # A lone run (an (n,) float64 state) of at most FLOAT_MAX_N coordinates steps
-# AGD and the Adam family through their kernels' `floats` body, one loop over
+# AGD and the Adam family through the kernel's `floats` body, one loop over
 # the coordinates on Python floats: on such vectors each of the NumPy body's
 # ~17 ufunc calls costs more in call overhead than in arithmetic. It repeats
 # every operation of the NumPy body in the same order and association, so the
@@ -229,11 +220,33 @@ def _on_floats(w, g) -> bool:
     return w.ndim == 1 and 0 < w.shape[0] <= FLOAT_MAX_N and w.dtype is g.dtype is _F64
 
 
-def agd_step(state: AgdState, w, g, collect_histogram: bool = True, out=None,
-             decay=None):
-    """One auto-switching step; returns (state', w', diagnostics).
+# One kernel serves AGD and the Adam family, and reads the variant's rules
+# from the state. Its second moment, AGD's b or the Adam family's v, takes one
+# slot fed with x**2. AGD's x is s_t; it divides by the floor max(bhat, delta),
+# counts the truncated coordinates and writes prev_corrected, and amsgrad
+# clamps the slot below by its last value. The Adam family divides by
+# rms + delta; its x is g_t, or g_t - m_t for AdaBelief, which adds delta
+# after the EMA.
+#
+# Besides out's vectors the kernel writes two fresh arrays, the update and
+# w', and no other scratch. The update holds the body's intermediate terms
+# (`s`) until its last passes write the update there. w' holds the rms
+# estimate, unless a histogram needs it whole, until w' = (w * decay) - update
+# is written there, decaying first. The ufuncs take their destination
+# positionally, which costs less than out= on the tiny vectors of a 2-D
+# problem (np.maximum accepts only out=).
 
-    state' is `out`, overwritten, when given, else a fresh AgdState; w' is
+
+def agd_step(state, w, g, collect_histogram: bool = True, out=None, decay=None):
+    """One step of AGD or of the Adam family; returns (state', w', diagnostics).
+
+    An AgdState takes the auto-switching update above. An AdamLikeState takes
+    w <- w - lr_t * mhat / (sqrt(vhat) + delta), where delta plays the usual
+    epsilon role and v tracks g_t**2 (Adam, AdamW) or (g_t - m_t)**2 plus
+    delta each step (AdaBelief, as the reference implementation does).
+    adam_step and adabelief_step are this function.
+
+    state' is `out`, overwritten, when given, else a fresh state; w' is
     always a fresh array. The inputs are never written. decay, the factor of
     decoupled weight decay that dispatch_step works out, multiplies w before
     the update is subtracted.
@@ -247,36 +260,46 @@ def agd_step(state: AgdState, w, g, collect_histogram: bool = True, out=None,
             f"bias correction 1 - beta1_power = {corr1}; beta1 must stay below 1"
         )
     scale = lr / corr1
-    amsgrad = state.amsgrad
+    agd = isinstance(state, AgdState)
+    vecs, flag = (("m", "b", "prev_corrected"), "amsgrad") if agd else (("m", "v"), "variant")
+    amsgrad, belief = agd and state.amsgrad, not agd and state.variant == "adabelief"
     if out is None:
-        out = replace(state, m=np.empty_like(state.m), b=np.empty_like(state.b),
-                      prev_corrected=np.empty_like(state.prev_corrected))
+        out = replace(state, **{k: np.empty_like(getattr(state, k)) for k in vecs})
+    v_in, v_out = getattr(state, vecs[1]), getattr(out, vecs[1])
 
-    def body(m0, b0, prev, g, w, m, b, corrected, s, new_w, bhat):
+    def body(m0, v0, g, w, m, v, s, new_w, r, prev=None, corrected=None):
         # m = beta1_t * m0 + (1 - beta1_t) * g
         np.multiply(m0, beta1_t, m)
         np.multiply(g, 1.0 - beta1_t, s)
         np.add(m, s, m)
-        # s = m / corr1 - prev (just m / corr1 at t = 1)
-        np.divide(m, corr1, corrected)
-        if t == 1:
-            np.multiply(corrected, corrected, s)
-        else:
-            np.subtract(corrected, prev, s)
-            np.multiply(s, s, s)
-        # b = beta2 * b0 + (1 - beta2) * s**2
+        # x = m / corr1 - prev (just m / corr1 at t = 1), g - m or g
+        x = g
+        if agd:
+            x = np.divide(m, corr1, corrected)
+            if t > 1:
+                x = np.subtract(corrected, prev, s)
+        elif belief:
+            x = np.subtract(g, m, s)
+        # v = beta2 * v0 + (1 - beta2) * x**2, then the clamp or + delta
+        np.multiply(x, x, s)
         np.multiply(s, 1.0 - beta2, s)
-        np.multiply(b0, beta2, b)
-        np.add(b, s, b)
+        np.multiply(v0, beta2, v)
+        np.add(v, s, v)
         if amsgrad:
-            np.maximum(b, b0, out=b)
-        # bhat = sqrt(b / bc2); update = scale * m / max(bhat, delta)
-        np.divide(b, bc2, bhat)
-        np.sqrt(bhat, bhat)
-        below = bhat < delta
-        truncated = (int(np.count_nonzero(below)) if below.ndim == 1
-                     else np.count_nonzero(below, axis=-1))
-        np.maximum(bhat, delta, out=s)
+            np.maximum(v, v0, out=v)
+        if belief:
+            np.add(v, delta, v)
+        # r = sqrt(v / bc2); update = scale * m / max(r, delta) or / (r + delta)
+        np.divide(v, bc2, r)
+        np.sqrt(r, r)
+        truncated = 0
+        if agd:
+            below = r < delta
+            truncated = (int(np.count_nonzero(below)) if below.ndim == 1
+                         else np.count_nonzero(below, axis=-1))
+            np.maximum(r, delta, out=s)
+        else:
+            np.add(r, delta, s)
         np.divide(m, s, s)
         np.multiply(s, scale, s)  # the update
         np.subtract(w if decay is None else np.multiply(w, decay, new_w), s, new_w)
@@ -284,117 +307,56 @@ def agd_step(state: AgdState, w, g, collect_histogram: bool = True, out=None,
 
     def floats():
         # body's operations on Python floats, one coordinate at a time
-        a1, a2, rows, truncated = 1.0 - beta1_t, 1.0 - beta2, [], 0
-        for m0, b0, prev, gi, wi in zip(state.m.tolist(), state.b.tolist(),
-                                        state.prev_corrected.tolist(), g.tolist(), w.tolist()):
+        a1, a2, rows, truncated, gs = 1.0 - beta1_t, 1.0 - beta2, [], 0, g.tolist()
+        prevs = state.prev_corrected.tolist() if agd else gs
+        for m0, v0, prev, gi, wi in zip(state.m.tolist(), v_in.tolist(), prevs, gs,
+                                        w.tolist()):
             m = m0 * beta1_t + gi * a1
-            c = m / corr1
-            s = c if t == 1 else c - prev
-            b = b0 * beta2 + s * s * a2
+            if agd:
+                c = m / corr1
+                x = c if t == 1 else c - prev
+            else:
+                c, x = None, gi - m if belief else gi
+            v = v0 * beta2 + x * x * a2
             if amsgrad:
-                b = b0 if b < b0 else b
-            bhat = math.sqrt(b / bc2)
-            below = bhat < delta
-            truncated += below
-            u = m / (delta if below else bhat) * scale
-            rows.append((m, b, c, u, (wi if decay is None else wi * decay) - u, bhat))
-        out.m[...], out.b[...], out.prev_corrected[...], update, new_w, bhat = zip(*rows)
+                v = v0 if v < v0 else v
+            if belief:
+                v += delta
+            r = math.sqrt(v / bc2)
+            if agd:
+                below = r < delta
+                truncated += below
+                u = m / (delta if below else r) * scale
+            else:
+                u = m / (r + delta) * scale
+            rows.append((m, v, c, u, (wi if decay is None else wi * decay) - u, r))
+        out.m[...], v_out[...], corrected, update, new_w, r = zip(*rows)
+        if agd:
+            out.prev_corrected[...] = corrected
         return (np.array(update), np.array(new_w),
-                np.array(bhat) if collect_histogram else None, truncated)
+                np.array(r) if collect_histogram else None, truncated)
 
     n = w.shape[-1]
     if _on_floats(w, g):
-        update, new_w, bhat, truncated = floats()
+        update, new_w, r, truncated = floats()
     else:
         update, new_w = np.empty(w.shape), np.empty(w.shape)
-        bhat = np.empty(w.shape) if collect_histogram else new_w
-        truncated = chunked(body, n, (state.m, state.b, state.prev_corrected, g, w,
-                                      out.m, out.b, out.prev_corrected, update, new_w,
-                                      bhat))
+        r = np.empty(w.shape) if collect_histogram else new_w
+        arrays = (state.m, v_in, g, w, out.m, v_out, update, new_w, r)
+        if agd:
+            arrays += (state.prev_corrected, out.prev_corrected)
+        truncated = chunked(body, n, arrays)
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),
-        bhat_histogram=bhat_histogram(bhat) if collect_histogram else None,
+        bhat_histogram=bhat_histogram(r) if collect_histogram else None,
     )
-    out.beta1_prod, out.t, out.hp, out.amsgrad = beta1_prod, t, hp, amsgrad
+    out.beta1_prod, out.t, out.hp = beta1_prod, t, hp
+    setattr(out, flag, getattr(state, flag))
     return out, new_w, diag
 
 
-def adam_step(state: AdamLikeState, w, g, collect_histogram: bool = True, out=None,
-              decay=None):
-    """Bias-corrected Adam-family step: w <- w - lr_t * mhat / (sqrt(vhat) + delta).
-
-    delta plays the usual epsilon role. v tracks g_t**2 for Adam and AdamW
-    (whose decoupled decay dispatch_step applies). For AdaBelief v tracks
-    (g_t - m_t)**2 plus delta each step, as the reference implementation does.
-    `out`, decay and the returned arrays behave as in agd_step.
-    """
-    t, hp = state.t + 1, state.hp
-    beta1_t, lr, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
-    beta1_prod = state.beta1_prod * beta1_t
-    scale = lr / (1.0 - beta1_prod)
-    belief = state.variant == "adabelief"
-    if out is None:
-        out = replace(state, m=np.empty_like(state.m), v=np.empty_like(state.v))
-
-    def body(m0, v0, g, w, m, v, s, new_w, rms):
-        # m = beta1_t * m0 + (1 - beta1_t) * g
-        np.multiply(m0, beta1_t, m)
-        np.multiply(g, 1.0 - beta1_t, s)
-        np.add(m, s, m)
-        # v = beta2 * v0 + (1 - beta2) * x**2 (+ delta), x = g - m or g
-        if belief:
-            np.subtract(g, m, s)
-            np.multiply(s, s, s)
-        else:
-            np.multiply(g, g, s)
-        np.multiply(s, 1.0 - beta2, s)
-        np.multiply(v0, beta2, v)
-        np.add(v, s, v)
-        if belief:
-            np.add(v, delta, v)
-        # rms = sqrt(v / bc2); update = scale * m / (rms + delta)
-        np.divide(v, bc2, rms)
-        np.sqrt(rms, rms)
-        np.add(rms, delta, s)
-        np.divide(m, s, s)
-        np.multiply(s, scale, s)  # the update
-        np.subtract(w if decay is None else np.multiply(w, decay, new_w), s, new_w)
-        return 0
-
-    def floats():
-        # body's operations on Python floats, one coordinate at a time
-        a1, a2, rows = 1.0 - beta1_t, 1.0 - beta2, []
-        for m0, v0, gi, wi in zip(state.m.tolist(), state.v.tolist(), g.tolist(), w.tolist()):
-            m = m0 * beta1_t + gi * a1
-            x = gi - m if belief else gi
-            v = v0 * beta2 + x * x * a2
-            if belief:
-                v += delta
-            rms = math.sqrt(v / bc2)
-            u = m / (rms + delta) * scale
-            rows.append((m, v, u, (wi if decay is None else wi * decay) - u, rms))
-        out.m[...], out.v[...], update, new_w, rms = zip(*rows)
-        return np.array(update), np.array(new_w), np.array(rms) if collect_histogram else None
-
-    if _on_floats(w, g):
-        update, new_w, rms = floats()
-    else:
-        update, new_w = np.empty(w.shape), np.empty(w.shape)
-        rms = np.empty(w.shape) if collect_histogram else new_w
-        chunked(body, w.shape[-1], (state.m, state.v, g, w, out.m, out.v, update, new_w,
-                                    rms))
-    diag = StepDiagnostics(
-        truncation_fraction=0.0,
-        step_norm=_norm(update),
-        bhat_histogram=bhat_histogram(rms) if collect_histogram else None,
-    )
-    out.beta1_prod, out.t, out.hp, out.variant = beta1_prod, t, hp, state.variant
-    return out, new_w, diag
-
-
-# the same kernel; the variant of the AdamLikeState selects the AdaBelief moment
-adabelief_step = adam_step
+adam_step = adabelief_step = agd_step
 
 
 def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out=None,
@@ -438,6 +400,8 @@ def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
     second state of the same type and size (not `state` itself), receives the
     new state in place of a fresh one.
     """
+    # agd_step, adam_step and adabelief_step are one function; the name looked
+    # up here is the one a tracer wraps, so each keeps its own kernel span
     if isinstance(state, AgdState):
         kernel, field = agd_step, "m"
     elif isinstance(state, AdamLikeState):

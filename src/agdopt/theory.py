@@ -121,8 +121,8 @@ def alpha_hat_series(alpha: float, beta1: float, beta1_schedule: str,
     Claimed strictly decreasing in t whenever the momentum coefficient is
     non-increasing, beta2=0 included.
     """
-    if alpha <= 0.0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ConfigError(f"alpha must be a positive finite real, got {alpha}")
     if not (0.0 <= beta2 < 1.0):
         raise ConfigError(f"beta2 must lie in [0, 1), got {beta2}")
     if not (0.0 <= beta1 < 1.0):
@@ -281,8 +281,8 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
     T, n = grad_stream.shape
     if group_size is None:
         group_size = n
-    if n % group_size != 0:
-        raise ConfigError(f"group_size {group_size} must divide n={n}")
+    if group_size < 1 or n % group_size != 0:
+        raise ConfigError(f"group_size {group_size} must be a positive divisor of n={n}")
     state = init_state("agd", n, hp)  # validates hp before the bound divides by 1 - beta1
     G = float(np.abs(grad_stream).max())
     bound = group_size * (2.0 * G + hp.delta) / (1.0 - hp.beta1) ** 2

@@ -75,6 +75,16 @@ def test_milestones_reject_bad_entries():
                     milestones=((30, 0.0),)).validate()
 
 
+def test_milestones_reject_non_finite_factors():
+    # a NaN factor passes `factor <= 0.0`; it must not reach a run as a NaN rate
+    for factor in (math.nan, math.inf):
+        hp = HyperParams(alpha=0.1, lr_schedule="milestones", milestones=((3, factor),))
+        with pytest.raises(ConfigError, match="milestone"):
+            hp.validate()
+        with pytest.raises(ConfigError, match="milestone"):
+            init_state("agd", 2, hp)
+
+
 def test_unknown_schedule_kind():
     with pytest.raises(ConfigError):
         HyperParams(alpha=0.1, lr_schedule="linear").validate()

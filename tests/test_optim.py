@@ -97,6 +97,17 @@ def test_agd_compute_s_guards():
         agd_step(replace(init_state("agd", 1, HP), hp=bad), np.zeros(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("name", [o for o in OPTIMIZER_NAMES if o != "sgd"])
+def test_moment_kernel_guards_every_variant(name):
+    # a forced beta1 = 1 refuses to divide by 0 in one run, and in a
+    # population row whose beta1 differs from the others' (a column)
+    bad = HyperParams(alpha=1e-3, beta1=1.0)
+    for state in (replace(init_state(name, 1, HP), hp=bad),
+                  replace(init_state(name, 1, [HP, HP]), hp=(HP, bad))):
+        with pytest.raises(ZeroDivisionError, match="beta1"):
+            dispatch_step(state, np.zeros(state.m.shape), np.zeros(state.m.shape))
+
+
 def test_constant_gradient_sharpens_bias_correction():
     # with a constant gradient the debiased average equals g in exact
     # arithmetic every step; float rounding adds at most ~half an ulp per

@@ -140,6 +140,10 @@ def test_alpha_hat_domain():
     with pytest.raises(ConfigError):
         alpha_hat_series(1e-3, 0.9, "warmup", 0.999, 10)
 
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="alpha"):
+            alpha_hat_series(alpha, 0.9, "constant", 0.999, 10)
+
 
 # ---------------------------------------------------------------- projection
 
@@ -224,6 +228,14 @@ def test_norm_bound_group_size_must_divide():
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(ConfigError):
         norm_bound_check(np.zeros((10, 10)), hp, group_size=3)
+
+
+def test_norm_bound_group_size_must_be_positive():
+    # 0 divided n by zero, and -5 "divides" 10 until the reshape
+    hp = HyperParams(alpha=1e-3)
+    for size in (0, -5, -10):
+        with pytest.raises(ConfigError, match="group_size"):
+            norm_bound_check(np.ones((3, 10)), hp, group_size=size)
 
 
 def test_norm_bound_rejects_bad_hyperparams():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from agdopt.optim import OPTIMIZER_NAMES
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
 
 
@@ -56,6 +58,26 @@ def test_traced_run_and_race_reach_every_layer(spans, tmp_path):
     # each kernel span records its own name, adabelief included
     assert {kernel for kernel, _ in tracer.sizes.values()} == {
         "adam_step", "adabelief_step", "sgd_momentum_step"}
+
+
+# the kernel span each optimizer's steps are labelled with: agd_step,
+# adam_step and adabelief_step are one function, told apart only by the name
+# dispatch_step looks up
+KERNEL_SPANS = {"agd": "agd_step", "agd_amsgrad": "agd_step", "adam": "adam_step",
+                "adamw": "adam_step", "adabelief": "adabelief_step",
+                "sgd": "sgd_momentum_step"}
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
+def test_each_optimizer_lands_in_its_kernel_span(spans, tmp_path, optimizer):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "testfn", "name": "rosenbrock"},
+        "optimizer": optimizer, "hyperparams": {"alpha": 1e-3, "weight_decay": 1e-4},
+        "seed": 0, "steps": 2,
+    }))
+    tracer = _trace(spans, ["run", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert list(tracer.sizes.values()) == [(KERNEL_SPANS[optimizer], 2)] * 2
 
 
 def test_traced_mlp_run_reaches_the_model_layers(spans, tmp_path):
