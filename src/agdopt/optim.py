@@ -267,48 +267,56 @@ def agd_step(state, w, g, collect_histogram: bool = True, out=None, decay=None):
         out = replace(state, **{k: np.empty_like(getattr(state, k)) for k in vecs})
     v_in, v_out = getattr(state, vecs[1]), getattr(out, vecs[1])
 
-    def body(m0, v0, g, w, m, v, s, new_w, r, prev=None, corrected=None):
-        # m = beta1_t * m0 + (1 - beta1_t) * g
-        np.multiply(m0, beta1_t, m)
-        np.multiply(g, 1.0 - beta1_t, s)
-        np.add(m, s, m)
-        # x = m / corr1 - prev (just m / corr1 at t = 1), g - m or g
-        x = g
-        if agd:
-            x = np.divide(m, corr1, corrected)
-            if t > 1:
-                x = np.subtract(corrected, prev, s)
-        elif belief:
-            x = np.subtract(g, m, s)
-        # v = beta2 * v0 + (1 - beta2) * x**2, then the clamp or + delta
-        np.multiply(x, x, s)
-        np.multiply(s, 1.0 - beta2, s)
-        np.multiply(v0, beta2, v)
-        np.add(v, s, v)
-        if amsgrad:
-            np.maximum(v, v0, out=v)
-        if belief:
-            np.add(v, delta, v)
-        # r = sqrt(v / bc2); update = scale * m / max(r, delta) or / (r + delta)
-        np.divide(v, bc2, r)
-        np.sqrt(r, r)
-        truncated = 0
-        if agd:
-            below = r < delta
-            truncated = (int(np.count_nonzero(below)) if below.ndim == 1
-                         else np.count_nonzero(below, axis=-1))
-            np.maximum(r, delta, out=s)
-        else:
-            np.add(r, delta, s)
-        np.divide(m, s, s)
-        np.multiply(s, scale, s)  # the update
-        np.subtract(w if decay is None else np.multiply(w, decay, new_w), s, new_w)
-        return truncated
+    n = w.shape[-1]
+    if not _on_floats(w, g):
+        def body(m0, v0, g, w, m, v, s, new_w, r, prev=None, corrected=None):
+            # m = beta1_t * m0 + (1 - beta1_t) * g
+            np.multiply(m0, beta1_t, m)
+            np.multiply(g, 1.0 - beta1_t, s)
+            np.add(m, s, m)
+            # x = m / corr1 - prev (just m / corr1 at t = 1), g - m or g
+            x = g
+            if agd:
+                x = np.divide(m, corr1, corrected)
+                if t > 1:
+                    x = np.subtract(corrected, prev, s)
+            elif belief:
+                x = np.subtract(g, m, s)
+            # v = beta2 * v0 + (1 - beta2) * x**2, then the clamp or + delta
+            np.multiply(x, x, s)
+            np.multiply(s, 1.0 - beta2, s)
+            np.multiply(v0, beta2, v)
+            np.add(v, s, v)
+            if amsgrad:
+                np.maximum(v, v0, out=v)
+            if belief:
+                np.add(v, delta, v)
+            # r = sqrt(v / bc2); update = scale * m / max(r, delta) or / (r + delta)
+            np.divide(v, bc2, r)
+            np.sqrt(r, r)
+            truncated = 0
+            if agd:
+                below = r < delta
+                truncated = (int(np.count_nonzero(below)) if below.ndim == 1
+                             else np.count_nonzero(below, axis=-1))
+                np.maximum(r, delta, out=s)
+            else:
+                np.add(r, delta, s)
+            np.divide(m, s, s)
+            np.multiply(s, scale, s)  # the update
+            np.subtract(w if decay is None else np.multiply(w, decay, new_w), s, new_w)
+            return truncated
 
-    def floats():
+        update, new_w = np.empty(w.shape), np.empty(w.shape)
+        r = np.empty(w.shape) if collect_histogram else new_w
+        arrays = (state.m, v_in, g, w, out.m, v_out, update, new_w, r)
+        if agd:
+            arrays += (state.prev_corrected, out.prev_corrected)
+        truncated = chunked(body, n, arrays)
+    else:
         # body's operations on Python floats, one coordinate at a time
         a1, a2, rows, truncated, gs = 1.0 - beta1_t, 1.0 - beta2, [], 0, g.tolist()
-        prevs = state.prev_corrected.tolist() if agd else gs
+        prevs = state.prev_corrected.tolist() if agd else gs  # read by AGD only
         for m0, v0, prev, gi, wi in zip(state.m.tolist(), v_in.tolist(), prevs, gs,
                                         w.tolist()):
             m = m0 * beta1_t + gi * a1
@@ -333,19 +341,8 @@ def agd_step(state, w, g, collect_histogram: bool = True, out=None, decay=None):
         out.m[...], v_out[...], corrected, update, new_w, r = zip(*rows)
         if agd:
             out.prev_corrected[...] = corrected
-        return (np.array(update), np.array(new_w),
-                np.array(r) if collect_histogram else None, truncated)
-
-    n = w.shape[-1]
-    if _on_floats(w, g):
-        update, new_w, r, truncated = floats()
-    else:
-        update, new_w = np.empty(w.shape), np.empty(w.shape)
-        r = np.empty(w.shape) if collect_histogram else new_w
-        arrays = (state.m, v_in, g, w, out.m, v_out, update, new_w, r)
-        if agd:
-            arrays += (state.prev_corrected, out.prev_corrected)
-        truncated = chunked(body, n, arrays)
+        update, new_w = np.array(update), np.array(new_w)
+        r = np.array(r) if collect_histogram else None
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),

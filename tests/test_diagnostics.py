@@ -284,13 +284,6 @@ def test_record_run_rejects_bad_tol():
             record_run(p, "agd", HP, steps=5, tol=tol)
 
 
-def test_record_run_rejects_non_finite_milestone_factor():
-    # accepted, a NaN factor made the rate NaN from step 3 and the run "diverge"
-    hp = replace(HP, lr_schedule="milestones", milestones=((3, math.nan),))
-    with pytest.raises(ConfigError, match="milestone"):
-        record_run(TestFnProblem(TESTFNS["quad_skew"]), "agd", hp, steps=5)
-
-
 # ------------------------------------------------- projected online runs
 
 
