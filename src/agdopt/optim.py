@@ -237,7 +237,8 @@ def _on_floats(w, g) -> bool:
 # problem (np.maximum accepts only out=).
 
 
-def agd_step(state, w, g, collect_histogram: bool = True, out=None, decay=None):
+def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = True,
+             out=None, decay=None):
     """One step of AGD or of the Adam family; returns (state', w', diagnostics).
 
     An AgdState takes the auto-switching update above. An AdamLikeState takes

@@ -139,7 +139,6 @@ def test_alpha_hat_domain():
         alpha_hat_series(1e-3, 0.9, "constant", 1.0, 10)
     with pytest.raises(ConfigError):
         alpha_hat_series(1e-3, 0.9, "warmup", 0.999, 10)
-
     for alpha in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="alpha"):
             alpha_hat_series(alpha, 0.9, "constant", 0.999, 10)
