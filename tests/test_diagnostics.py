@@ -366,6 +366,93 @@ def test_race_stops_a_diverging_entrant(name):
     assert p.calls <= 3  # the loss at step 2 is already beyond the limit
 
 
+# races pinned by steps_to_tol and the bits of final_distance, with the
+# benchmark's six entrants (recorded before lone small runs stepped on floats)
+RACE_HPS = {"agd": HP, "agd_amsgrad": HP, "adam": HP,
+            "adamw": HyperParams(alpha=1e-3, weight_decay=1e-4), "adabelief": HP,
+            "sgd": HyperParams(alpha=1e-4, beta1=0.9)}
+RACE_PINS = {
+    "quad_skew": {
+        "agd": (1029, "0x1.46899cc1a9876p-7"),
+        "agd_amsgrad": (1306, "0x1.46f4ef4d67c01p-7"),
+        "adam": (4930, "0x1.472551303ec78p-7"),
+        "adamw": (4930, "0x1.46c3a565bde11p-7"),
+        "adabelief": (1594, "0x1.45c87e68b674ap-7"),
+        "sgd": (13351, "0x1.47adb35f84a5dp-7"),
+    },
+    "beale": {
+        "agd": (5118, "0x1.47843b8b46aafp-7"),
+        "agd_amsgrad": (23537, "0x1.47a3fe28fc622p-7"),
+        "adam": (10150, "0x1.476d6e44ca8f4p-7"),
+        "adamw": (10163, "0x1.4758beb78070fp-7"),
+        "adabelief": (6428, "0x1.47774079a03f4p-7"),
+        "sgd": (11760, "0x1.479e7d46e155bp-7"),
+    },
+    "rosenbrock": {
+        "agd": (6305, "0x1.479565289b2fdp-7"),
+        "agd_amsgrad": (44584, "0x1.47a755143d5b7p-7"),
+        "adam": (10705, "0x1.472dedb2a5defp-7"),
+        "adamw": (10708, "0x1.47228c6bcc69ep-7"),
+        "adabelief": (7670, "0x1.46e5704e13758p-7"),
+        "sgd": (11251, "0x1.478d913215234p-7"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RACE_PINS))
+def test_race_pins(name):
+    result = race(TestFnProblem(TESTFNS[name]), list(RACE_HPS), RACE_HPS, tol=1e-2,
+                  max_steps=100_000)
+    assert {k: (result.steps_to_tol[k], result.final_distance[k].hex())
+            for k in RACE_HPS} == RACE_PINS[name]
+
+
+def test_race_pins_a_diverging_entrant():
+    p = TestFnProblem(TESTFNS["rosenbrock"])
+    with np.errstate(over="ignore"):
+        result = race(p, ["sgd"], {"sgd": HyperParams(alpha=1.0)}, tol=1e-2,
+                      max_steps=1000)
+    assert result.steps_to_tol == {"sgd": None}
+    assert result.final_distance["sgd"].hex() == "0x1.d50898f128d28p+31"
+
+
+class FixedGradProblem:
+    """Returns one gradient at every point; optimum at the origin."""
+
+    name = "fixed"
+
+    def __init__(self, start, grad):
+        self.start, self.grad, self.optimum = start, grad, np.zeros(start.size)
+
+    def init_params(self):
+        return self.start.copy()
+
+    def loss_grad(self, w):
+        return 0.0, self.grad.copy()
+
+
+def test_race_tolerance_check_near_the_boundary_follows_np_dot():
+    # points a few ulps either side of ||p||^2 = tol**2, where a sum of
+    # squares in Python and np.dot round differently on some of them: the
+    # decision must be np.dot's, before the first step (a zero-gradient run
+    # started at p) and after it (sgd at lr 1, beta1 0 stepping 2p to p)
+    tol = 1e-2
+    tol_sq, disagree = tol * tol, 0
+    for i in range(64):
+        a, b = tol * math.cos(0.1 + 0.023 * i), tol * math.sin(0.1 + 0.023 * i)
+        for k in range(-4, 5):
+            p = np.array([a + k * math.ulp(a), b])
+            inside = float(np.dot(p, p)) <= tol_sq
+            disagree += (float(p[0] * p[0] + p[1] * p[1]) <= tol_sq) != inside
+            before = race(FixedGradProblem(p, np.zeros(2)), ["agd"], {"agd": HP},
+                          tol=tol, max_steps=1)
+            after = race(FixedGradProblem(2 * p, p), ["sgd"],
+                         {"sgd": HyperParams(alpha=1.0, beta1=0.0)}, tol=tol, max_steps=1)
+            assert before.steps_to_tol["agd"] == (0 if inside else None), p.tolist()
+            assert after.steps_to_tol["sgd"] == (1 if inside else None), p.tolist()
+    assert disagree  # the points do test the boundary
+
+
 def test_race_requires_optimum():
     ds = two_moons(32, 0.1, seed=0)
     p = MlpProblem(MlpSpec(2, 4, 1), ds, batch_size=8, seed=0)
