@@ -26,7 +26,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams
+from .core import (BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, bounded, check_int,
+                   check_num)
 from .diagnostics import MlpProblem, TestFnProblem, race, record_run, record_runs
 from .models import ACTIVATIONS, LOSSES, MlpSpec, two_moons
 from .optim import CHUNK, OPTIMIZER_NAMES
@@ -93,25 +94,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _int(value, where: str) -> int:
-    """A JSON integer. Bools and non-integral numbers are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _num(value, where: str) -> float:
-    """A finite JSON number. Strings and bools are rejected, not coerced."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            pass
-    raise ConfigError(f"{where} must be a finite number, got {value!r}")
-
-
 # ---------------------------------------------------------------- configs
 
 REQUIRED = object()  # the default of a key the config must give
@@ -146,16 +128,6 @@ def _section(d, schema: dict, where: str) -> dict:
     return out
 
 
-def _bounded(check, lo, strict: bool = False):
-    """`check`, then require the value >= lo (> lo when strict)."""
-    def bounded(value, where: str):
-        x = check(value, where)
-        if x < lo or (strict and x == lo):
-            raise ConfigError(f"{where} must be {'>' if strict else '>='} {lo}, got {x}")
-        return x
-    return bounded
-
-
 def _one_of(*choices: str):
     def one_of(value, where: str) -> str:
         if not isinstance(value, str) or value not in choices:
@@ -164,31 +136,31 @@ def _one_of(*choices: str):
     return one_of
 
 
-_COUNT = _bounded(_int, 1)
-_POSITIVE = _bounded(_num, 0.0, strict=True)
-_NONNEGATIVE = _bounded(_num, 0.0)
+_COUNT = bounded(check_int, 1)
+_POSITIVE = bounded(check_num, 0.0, strict=True)
+_NONNEGATIVE = bounded(check_num, 0.0)
 
 
 def _milestones(value, where: str) -> list:
     if not (isinstance(value, list)
             and all(isinstance(e, list) and len(e) == 2 for e in value)):
         raise ConfigError(f"{where} must be a list of [step, factor] pairs, got {value!r}")
-    return [[_int(step, f"{where} step"), _num(factor, f"{where} factor")]
+    return [[check_int(step, f"{where} step"), check_num(factor, f"{where} factor")]
             for step, factor in value]
 
 
 def _start(value, where: str) -> list:
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{where} must be a 2-element list, got {value!r}")
-    return [_num(v, where) for v in value]
+    return [check_num(v, where) for v in value]
 
 
 _HYPERPARAMS = {
-    "alpha": (_num, REQUIRED),
-    "beta1": (_num, 0.9),
-    "beta2": (_num, 0.999),
-    "delta": (_num, 1e-8),
-    "weight_decay": (_num, 0.0),
+    "alpha": (check_num, REQUIRED),
+    "beta1": (check_num, 0.9),
+    "beta2": (check_num, 0.999),
+    "delta": (check_num, 1e-8),
+    "weight_decay": (check_num, 0.0),
     "lr_schedule": (_one_of(*LR_KINDS), "constant"),
     "milestones": (_milestones, []),
     "beta1_schedule": (_one_of(*BETA1_KINDS), "constant"),
@@ -206,7 +178,7 @@ def _hyperparams(value, where: str) -> dict:
     return hp
 
 
-_DATASET = {"name": (_one_of("two_moons"), REQUIRED), "n": (_bounded(_int, 2), REQUIRED),
+_DATASET = {"name": (_one_of("two_moons"), REQUIRED), "n": (bounded(check_int, 2), REQUIRED),
             "noise": (_NONNEGATIVE, 0.15)}
 _PROBLEMS = {
     "testfn": {"name": (_one_of(*TESTFNS), REQUIRED), "start": (_start, None)},
@@ -237,7 +209,7 @@ _RUN = {
     "problem": (_problem, REQUIRED),
     "optimizer": (_one_of(*OPTIMIZER_NAMES), REQUIRED),
     "hyperparams": (_hyperparams, REQUIRED),
-    "seed": (_int, REQUIRED),
+    "seed": (check_int, REQUIRED),
     "steps": (_COUNT, None),
     "epochs": (_COUNT, None),
     "snapshot_every": (_COUNT, 1),

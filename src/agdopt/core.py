@@ -19,6 +19,7 @@ alone; no library path passes it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,39 @@ class NumericError(ArithmeticError):
     """A non-finite value where a finite one is required."""
 
 
+def check_int(value, where: str) -> int:
+    """An integer. Bools and non-integral numbers are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            not isinstance(value, numbers.Integral) and not float(value).is_integer()):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_num(value, where: str) -> float:
+    """A finite real number. Strings and bools are rejected, not coerced."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def bounded(check, lo, strict: bool = False):
+    """`check`, then require the value >= lo (> lo when strict)."""
+    def bounded(value, where: str):
+        x = check(value, where)
+        if x < lo or (strict and x == lo):
+            raise ConfigError(f"{where} must be {'>' if strict else '>='} {lo}, got {x}")
+        return x
+    return bounded
+
+
+# an integer >= 1: a step budget, a cadence or a vector length
+check_count = bounded(check_int, 1)
+
+
 LR_KINDS = ("constant", "inverse_sqrt", "milestones")
 BETA1_KINDS = ("constant", "over_sqrt_t", "over_t")
 
@@ -74,6 +108,8 @@ class HyperParams:
     beta1_schedule: str = "constant"
 
     def validate(self) -> None:
+        for name in ("alpha", "beta1", "beta2", "delta", "weight_decay"):
+            check_num(getattr(self, name), name)
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ConfigError(f"alpha must be a positive finite real, got {self.alpha}")
         if not (0.0 <= self.beta1 < 1.0):
@@ -90,7 +126,8 @@ class HyperParams:
             raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}")
         for entry in self.milestones:
             step, factor = entry
-            if step < 1 or not (factor > 0.0 and math.isfinite(factor)):
+            if (check_int(step, "milestone step") < 1
+                    or not check_num(factor, "milestone factor") > 0.0):
                 raise ConfigError(f"bad milestone {entry!r}")
 
     def lr_at(self, t: int) -> float:

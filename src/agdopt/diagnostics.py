@@ -5,8 +5,9 @@ objects are cheap and deterministic, so every run rebuilds its own.
 
 `_Population` is the one run loop: it steps K independent runs of one
 optimizer, each on its own problem object with its own hyperparameters, as
-one (K, n) population state (one run, the plain (n,) state) through
-`optim.dispatch_step`, and allocates no optimizer state per step.
+one (K, n) population state (one run, the plain (n,) state, whose vectors
+stay Python floats at n <= optim.FLOAT_MAX_N) through `optim.dispatch_step`,
+and allocates no optimizer state per step.
 `record_runs` records its runs as one `Trajectory` of per-step columns each
 (loss, step norm, truncation fraction, denominator histograms at the
 snapshot cadence), which are the run's switch timeline; `record_run` is its
@@ -23,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HIST_BINS, ConfigError, HyperParams, ShapeError, as_param_vector
+from .core import (HIST_BINS, ConfigError, HyperParams, ShapeError, as_param_vector,
+                   check_count)
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
-from .optim import dispatch_step, init_state
+from .optim import FLOAT_MAX_N, dispatch_step, init_state
 from .testfns import TestFunction
 
 __all__ = [
@@ -107,9 +109,12 @@ class _Population:
     binds the hyperparameters into two state sets that the steps use in turn
     (each step reads one and overwrites the other), steps every row through
     `optim.dispatch_step` and projects a row whose problem defines
-    project(w). W holds the rows' current iterates (a lone run steps the
-    flat (n,) state, seen as one row). A row diverges when its oracle's loss
-    is non-finite or above DIVERGENCE_LOSS, or the oracle raises
+    project(w). W holds the rows' current iterates, (K, n), or the flat (n,)
+    iterate of a lone run, which steps a flat (n,) state. A lone run of at
+    most FLOAT_MAX_N coordinates takes the float lane (see optim.FLOAT_MAX_N):
+    its states hold Python floats, which each kernel steps on its float body.
+    A row diverges when its oracle's loss is non-finite or above
+    DIVERGENCE_LOSS, or the oracle raises
     OverflowError (loss inf): it keeps its row, stepped with a zero gradient
     and never read again, and params[r] holds the iterate w_{t-1} its loss
     diverged at. When tol is given, steps_to_tol[r] is the first step whose
@@ -121,8 +126,7 @@ class _Population:
     def __init__(self, problems, optimizer: str, hps, steps: int, tol: float | None):
         if tol is not None and not tol > 0.0:
             raise ConfigError(f"tol must be positive, got {tol}")
-        if steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {steps}")
+        self.steps = check_count(steps, "steps")
         self._problems, hps = list(problems), tuple(hps)
         if not self._problems or len(self._problems) != len(hps):
             raise ConfigError(f"need one HyperParams per problem, got {len(hps)} "
@@ -131,12 +135,18 @@ class _Population:
         if len({w.size for w in starts}) > 1:
             raise ShapeError("the problems of a population must share their size")
         k, n = len(starts), starts[0].size
-        self._one = k == 1  # a lone run steps the flat (n,) state of the library path
+        self._one = k == 1
         hp = hps[0] if self._one else hps
         self._state, self._spare = init_state(optimizer, n, hp), init_state(optimizer, n, hp)
-        self.W = starts[0][None] if self._one else np.stack(starts)
-        # the gradient each step takes. A lone run's is the oracle's own (n,)
-        # array, kept until the next one arrives: dropping it at the end of
+        self._floats = self._one and n <= FLOAT_MAX_N  # the float lane
+        if self._floats:
+            for s in (self._state, self._spare):
+                vars(s).update([(f, v.tolist()) for f, v in vars(s).items()
+                                if isinstance(v, np.ndarray)])
+        self.W = starts[0] if self._one else np.stack(starts)
+        # the gradient each step takes, read as float64 as a population row
+        # is. A lone run's is the oracle's own (n,) array when that is
+        # float64, kept until the next one arrives: dropping it at the end of
         # each step raised a 1M-parameter run's peak RSS by 4 MiB. A
         # population's rows are written at step 1; a diverged row keeps zeros.
         self._G = None if self._one else np.empty((k, n))
@@ -146,17 +156,25 @@ class _Population:
         optima = [getattr(p, "optimum", None) for p in self._problems]
         self._pending = [tol is not None and o is not None for o in optima]
         if any(self._pending):  # rows without an optimum are never pending
-            self._tol_sq = tol * tol
+            self._tol_sq = tol_sq = tol * tol
+            # near tol**2, np.dot and a sum of at most FLOAT_MAX_N squares in
+            # Python each land within FLOAT_MAX_N ulps of tol**2 of the exact
+            # sum (a subnormal square adds under one more), so a sum further
+            # than this from tol**2 is on np.dot's side of it
+            self._band = 8 * FLOAT_MAX_N * math.ulp(tol_sq)
             self._opt = np.array([np.zeros(n) if o is None else o for o in optima])
             self._reached(0)
 
     def _reached(self, t: int) -> None:
-        if self._one:  # np.dot of one row gives that row's np.vecdot bits
-            d = self.W[0] - self._opt[0]
-            if float(np.dot(d, d)) <= self._tol_sq:
-                self.steps_to_tol[0], self._pending[0] = t, False
-            return
-        d = self.W - self._opt
+        if self._floats:  # a Python sum of squares, unless it may round across tol**2
+            dist_sq = 0.0
+            for w, o in zip(self.W.tolist(), self._opt.tolist()[0]):
+                dist_sq += (w - o) * (w - o)
+            if abs(dist_sq - self._tol_sq) > self._band:
+                if dist_sq <= self._tol_sq:
+                    self.steps_to_tol[0], self._pending[0] = t, False
+                return
+        d = self.W - self._opt  # np.vecdot takes each row's dot as np.dot does
         for r, dist_sq in enumerate(np.vecdot(d, d).tolist()):
             if self._pending[r] and dist_sq <= self._tol_sq:
                 self.steps_to_tol[r], self._pending[r] = t, False
@@ -165,33 +183,34 @@ class _Population:
         """Step t of every row, with histograms if snap. Returns the rows'
         losses at w_{t-1} (NaN for a row diverged earlier) and the step's
         diagnostics, or None in their place once every row has diverged,
-        when no step is taken."""
+        when no step is taken. A snap of None asks for no diagnostics, which
+        the float lane does not build (a race reads none)."""
         W, losses = self.W, []
+        rows = (W,) if self._one else W
         for r, problem in enumerate(self._problems):
             if self.diverged_at[r] is not None:
                 losses.append(math.nan)
                 continue
             try:
-                loss, g = problem.loss_grad(W[r])
+                loss, g = problem.loss_grad(rows[r])
             except OverflowError:
                 loss = math.inf
             losses.append(loss)
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                self.diverged_at[r], self.params[r], self._pending[r] = t, W[r], False
+                self.diverged_at[r], self.params[r], self._pending[r] = t, rows[r], False
                 g = 0.0
             if self._one:
-                self._G = g
+                self._G = np.asarray(g, np.float64)
             else:
                 self._G[r] = g
         if None not in self.diverged_at:
             return losses, None
-        new, w, diag = dispatch_step(self._state, W[0] if self._one else W, self._G,
-                                     collect_histogram=snap, out=self._spare)
+        new, self.W, diag = dispatch_step(self._state, W, self._G, snap, self._spare)
         self._state, self._spare = new, self._state
-        self.W = W = w[None] if self._one else w
+        rows = (self.W,) if self._one else self.W
         for r, project in self._projects:
             if self.diverged_at[r] is None:
-                W[r] = project(W[r])
+                rows[r][...] = project(rows[r])
         if any(self._pending):
             self._reached(t)
         return losses, diag
@@ -214,18 +233,17 @@ def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int =
     touches the other rows neither through their bits nor through warnings.
     The loop ends once every run has diverged.
     """
-    if snapshot_every < 1:
-        raise ConfigError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    snapshot_every = check_count(snapshot_every, "snapshot_every")
     # step-major columns: each step appends its k values (a snapshot its k
     # histograms), so run i's values are col[i::k]
     loss_col, norm_col, fraction_col, hist_t = array("d"), array("d"), array("d"), []
     with np.errstate(over="ignore"):  # overflow on the way to divergence is a result
         run = _Population(problems, optimizer, hps, steps, tol)
-        k, n = run.W.shape
+        k, n = len(run.params), run.W.shape[-1]
         count_type = np.min_scalar_type(n)
         count_col = array(count_type.char)
-        for t in range(1, steps + 1):
-            losses, diag = run.step(t, t % snapshot_every == 0 or t == steps)
+        for t in range(1, run.steps + 1):
+            losses, diag = run.step(t, t % snapshot_every == 0 or t == run.steps)
             loss_col.extend(losses)
             if diag is None:
                 break
@@ -238,7 +256,8 @@ def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int =
             if diag.bhat_histogram is not None:
                 count_col.frombytes(diag.bhat_histogram.astype(count_type).tobytes())
                 hist_t.append(t)
-    params = [run.W[r] if w is None else w for r, w in enumerate(run.params)]
+    rows = (run.W,) if k == 1 else run.W
+    params = [rows[r] if w is None else w for r, w in enumerate(run.params)]
     diverged_at, steps_to_tol = run.diverged_at, run.steps_to_tol
 
     def trajectory(i: int) -> Trajectory:
@@ -324,7 +343,7 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
     final distance is that of the iterate its loss diverged at. Each entrant
     steps through the run loop of record_runs and records no columns.
     """
-    optimum = problem.optimum
+    max_steps, optimum = check_count(max_steps, "max_steps"), problem.optimum
     if optimum is None:
         raise ConfigError(f"problem {problem.name!r} has no known optimum to race to")
     steps_to_tol: dict[str, int | None] = {}
@@ -335,9 +354,9 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
             for t in range(1, max_steps + 1):
                 if run.steps_to_tol[0] is not None or run.diverged_at[0] is not None:
                     break
-                run.step(t, False)
+                run.step(t, None)
             steps_to_tol[name] = run.steps_to_tol[0]
-            d = (run.W[0] if run.params[0] is None else run.params[0]) - optimum
+            d = (run.W if run.params[0] is None else run.params[0]) - optimum
             final_distance[name] = math.sqrt(float(d @ d))
     return RaceResult(steps_to_tol=steps_to_tol, final_distance=final_distance,
                       tol=tol, max_steps=max_steps)

@@ -14,8 +14,10 @@ operation writes into a preallocated destination, in the order and with the
 scalars of the equations below, so the bits are those of the plain
 expressions. Above CHUNK coordinates the body runs one L2-sized chunk at a
 time; elementwise arithmetic gives the same bits on a slice, and step_norm
-stays one dot over the whole update. A lone run of AGD or the Adam family
-with at most FLOAT_MAX_N coordinates runs the same operations on Python
+stays one dot over the whole update. A state from init_state takes this
+NumPy body at every n. The run loop's float lane keeps a lone run of at most
+FLOAT_MAX_N coordinates as a state whose vectors are Python floats, and each
+kernel steps such a state through its float body, the same operations on
 floats, which give the same bits at a fraction of the ufunc calls' cost.
 
 Populations: `init_state(name, n, hps)` with a sequence of K HyperParams
@@ -71,6 +73,7 @@ from .core import (  # CHUNK is re-exported for cli
     ShapeError,
     StepDiagnostics,
     bhat_histogram,
+    check_count,
     chunked,
 )
 
@@ -129,6 +132,7 @@ def init_state(name: str, n: int, hp):
     hp is one HyperParams for one run, or a sequence of K of them for a
     population of K runs (see the module docstring).
     """
+    n = check_count(n, "n")
     if isinstance(hp, HyperParams):
         hp.validate()
         shape = n
@@ -188,38 +192,6 @@ def _norm(update):
     return np.sqrt(np.vecdot(update, update))
 
 
-# A lone run (an (n,) float64 state) of at most FLOAT_MAX_N coordinates steps
-# AGD and the Adam family through the kernel's `floats` body, one loop over
-# the coordinates on Python floats: on such vectors each of the NumPy body's
-# ~17 ufunc calls costs more in call overhead than in arithmetic. It repeats
-# every operation of the NumPy body in the same order and association, so the
-# bits are the same: a max is a comparison that keeps np.maximum's NaN, and a
-# square a product (Python's float ** raises OverflowError where * gives inf).
-# step_norm and the histogram still come from NumPy, as np.dot rounds unlike
-# a sum in Python. The limit is where the float loop's per-coordinate cost
-# catches up: a dispatch_step with the NumPy body took this many times as
-# long as with the float body (median of 21 interleaved pairs of 2000 steps,
-# 2-core x86-64, Python 3.11, NumPy 2.4.6):
-#
-#     n            1     2     4     8     16
-#     agd          2.75  1.88  1.55  1.25  0.89
-#     agd_amsgrad  3.00  1.98  1.67  1.37  0.90
-#     adam         2.36  1.64  1.42  1.24  0.84
-#     adabelief    2.74  1.80  1.57  1.31  0.98
-#
-# SGD keeps its NumPy body of four ufunc calls, where a float body saved
-# about 1 us of a 6-10 us step at n = 2.
-FLOAT_MAX_N = 8
-_F64 = np.dtype(np.float64)
-
-
-def _on_floats(w, g) -> bool:
-    """Whether a step takes the float body: a lone run of at most FLOAT_MAX_N
-    float64 coordinates. Any other dtype takes the NumPy body, whose casts
-    the floats would not repeat."""
-    return w.ndim == 1 and 0 < w.shape[0] <= FLOAT_MAX_N and w.dtype is g.dtype is _F64
-
-
 # One kernel serves AGD and the Adam family, and reads the variant's rules
 # from the state. Its second moment, AGD's b or the Adam family's v, takes one
 # slot fed with x**2. AGD's x is s_t; it divides by the floor max(bhat, delta),
@@ -252,6 +224,8 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
     decoupled weight decay that dispatch_step works out, multiplies w before
     the update is subtracted.
     """
+    if not isinstance(state.m, np.ndarray):
+        return _float_body(state, w, g, collect_histogram, out, decay)
     t, hp = state.t + 1, state.hp
     beta1_t, lr, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
     beta1_prod = state.beta1_prod * beta1_t
@@ -269,81 +243,51 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
     v_in, v_out = getattr(state, vecs[1]), getattr(out, vecs[1])
 
     n = w.shape[-1]
-    if not _on_floats(w, g):
-        def body(m0, v0, g, w, m, v, s, new_w, r, prev=None, corrected=None):
-            # m = beta1_t * m0 + (1 - beta1_t) * g
-            np.multiply(m0, beta1_t, m)
-            np.multiply(g, 1.0 - beta1_t, s)
-            np.add(m, s, m)
-            # x = m / corr1 - prev (just m / corr1 at t = 1), g - m or g
-            x = g
-            if agd:
-                x = np.divide(m, corr1, corrected)
-                if t > 1:
-                    x = np.subtract(corrected, prev, s)
-            elif belief:
-                x = np.subtract(g, m, s)
-            # v = beta2 * v0 + (1 - beta2) * x**2, then the clamp or + delta
-            np.multiply(x, x, s)
-            np.multiply(s, 1.0 - beta2, s)
-            np.multiply(v0, beta2, v)
-            np.add(v, s, v)
-            if amsgrad:
-                np.maximum(v, v0, out=v)
-            if belief:
-                np.add(v, delta, v)
-            # r = sqrt(v / bc2); update = scale * m / max(r, delta) or / (r + delta)
-            np.divide(v, bc2, r)
-            np.sqrt(r, r)
-            truncated = 0
-            if agd:
-                below = r < delta
-                truncated = (int(np.count_nonzero(below)) if below.ndim == 1
-                             else np.count_nonzero(below, axis=-1))
-                np.maximum(r, delta, out=s)
-            else:
-                np.add(r, delta, s)
-            np.divide(m, s, s)
-            np.multiply(s, scale, s)  # the update
-            np.subtract(w if decay is None else np.multiply(w, decay, new_w), s, new_w)
-            return truncated
 
-        update, new_w = np.empty(w.shape), np.empty(w.shape)
-        r = np.empty(w.shape) if collect_histogram else new_w
-        arrays = (state.m, v_in, g, w, out.m, v_out, update, new_w, r)
+    def body(m0, v0, g, w, m, v, s, new_w, r, prev=None, corrected=None):
+        # m = beta1_t * m0 + (1 - beta1_t) * g
+        np.multiply(m0, beta1_t, m)
+        np.multiply(g, 1.0 - beta1_t, s)
+        np.add(m, s, m)
+        # x = m / corr1 - prev (just m / corr1 at t = 1), g - m or g
+        x = g
         if agd:
-            arrays += (state.prev_corrected, out.prev_corrected)
-        truncated = chunked(body, n, arrays)
-    else:
-        # body's operations on Python floats, one coordinate at a time
-        a1, a2, rows, truncated, gs = 1.0 - beta1_t, 1.0 - beta2, [], 0, g.tolist()
-        prevs = state.prev_corrected.tolist() if agd else gs  # read by AGD only
-        for m0, v0, prev, gi, wi in zip(state.m.tolist(), v_in.tolist(), prevs, gs,
-                                        w.tolist()):
-            m = m0 * beta1_t + gi * a1
-            if agd:
-                c = m / corr1
-                x = c if t == 1 else c - prev
-            else:
-                c, x = None, gi - m if belief else gi
-            v = v0 * beta2 + x * x * a2
-            if amsgrad:
-                v = v0 if v < v0 else v
-            if belief:
-                v += delta
-            r = math.sqrt(v / bc2)
-            if agd:
-                below = r < delta
-                truncated += below
-                u = m / (delta if below else r) * scale
-            else:
-                u = m / (r + delta) * scale
-            rows.append((m, v, c, u, (wi if decay is None else wi * decay) - u, r))
-        out.m[...], v_out[...], corrected, update, new_w, r = zip(*rows)
+            x = np.divide(m, corr1, corrected)
+            if t > 1:
+                x = np.subtract(corrected, prev, s)
+        elif belief:
+            x = np.subtract(g, m, s)
+        # v = beta2 * v0 + (1 - beta2) * x**2, then the clamp or + delta
+        np.multiply(x, x, s)
+        np.multiply(s, 1.0 - beta2, s)
+        np.multiply(v0, beta2, v)
+        np.add(v, s, v)
+        if amsgrad:
+            np.maximum(v, v0, out=v)
+        if belief:
+            np.add(v, delta, v)
+        # r = sqrt(v / bc2); update = scale * m / max(r, delta) or / (r + delta)
+        np.divide(v, bc2, r)
+        np.sqrt(r, r)
+        truncated = 0
         if agd:
-            out.prev_corrected[...] = corrected
-        update, new_w = np.array(update), np.array(new_w)
-        r = np.array(r) if collect_histogram else None
+            below = r < delta
+            truncated = (int(np.count_nonzero(below)) if below.ndim == 1
+                         else np.count_nonzero(below, axis=-1))
+            np.maximum(r, delta, out=s)
+        else:
+            np.add(r, delta, s)
+        np.divide(m, s, s)
+        np.multiply(s, scale, s)  # the update
+        np.subtract(w if decay is None else np.multiply(w, decay, new_w), s, new_w)
+        return truncated
+
+    update, new_w = np.empty(w.shape), np.empty(w.shape)
+    r = np.empty(w.shape) if collect_histogram else new_w
+    arrays = (state.m, v_in, g, w, out.m, v_out, update, new_w, r)
+    if agd:
+        arrays += (state.prev_corrected, out.prev_corrected)
+    truncated = chunked(body, n, arrays)
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),
@@ -366,6 +310,8 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
     second-moment histogram. `out`, decay and the returned arrays behave as in
     agd_step.
     """
+    if not isinstance(state.buffer, np.ndarray):
+        return _float_body(state, w, g, collect_histogram, out, decay)
     t, hp = state.t + 1, state.hp
     lr, mu = _per_row(_momentum_terms, hp, t)
     if out is None:
@@ -386,6 +332,95 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
     )
     out.t, out.hp = t, hp
     return out, new_w, diag
+
+
+# The float lane: the run loop (diagnostics._Population) keeps a lone run of
+# at most FLOAT_MAX_N coordinates as a state whose vectors are sequences of
+# Python floats, chosen from n when the run starts, and each kernel hands such
+# a state to _float_body: one loop over the coordinates, where each of the
+# NumPy body's ufunc calls would cost more in call overhead than in
+# arithmetic. It repeats every operation of the NumPy body in the same order
+# and association, so the bits are the same: a max is a comparison that keeps
+# np.maximum's NaN, and a square a product (Python's float ** raises
+# OverflowError where * gives inf). w and g stay arrays at the kernel's
+# boundary, and out's vectors are replaced, never written into. step_norm and
+# the histogram still come from NumPy, as np.dot rounds unlike a sum in
+# Python; collect_histogram=None (a race's steps) builds no diagnostics at
+# all. The limit stays below where the loop's per-coordinate cost catches up:
+# a dispatch_step(..., collect_histogram=False) on an init_state state took
+# this many times as long as on the same state with its vectors as floats
+# (median of 21 interleaved pairs of 2000 steps, 2-core x86-64, Python 3.11,
+# NumPy 2.4.6):
+#
+#     n            1     2     4     8     16
+#     agd          3.13  2.25  1.90  1.53  1.04
+#     agd_amsgrad  3.32  2.27  2.03  1.58  1.17
+#     adam         2.84  2.01  1.78  1.49  1.04
+#     adamw        2.79  1.98  1.75  1.48  1.08
+#     adabelief    2.95  2.03  1.82  1.49  1.13
+#     sgd          1.39  1.13  1.09  0.92  0.75
+#
+# SGD's NumPy body is only four ufunc calls. Against its float body with no
+# diagnostics, as a race's steps take it, the same ratio at n = 2 and 8 was
+# 1.76 and 1.28.
+FLOAT_MAX_N = 8
+
+
+def _float_body(state, w, g, collect_histogram, out, decay):
+    """A kernel's float body: the step of a float-lane state, as its NumPy
+    body takes it."""
+    t, hp, rows, truncated = state.t + 1, state.hp, [], 0
+    if isinstance(state, SgdState):
+        lr, mu = _momentum_terms(hp, t)
+        for b0, gi, wi in zip(state.buffer, g.tolist(), w.tolist()):
+            b = b0 * mu + gi
+            u = b * lr
+            rows.append((b, u, (wi if decay is None else wi * decay) - u))
+        out.buffer, update, new_w = zip(*rows)
+        truncated, r = len(rows), None  # every coordinate takes the momentum path
+    else:
+        # corr1 > 0: the run loop binds validated HyperParams, whose beta1_t < 1
+        beta1_t, lr, bc2, beta2, delta = _moment_terms(hp, t)
+        out.beta1_prod = state.beta1_prod * beta1_t
+        corr1 = 1.0 - out.beta1_prod
+        scale, a1, a2 = lr / corr1, 1.0 - beta1_t, 1.0 - beta2
+        if isinstance(state, AgdState):
+            for m0, v0, prev, gi, wi in zip(state.m, state.b, state.prev_corrected,
+                                            g.tolist(), w.tolist()):
+                m = m0 * beta1_t + gi * a1
+                c = m / corr1
+                x = c if t == 1 else c - prev
+                v = v0 * beta2 + x * x * a2
+                if state.amsgrad:
+                    v = v0 if v < v0 else v
+                r = math.sqrt(v / bc2)
+                below = r < delta
+                truncated += below
+                u = m / (delta if below else r) * scale
+                rows.append((m, v, c, u, (wi if decay is None else wi * decay) - u, r))
+            out.m, out.b, out.prev_corrected, update, new_w, r = zip(*rows)
+        else:
+            belief = state.variant == "adabelief"
+            for m0, v0, gi, wi in zip(state.m, state.v, g.tolist(), w.tolist()):
+                m = m0 * beta1_t + gi * a1
+                x = gi - m if belief else gi
+                v = v0 * beta2 + x * x * a2
+                if belief:
+                    v += delta
+                r = math.sqrt(v / bc2)
+                u = m / (r + delta) * scale
+                rows.append((m, v, u, (wi if decay is None else wi * decay) - u, r))
+            out.m, out.v, update, new_w, r = zip(*rows)
+    out.t, out.hp = t, hp
+    diag = None if collect_histogram is None else StepDiagnostics(
+        truncated / len(rows), _norm(np.array(update)),
+        bhat_histogram(np.array(r)) if collect_histogram and r else None)
+    return out, np.array(new_w), diag
+
+
+def _shape(vec) -> tuple:
+    """The shape of a state vector, an array or a float-lane sequence."""
+    return vec.shape if isinstance(vec, np.ndarray) else (len(vec),)
 
 
 def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
@@ -409,16 +444,16 @@ def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
         kernel, field = sgd_momentum_step, "buffer"
     else:
         raise ConfigError(f"unrecognized optimizer state {type(state).__name__}")
-    vec = getattr(state, field)
-    if not w.shape == g.shape == vec.shape:
+    shape = _shape(getattr(state, field))
+    if not w.shape == g.shape == shape:
         raise ShapeError(f"shape mismatch: params {w.shape}, gradient {g.shape}, "
-                         f"state {vec.shape}")
+                         f"state {shape}")
     if out is not None and (type(out) is not type(state) or out is state
-                            or getattr(out, field).shape != vec.shape):
+                            or _shape(getattr(out, field)) != shape):
         raise ShapeError("out must be a second state of the same type and size")
     hp, t = state.hp, state.t + 1
     decay = None
     if (hp.weight_decay > 0.0 if isinstance(hp, HyperParams)
             else any(h.weight_decay > 0.0 for h in hp)):
         (decay,) = _per_row(_decay_terms, hp, t)
-    return kernel(state, w, g, collect_histogram, out=out, decay=decay)
+    return kernel(state, w, g, collect_histogram, out, decay)

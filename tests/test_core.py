@@ -68,7 +68,9 @@ def test_step_schedule_at():
 
 def test_milestones_reject_bad_entries():
     # a NaN factor passes `factor <= 0.0`: accepted, it made a run's rate NaN
-    for entry in ((0, 0.1), (30, 0.0), (30, math.nan), (30, math.inf)):
+    # a NaN step never applied its factor, 2.5 applied it from step 3
+    for entry in ((0, 0.1), (30, 0.0), (30, math.nan), (30, math.inf), (math.nan, 0.5),
+                  (2.5, 0.5), (True, 0.5)):
         with pytest.raises(ConfigError, match="milestone"):
             HyperParams(alpha=0.1, lr_schedule="milestones", milestones=(entry,)).validate()
 
@@ -121,6 +123,8 @@ def test_beta1_at_matches_schedule():
     {"alpha": 1e-3, "beta2": 1.0},
     {"alpha": 1e-3, "delta": 0.0},
     {"alpha": 1e-3, "weight_decay": -0.01},
+    {"alpha": True},
+    {"alpha": 1e-3, "beta1": "0.5"},
 ])
 def test_hyperparam_validation_rejects(kwargs):
     with pytest.raises(ConfigError):

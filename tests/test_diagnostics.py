@@ -133,6 +133,51 @@ def test_record_run_validates():
         record_run(p, "newton", HP, steps=5)
 
 
+@pytest.mark.parametrize("kwargs", [{"steps": True}, {"steps": 2.5},
+                                    {"steps": 5, "snapshot_every": 1.5}])
+def test_record_run_rejects_a_count_that_is_not_an_integer(kwargs):
+    # steps=True ran one step and snapshot_every=1.5 was accepted
+    p = TestFnProblem(TESTFNS["quad_skew"])
+    with pytest.raises(ConfigError, match="must be an integer"):
+        record_run(p, "agd", HP, **kwargs)
+
+
+@pytest.mark.parametrize("max_steps", [True, 2.5])
+def test_race_rejects_a_budget_that_is_not_an_integer(max_steps):
+    p = TestFnProblem(TESTFNS["quad_skew"])
+    with pytest.raises(ConfigError, match="max_steps must be an integer"):
+        race(p, ["agd"], {"agd": HP}, max_steps=max_steps)
+
+
+class Float32Quadratic:
+    """A quadratic whose oracle returns its gradient as float32."""
+
+    name, optimum = "quad32", None
+
+    def __init__(self, n):
+        self.n = n
+
+    def init_params(self):
+        return np.linspace(-1.0, 1.0, self.n)
+
+    def loss_grad(self, w):
+        d = (w - 0.3) * np.linspace(1.0, 3.0, self.n)
+        return float(d @ d), d.astype(np.float32)
+
+
+@pytest.mark.parametrize("n", [2, 12])
+@pytest.mark.parametrize("optimizer", ["agd", "adam", "sgd"])
+def test_record_run_reads_a_float32_gradient_as_a_population_row_does(optimizer, n):
+    # a population row takes its gradient as float64 through the (K, n)
+    # block; a lone run reads it as float64 too, so both carry the same bits
+    hp = HyperParams(alpha=1e-2)
+    alone = record_run(Float32Quadratic(n), optimizer, hp, steps=50)
+    row = record_runs([Float32Quadratic(n), Float32Quadratic(n)], optimizer, [hp, hp],
+                      steps=50)[0]
+    for k in ("loss", "step_norm", "truncation_fraction", "hists", "params"):
+        assert np.array_equal(getattr(alone, k), getattr(row, k)), k
+
+
 def test_record_run_flags_divergence():
     # heavy-ball at lr 10 blows up on the rosenbrock valley immediately
     p = TestFnProblem(TESTFNS["rosenbrock"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agdopt.core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, ShapeError
+from agdopt.diagnostics import _Population
 from agdopt.optim import (
     CHUNK,
     FLOAT_MAX_N,
@@ -52,6 +53,12 @@ def test_init_state_shapes():
 def test_init_state_unknown_name():
     with pytest.raises(ConfigError):
         init_state("adagrad", 3, HP)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.5])
+def test_init_state_rejects_a_bad_size(n):
+    with pytest.raises(ConfigError, match="n must be"):
+        init_state("agd", n, HP)
 
 
 # ------------------------------------------------- momentum-difference values
@@ -506,34 +513,54 @@ def _same_bits(a, b):
             and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
+class GradientStream:
+    """Hands out the given gradients in turn, at loss 0."""
+
+    name, optimum = "stream", None
+
+    def __init__(self, w0, grads):
+        self.w0, self.grads = w0, iter(grads)
+
+    def init_params(self):
+        return self.w0.copy()
+
+    def loss_grad(self, w):
+        return 0.0, next(self.grads)
+
+
 @settings(max_examples=300)
-@given(st.sampled_from(("agd", "agd_amsgrad", "adam", "adamw", "adabelief")),
-       oracle_hyperparams(), st.integers(1, FLOAT_MAX_N + 1), st.integers(1, 6),
-       st.data())
+@given(st.sampled_from(OPTIMIZER_NAMES), oracle_hyperparams(),
+       st.integers(1, FLOAT_MAX_N + 1), st.integers(1, 6), st.data())
 def test_float_body_matches_numpy_body(name, hp, n, steps, data):
-    # a lone run at n <= FLOAT_MAX_N takes the float body; the (1, n)
-    # population of the same run takes the NumPy body
+    # the run loop steps a lone run of n <= FLOAT_MAX_N coordinates on its
+    # float lane; a library state takes the NumPy body at every n
     value = st.one_of(st.sampled_from(EXTREME_GRADS), st.floats(-10.0, 10.0))
     w = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
-    lone, row, w_row = init_state(name, n, hp), init_state(name, n, [hp]), w[None]
-    fields = [k for k, v in vars(lone).items() if isinstance(v, np.ndarray)]
-    for _ in range(steps):
-        g = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
-        snap = data.draw(st.booleans())
-        with np.errstate(all="ignore"):  # n = FLOAT_MAX_N + 1 is NumPy on both sides
-            lone, w, diag = dispatch_step(lone, w, g, snap)
-            row, w_row, row_diag = dispatch_step(row, w_row, g[None], snap)
-        for k in fields:
-            assert _same_bits(getattr(lone, k), getattr(row, k)[0]), k
-        assert _same_bits(w, w_row[0])
-        assert _same_bits(diag.truncation_fraction,
-                          np.ravel(row_diag.truncation_fraction)[0])
-        assert _same_bits(diag.step_norm, row_diag.step_norm[0])
-        if snap:
-            assert np.array_equal(diag.bhat_histogram, row_diag.bhat_histogram[0])
-        else:
-            assert diag.bhat_histogram is row_diag.bhat_histogram is None
-        assert lone.beta1_prod == row.beta1_prod and lone.t == row.t
+    grads = [np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+             for _ in range(steps)]
+    with np.errstate(all="ignore"):  # n = FLOAT_MAX_N + 1 is NumPy on both sides
+        lane = _Population([GradientStream(w, grads)], name, [hp], steps, None)
+        lib = init_state(name, n, hp)
+        fields = [k for k, v in vars(lib).items() if isinstance(v, np.ndarray)]
+        for t, g in enumerate(grads, 1):
+            snap = data.draw(st.sampled_from((None, False, True)))  # None: a race's step
+            _, diag = lane.step(t, snap)
+            lib, w, lib_diag = dispatch_step(lib, w, g, bool(snap))
+            state = lane._state
+            for k in fields:
+                assert _same_bits(getattr(state, k), getattr(lib, k)), k
+            assert _same_bits(lane.W, w)
+            assert getattr(state, "beta1_prod", None) == getattr(lib, "beta1_prod", None)
+            assert state.t == lib.t
+            if diag is None:
+                assert snap is None and n <= FLOAT_MAX_N  # only the lane skips them
+                continue
+            assert _same_bits(diag.truncation_fraction, lib_diag.truncation_fraction)
+            assert _same_bits(diag.step_norm, lib_diag.step_norm)
+            if snap:
+                assert np.array_equal(diag.bhat_histogram, lib_diag.bhat_histogram)
+            else:
+                assert diag.bhat_histogram is lib_diag.bhat_histogram is None
 
 
 @pytest.mark.parametrize("n", [2, 3, CHUNK + 1])

@@ -80,6 +80,28 @@ def test_each_optimizer_lands_in_its_kernel_span(spans, tmp_path, optimizer):
     assert list(tracer.sizes.values()) == [(KERNEL_SPANS[optimizer], 2)] * 2
 
 
+def test_traced_race_steps_every_optimizer_through_its_kernel_span(spans, tmp_path):
+    # a race steps each lone n = 2 entrant on the run loop's float lane, which
+    # still enters every step through the labelled kernel
+    cfg = tmp_path / "race.json"
+    hyperparams = {o: {"alpha": 1e-2} for o in OPTIMIZER_NAMES}
+    hyperparams["adamw"]["weight_decay"] = 1e-4
+    hyperparams["sgd"] = {"alpha": 1e-3}
+    cfg.write_text(json.dumps({
+        "problem": {"kind": "testfn", "name": "rosenbrock", "start": [0.9, 0.8]},
+        "entrants": [{"optimizer": o, "hyperparams": hyperparams[o]}
+                     for o in OPTIMIZER_NAMES],
+        "tol": 1e-2, "max_steps": 400,
+    }))
+    out = tmp_path / "race"
+    tracer = _trace(spans, ["race", "--config", str(cfg), "--out", str(out)])
+    result = json.loads((out / "race.json").read_text())
+    taken = [400 if s is None else s for s in result["steps_to_tol"].values()]
+    assert 400 in taken and min(taken) < 400  # entrants that finish and that do not
+    assert set(tracer.sizes.values()) == {(k, 2) for k in KERNEL_SPANS.values()}
+    assert tracer.names.count("optim.step") == sum(taken)
+
+
 def test_traced_mlp_run_reaches_the_model_layers(spans, tmp_path):
     cfg = tmp_path / "mlp.json"
     cfg.write_text(json.dumps({
