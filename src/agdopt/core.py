@@ -125,9 +125,10 @@ class HyperParams:
         if self.beta1_schedule not in BETA1_KINDS:
             raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}")
         for entry in self.milestones:
-            step, factor = entry
-            if (check_int(step, "milestone step") < 1
-                    or not check_num(factor, "milestone factor") > 0.0):
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+                raise ConfigError(f"bad milestone {entry!r}; expected (step, factor)")
+            if (check_int(entry[0], "milestone step") < 1
+                    or not check_num(entry[1], "milestone factor") > 0.0):
                 raise ConfigError(f"bad milestone {entry!r}")
 
     def lr_at(self, t: int) -> float:

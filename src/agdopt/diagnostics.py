@@ -141,7 +141,7 @@ class _Population:
         self._floats = self._one and n <= FLOAT_MAX_N  # the float lane
         if self._floats:
             for s in (self._state, self._spare):
-                vars(s).update([(f, v.tolist()) for f, v in vars(s).items()
+                vars(s).update([(f, tuple(v.tolist())) for f, v in vars(s).items()
                                 if isinstance(v, np.ndarray)])
         self.W = starts[0] if self._one else np.stack(starts)
         # the gradient each step takes, read as float64 as a population row

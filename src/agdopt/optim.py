@@ -224,7 +224,7 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
     decoupled weight decay that dispatch_step works out, multiplies w before
     the update is subtracted.
     """
-    if not isinstance(state.m, np.ndarray):
+    if type(state.m) is tuple:  # a float-lane state
         return _float_body(state, w, g, collect_histogram, out, decay)
     t, hp = state.t + 1, state.hp
     beta1_t, lr, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
@@ -310,7 +310,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
     second-moment histogram. `out`, decay and the returned arrays behave as in
     agd_step.
     """
-    if not isinstance(state.buffer, np.ndarray):
+    if type(state.buffer) is tuple:  # a float-lane state
         return _float_body(state, w, g, collect_histogram, out, decay)
     t, hp = state.t + 1, state.hp
     lr, mu = _per_row(_momentum_terms, hp, t)
@@ -335,7 +335,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 
 
 # The float lane: the run loop (diagnostics._Population) keeps a lone run of
-# at most FLOAT_MAX_N coordinates as a state whose vectors are sequences of
+# at most FLOAT_MAX_N coordinates as a state whose vectors are tuples of
 # Python floats, chosen from n when the run starts, and each kernel hands such
 # a state to _float_body: one loop over the coordinates, where each of the
 # NumPy body's ufunc calls would cost more in call overhead than in
@@ -353,16 +353,16 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 # NumPy 2.4.6):
 #
 #     n            1     2     4     8     16
-#     agd          3.13  2.25  1.90  1.53  1.04
-#     agd_amsgrad  3.32  2.27  2.03  1.58  1.17
-#     adam         2.84  2.01  1.78  1.49  1.04
-#     adamw        2.79  1.98  1.75  1.48  1.08
-#     adabelief    2.95  2.03  1.82  1.49  1.13
-#     sgd          1.39  1.13  1.09  0.92  0.75
+#     agd          3.33  2.26  1.92  1.51  1.00
+#     agd_amsgrad  3.45  2.31  1.99  1.53  1.08
+#     adam         2.64  1.99  1.75  1.40  1.02
+#     adamw        2.81  1.97  1.78  1.47  1.09
+#     adabelief    3.10  2.12  2.02  1.51  1.12
+#     sgd          1.43  1.16  1.08  0.87  0.65
 #
 # SGD's NumPy body is only four ufunc calls. Against its float body with no
 # diagnostics, as a race's steps take it, the same ratio at n = 2 and 8 was
-# 1.76 and 1.28.
+# 1.86 and 1.32.
 FLOAT_MAX_N = 8
 
 
@@ -419,8 +419,8 @@ def _float_body(state, w, g, collect_histogram, out, decay):
 
 
 def _shape(vec) -> tuple:
-    """The shape of a state vector, an array or a float-lane sequence."""
-    return vec.shape if isinstance(vec, np.ndarray) else (len(vec),)
+    """The shape of a state vector, an array or a float-lane tuple."""
+    return (len(vec),) if type(vec) is tuple else vec.shape
 
 
 def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):

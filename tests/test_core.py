@@ -70,7 +70,7 @@ def test_milestones_reject_bad_entries():
     # a NaN factor passes `factor <= 0.0`: accepted, it made a run's rate NaN
     # a NaN step never applied its factor, 2.5 applied it from step 3
     for entry in ((0, 0.1), (30, 0.0), (30, math.nan), (30, math.inf), (math.nan, 0.5),
-                  (2.5, 0.5), (True, 0.5)):
+                  (2.5, 0.5), (True, 0.5), (30, 0.5, 1)):
         with pytest.raises(ConfigError, match="milestone"):
             HyperParams(alpha=0.1, lr_schedule="milestones", milestones=(entry,)).validate()
 
