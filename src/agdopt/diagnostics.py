@@ -168,7 +168,7 @@ class _Population:
     def _reached(self, t: int) -> None:
         if self._floats:  # a Python sum of squares, unless it may round across tol**2
             dist_sq = 0.0
-            for w, o in zip(self.W.tolist(), self._opt.tolist()[0]):
+            for w, o in zip(self.W.tolist(), self._opt.tolist()[0], strict=True):
                 dist_sq += (w - o) * (w - o)
             if abs(dist_sq - self._tol_sq) > self._band:
                 if dist_sq <= self._tol_sq:
@@ -179,7 +179,7 @@ class _Population:
             if self._pending[r] and dist_sq <= self._tol_sq:
                 self.steps_to_tol[r], self._pending[r] = t, False
 
-    def step(self, t: int, snap: bool):
+    def step(self, t: int, snap: bool | None):
         """Step t of every row, with histograms if snap. Returns the rows'
         losses at w_{t-1} (NaN for a row diverged earlier) and the step's
         diagnostics, or None in their place once every row has diverged,

@@ -367,8 +367,9 @@ FLOAT_MAX_N = 8
 
 
 def _float_body(state, w, g, collect_histogram, out, decay):
-    """A kernel's float body: the step of a float-lane state, as its NumPy
-    body takes it."""
+    """A kernel's float body: (state', w', diagnostics) of a float-lane state,
+    with the bits of the NumPy body, and no diagnostics at all when
+    collect_histogram is None. out, the lane's second state, is required."""
     t, hp, rows, truncated = state.t + 1, state.hp, [], 0
     if isinstance(state, SgdState):
         lr, mu = _momentum_terms(hp, t)

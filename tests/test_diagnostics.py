@@ -513,6 +513,13 @@ def test_race_rejects_bad_tol():
             race(p, ["agd"], {"agd": HP}, tol=tol)
 
 
+def test_race_rejects_an_optimum_of_another_size():
+    p = TestFnProblem(TESTFNS["quad_skew"])
+    p.optimum = np.zeros(3)
+    with pytest.raises(ValueError):
+        race(p, ["agd"], {"agd": HP})
+
+
 def test_race_rejects_an_empty_budget():
     p = TestFnProblem(TESTFNS["quad_skew"])
     with pytest.raises(ConfigError, match="steps"):
