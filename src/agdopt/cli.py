@@ -26,8 +26,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import (BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, bounded, check_int,
-                   check_num)
+from .core import (BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, bounded, check_count,
+                   check_int, check_num)
 from .diagnostics import MlpProblem, TestFnProblem, race, record_run, record_runs
 from .models import ACTIVATIONS, LOSSES, MlpSpec, two_moons
 from .optim import CHUNK, OPTIMIZER_NAMES
@@ -136,7 +136,6 @@ def _one_of(*choices: str):
     return one_of
 
 
-_COUNT = bounded(check_int, 1)
 _POSITIVE = bounded(check_num, 0.0, strict=True)
 _NONNEGATIVE = bounded(check_num, 0.0)
 
@@ -183,14 +182,14 @@ _DATASET = {"name": (_one_of("two_moons"), REQUIRED), "n": (bounded(check_int, 2
 _PROBLEMS = {
     "testfn": {"name": (_one_of(*TESTFNS), REQUIRED), "start": (_start, None)},
     "mlp": {
-        "hidden_dim": (_COUNT, 16),
+        "hidden_dim": (check_count, 16),
         "activation": (_one_of(*ACTIVATIONS), "tanh"),
         "loss": (_one_of(*LOSSES), "logistic"),
         "dataset": (lambda v, where: _section(v, _DATASET, where), REQUIRED),
-        "batch_size": (_COUNT, 8),
+        "batch_size": (check_count, 8),
     },
     # the horizon is the run's steps count
-    "regret": {"dim": (_COUNT, 2), "center_scale": (_POSITIVE, 1.0),
+    "regret": {"dim": (check_count, 2), "center_scale": (_POSITIVE, 1.0),
                "margin": (_NONNEGATIVE, 1.0)},
 }
 
@@ -210,9 +209,9 @@ _RUN = {
     "optimizer": (_one_of(*OPTIMIZER_NAMES), REQUIRED),
     "hyperparams": (_hyperparams, REQUIRED),
     "seed": (check_int, REQUIRED),
-    "steps": (_COUNT, None),
-    "epochs": (_COUNT, None),
-    "snapshot_every": (_COUNT, 1),
+    "steps": (check_count, None),
+    "epochs": (check_count, None),
+    "snapshot_every": (check_count, 1),
     "tol": (_POSITIVE, 1e-2),
 }
 
@@ -453,7 +452,7 @@ _RACE = {
     "problem": (_problem, REQUIRED),
     "entrants": (_entrants, REQUIRED),
     "tol": (_POSITIVE, 1e-2),
-    "max_steps": (_COUNT, 100_000),
+    "max_steps": (check_count, 100_000),
 }
 
 

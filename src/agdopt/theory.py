@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BETA1_KINDS, ConfigError, HyperParams
+from .core import ConfigError, HyperParams, check_count
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -121,16 +121,9 @@ def alpha_hat_series(alpha: float, beta1: float, beta1_schedule: str,
     Claimed strictly decreasing in t whenever the momentum coefficient is
     non-increasing, beta2=0 included.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ConfigError(f"alpha must be a positive finite real, got {alpha}")
-    if not (0.0 <= beta2 < 1.0):
-        raise ConfigError(f"beta2 must lie in [0, 1), got {beta2}")
-    if not (0.0 <= beta1 < 1.0):
-        raise ConfigError(f"beta1 must lie in [0, 1), got {beta1}")
-    if T < 1:
-        raise ConfigError(f"T must be >= 1, got {T}")
-    if beta1_schedule not in BETA1_KINDS:
-        raise ConfigError(f"unknown beta1 schedule {beta1_schedule!r}")
+    HyperParams(alpha=alpha, beta1=beta1, beta2=beta2,
+                beta1_schedule=beta1_schedule).validate()
+    T = check_count(T, "T")
     t = np.arange(1, T + 1, dtype=np.float64)
     sqrt_t = np.sqrt(t)
     # every schedule starts at beta1 and never rises, so beta1_t**t <=
