@@ -110,15 +110,15 @@ class HyperParams:
     def validate(self) -> None:
         for name in ("alpha", "beta1", "beta2", "delta", "weight_decay"):
             check_num(getattr(self, name), name)
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+        if not self.alpha > 0.0:
             raise ConfigError(f"alpha must be a positive finite real, got {self.alpha}")
         if not (0.0 <= self.beta1 < 1.0):
             raise ConfigError(f"beta1 must lie in [0, 1), got {self.beta1}")
         if not (0.0 <= self.beta2 < 1.0):
             raise ConfigError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
+        if not self.delta > 0.0:
             raise ConfigError(f"delta must be a positive finite real, got {self.delta}")
-        if not (self.weight_decay >= 0.0 and math.isfinite(self.weight_decay)):
+        if not self.weight_decay >= 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.lr_schedule not in LR_KINDS:
             raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")

@@ -163,12 +163,13 @@ class _Population:
             # than this from tol**2 is on np.dot's side of it
             self._band = 8 * FLOAT_MAX_N * math.ulp(tol_sq)
             self._opt = np.array([np.zeros(n) if o is None else o for o in optima])
+            self._lone_opt = self._opt.tolist()[0]  # read by the float lane
             self._reached(0)
 
     def _reached(self, t: int) -> None:
         if self._floats:  # a Python sum of squares, unless it may round across tol**2
             dist_sq = 0.0
-            for w, o in zip(self.W.tolist(), self._opt.tolist()[0], strict=True):
+            for w, o in zip(self.W.tolist(), self._lone_opt, strict=True):
                 dist_sq += (w - o) * (w - o)
             if abs(dist_sq - self._tol_sq) > self._band:
                 if dist_sq <= self._tol_sq:
@@ -185,52 +186,34 @@ class _Population:
         diagnostics, or None in their place once every row has diverged,
         when no step is taken. A snap of None asks for no diagnostics, which
         the float lane does not build (a race reads none)."""
-        if self._one:
-            return self._step_one(t, snap)
-        W, losses = self.W, []
+        rows, losses = (self.W,) if self._one else self.W, []
         for r, problem in enumerate(self._problems):
             if self.diverged_at[r] is not None:
                 losses.append(math.nan)
                 continue
             try:
-                loss, g = problem.loss_grad(W[r])
+                loss, g = problem.loss_grad(rows[r])
             except OverflowError:
                 loss = math.inf
             losses.append(loss)
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                self.diverged_at[r], self.params[r], self._pending[r] = t, W[r], False
+                self.diverged_at[r], self.params[r], self._pending[r] = t, rows[r], False
                 g = 0.0
-            self._G[r] = g
+            if self._one:
+                self._G = np.asarray(g, np.float64)
+            else:
+                self._G[r] = g
         if None not in self.diverged_at:
             return losses, None
-        new, self.W, diag = dispatch_step(self._state, W, self._G, snap, self._spare)
+        new, self.W, diag = dispatch_step(self._state, self.W, self._G, snap, self._spare)
         self._state, self._spare = new, self._state
+        rows = (self.W,) if self._one else self.W
         for r, project in self._projects:
             if self.diverged_at[r] is None:
-                self.W[r] = project(self.W[r])
+                rows[r][...] = project(rows[r])
         if any(self._pending):
             self._reached(t)
         return losses, diag
-
-    def _step_one(self, t: int, snap: bool | None):
-        """step() of a lone run, which steps its flat (n,) state."""
-        if self.diverged_at[0] is not None:
-            return [math.nan], None
-        try:
-            loss, g = self._problems[0].loss_grad(self.W)
-        except OverflowError:
-            loss = math.inf
-        if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-            self.diverged_at[0], self.params[0], self._pending[0] = t, self.W, False
-            return [loss], None
-        self._G = np.asarray(g, np.float64)
-        new, self.W, diag = dispatch_step(self._state, self.W, self._G, snap, self._spare)
-        self._state, self._spare = new, self._state
-        for _, project in self._projects:
-            self.W[...] = project(self.W)
-        if self._pending[0]:
-            self._reached(t)
-        return [loss], diag
 
 
 def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int = 1,

@@ -385,33 +385,35 @@ def _float_body(state, w, g, collect_histogram, out, decay):
         out.beta1_prod = state.beta1_prod * beta1_t
         corr1 = 1.0 - out.beta1_prod
         scale, a1, a2 = lr / corr1, 1.0 - beta1_t, 1.0 - beta2
-        if isinstance(state, AgdState):
-            for m0, v0, prev, gi, wi in zip(state.m, state.b, state.prev_corrected,
-                                            g.tolist(), w.tolist()):
-                m = m0 * beta1_t + gi * a1
+        agd = isinstance(state, AgdState)
+        amsgrad, belief = agd and state.amsgrad, not agd and state.variant == "adabelief"
+        v_in = state.b if agd else state.v
+        prevs = state.prev_corrected if agd else state.m  # read by AGD only
+        for m0, v0, prev, gi, wi in zip(state.m, v_in, prevs, g.tolist(), w.tolist()):
+            m = m0 * beta1_t + gi * a1
+            if agd:
                 c = m / corr1
                 x = c if t == 1 else c - prev
-                v = v0 * beta2 + x * x * a2
-                if state.amsgrad:
-                    v = v0 if v < v0 else v
-                r = math.sqrt(v / bc2)
+            else:
+                c, x = None, gi - m if belief else gi
+            v = v0 * beta2 + x * x * a2
+            if amsgrad:
+                v = v0 if v < v0 else v
+            if belief:
+                v += delta
+            r = math.sqrt(v / bc2)
+            if agd:
                 below = r < delta
                 truncated += below
                 u = m / (delta if below else r) * scale
-                rows.append((m, v, c, u, (wi if decay is None else wi * decay) - u, r))
-            out.m, out.b, out.prev_corrected, update, new_w, r = zip(*rows)
-        else:
-            belief = state.variant == "adabelief"
-            for m0, v0, gi, wi in zip(state.m, state.v, g.tolist(), w.tolist()):
-                m = m0 * beta1_t + gi * a1
-                x = gi - m if belief else gi
-                v = v0 * beta2 + x * x * a2
-                if belief:
-                    v += delta
-                r = math.sqrt(v / bc2)
+            else:
                 u = m / (r + delta) * scale
-                rows.append((m, v, u, (wi if decay is None else wi * decay) - u, r))
-            out.m, out.v, update, new_w, r = zip(*rows)
+            rows.append((m, v, c, u, (wi if decay is None else wi * decay) - u, r))
+        out.m, v, c, update, new_w, r = zip(*rows)
+        if agd:
+            out.b, out.prev_corrected = v, c
+        else:
+            out.v = v
     out.t, out.hp = t, hp
     diag = None if collect_histogram is None else StepDiagnostics(
         truncated / len(rows), _norm(np.array(update)),
