@@ -10,8 +10,9 @@ hyperparameters and the step counter; step t = state.t + 1 starts at 1. Steps
 are pure: inputs are never mutated, and a fresh state and a fresh w' come
 back. `optimizer_step` is the front door for library callers: it validates
 the state's hyperparameters and the vectors, hands the step to
-`optim.dispatch_step` (which checks shapes and applies decoupled weight decay)
-and refuses a non-finite result. The kernels' optional `out=` state, which
+`optim.dispatch_step` (which checks shapes and routes the step to the kernel
+of the state's type; each kernel applies decoupled weight decay itself) and
+refuses a non-finite result. The kernels' optional `out=` state, which
 they overwrite instead of allocating, is for the run loop of `diagnostics`
 alone; no library path passes it.
 """
@@ -140,6 +141,8 @@ class HyperParams:
             return self.alpha
         if self.lr_schedule == "inverse_sqrt":
             return self.alpha / math.sqrt(t)
+        if self.lr_schedule != "milestones":
+            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
         lr = self.alpha
         for step, factor in self.milestones:
             if step <= t:

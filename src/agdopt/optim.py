@@ -55,8 +55,9 @@ five optimizers under three names (agd_step, adam_step, adabelief_step): AGD
 and its amsgrad flag, and the Adam family, which differs from AGD only in
 feeding the second moment with g_t (Adam; AdamW adds nothing but the decoupled
 weight decay) or g_t - m_t (AdaBelief) and dividing by sqrt(vhat) + delta.
-`dispatch_step` is the one place that checks a step's shapes and works out
-decoupled weight decay; a kernel only applies its factor to w as it writes w'.
+Every kernel applies decoupled weight decay itself, multiplying w by the
+factor 1 - lr_t * weight_decay as it writes w', from the same lr_t as its
+update. `dispatch_step` is the one place that checks a step's shapes.
 """
 
 from __future__ import annotations
@@ -170,19 +171,26 @@ def _per_row(terms, hp, t: int):
                  else np.array(col)[:, None] for col in zip(*(terms(h, t) for h in hp)))
 
 
+def _decay(hp: HyperParams, lr: float) -> float:
+    """The factor 1 - lr_t * weight_decay of decoupled decay, given lr_t.
+
+    Exactly 1.0 without decay, also where a milestone product overflowed lr_t
+    to inf (inf * 0.0 would make it NaN).
+    """
+    return 1.0 - lr * hp.weight_decay if hp.weight_decay else 1.0
+
+
 def _moment_terms(hp: HyperParams, t: int):
-    """beta1_t, lr_t, 1 - beta2**t, beta2 and delta of step t (AGD, Adam)."""
-    return hp.beta1_at(t), hp.lr_at(t), 1.0 - hp.beta2 ** t, hp.beta2, hp.delta
+    """beta1_t, lr_t, the decay factor, 1 - beta2**t, beta2 and delta of step
+    t (AGD, Adam)."""
+    lr = hp.lr_at(t)
+    return hp.beta1_at(t), lr, _decay(hp, lr), 1.0 - hp.beta2 ** t, hp.beta2, hp.delta
 
 
 def _momentum_terms(hp: HyperParams, t: int):
-    """lr_t and the momentum coefficient of step t (SGD)."""
-    return hp.lr_at(t), hp.beta1
-
-
-def _decay_terms(hp: HyperParams, t: int):
-    """The factor 1 - lr_t * weight_decay of decoupled decay at step t."""
-    return (1.0 - hp.lr_at(t) * hp.weight_decay,)
+    """lr_t, the decay factor and the momentum coefficient of step t (SGD)."""
+    lr = hp.lr_at(t)
+    return lr, _decay(hp, lr), hp.beta1
 
 
 def _norm(update):
@@ -204,13 +212,14 @@ def _norm(update):
 # w', and no other scratch. The update holds the body's intermediate terms
 # (`s`) until its last passes write the update there. w' holds the rms
 # estimate, unless a histogram needs it whole, until w' = (w * decay) - update
-# is written there, decaying first. The ufuncs take their destination
-# positionally, which costs less than out= on the tiny vectors of a 2-D
-# problem (np.maximum accepts only out=).
+# is written there, decaying first; where every row's factor is exactly 1.0
+# the product is w itself, and the body skips that pass over w. The ufuncs
+# take their destination positionally, which costs less than out= on the tiny
+# vectors of a 2-D problem (np.maximum accepts only out=).
 
 
 def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = True,
-             out=None, decay=None):
+             out=None):
     """One step of AGD or of the Adam family; returns (state', w', diagnostics).
 
     An AgdState takes the auto-switching update above. An AdamLikeState takes
@@ -220,14 +229,13 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
     adam_step and adabelief_step are this function.
 
     state' is `out`, overwritten, when given, else a fresh state; w' is
-    always a fresh array. The inputs are never written. decay, the factor of
-    decoupled weight decay that dispatch_step works out, multiplies w before
-    the update is subtracted.
+    always a fresh array. The inputs are never written. w is multiplied by
+    the factor of decoupled weight decay before the update is subtracted.
     """
     if type(state.m) is tuple:  # a float-lane state
-        return _float_body(state, w, g, collect_histogram, out, decay)
+        return _float_body(state, w, g, collect_histogram, out)
     t, hp = state.t + 1, state.hp
-    beta1_t, lr, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
+    beta1_t, lr, decay, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
     beta1_prod = state.beta1_prod * beta1_t
     corr1 = 1.0 - beta1_prod
     if (corr1 <= 0.0) if isinstance(corr1, float) else (corr1 <= 0.0).any():
@@ -235,6 +243,7 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
             f"bias correction 1 - beta1_power = {corr1}; beta1 must stay below 1"
         )
     scale = lr / corr1
+    decayed = type(decay) is np.ndarray or decay != 1.0
     agd = isinstance(state, AgdState)
     vecs, flag = (("m", "b", "prev_corrected"), "amsgrad") if agd else (("m", "v"), "variant")
     amsgrad, belief = agd and state.amsgrad, not agd and state.variant == "adabelief"
@@ -279,7 +288,7 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
             np.add(r, delta, s)
         np.divide(m, s, s)
         np.multiply(s, scale, s)  # the update
-        np.subtract(w if decay is None else np.multiply(w, decay, new_w), s, new_w)
+        np.subtract(np.multiply(w, decay, new_w) if decayed else w, s, new_w)
         return truncated
 
     update, new_w = np.empty(w.shape), np.empty(w.shape)
@@ -301,19 +310,19 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
 adam_step = adabelief_step = agd_step
 
 
-def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out=None,
-                      decay=None):
+def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out=None):
     """Heavy-ball SGD: buffer <- mu*buffer + g, w <- w - lr_t*buffer.
 
     The momentum coefficient mu is hp.beta1. truncation_fraction is 1.0 by
     convention (every coordinate takes the momentum path) and there is no
-    second-moment histogram. `out`, decay and the returned arrays behave as in
-    agd_step.
+    second-moment histogram. `out`, weight decay and the returned arrays
+    behave as in agd_step.
     """
     if type(state.buffer) is tuple:  # a float-lane state
-        return _float_body(state, w, g, collect_histogram, out, decay)
+        return _float_body(state, w, g, collect_histogram, out)
     t, hp = state.t + 1, state.hp
-    lr, mu = _per_row(_momentum_terms, hp, t)
+    lr, decay, mu = _per_row(_momentum_terms, hp, t)
+    decayed = type(decay) is np.ndarray or decay != 1.0
     if out is None:
         out = replace(state, buffer=np.empty_like(state.buffer))
 
@@ -321,7 +330,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
         np.multiply(buffer0, mu, buffer)
         np.add(buffer, g, buffer)
         np.multiply(buffer, lr, update)
-        np.subtract(w if decay is None else np.multiply(w, decay, new_w), update, new_w)
+        np.subtract(np.multiply(w, decay, new_w) if decayed else w, update, new_w)
         return 0
 
     update, new_w = np.empty(w.shape), np.empty(w.shape)
@@ -366,22 +375,22 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 FLOAT_MAX_N = 8
 
 
-def _float_body(state, w, g, collect_histogram, out, decay):
+def _float_body(state, w, g, collect_histogram, out):
     """A kernel's float body: (state', w', diagnostics) of a float-lane state,
     with the bits of the NumPy body, and no diagnostics at all when
     collect_histogram is None. out, the lane's second state, is required."""
     t, hp, rows, truncated = state.t + 1, state.hp, [], 0
     if isinstance(state, SgdState):
-        lr, mu = _momentum_terms(hp, t)
+        lr, decay, mu = _momentum_terms(hp, t)
         for b0, gi, wi in zip(state.buffer, g.tolist(), w.tolist()):
             b = b0 * mu + gi
             u = b * lr
-            rows.append((b, u, (wi if decay is None else wi * decay) - u))
+            rows.append((b, u, wi * decay - u))
         out.buffer, update, new_w = zip(*rows)
         truncated, r = len(rows), None  # every coordinate takes the momentum path
     else:
         # corr1 > 0: the run loop binds validated HyperParams, whose beta1_t < 1
-        beta1_t, lr, bc2, beta2, delta = _moment_terms(hp, t)
+        beta1_t, lr, decay, bc2, beta2, delta = _moment_terms(hp, t)
         out.beta1_prod = state.beta1_prod * beta1_t
         corr1 = 1.0 - out.beta1_prod
         scale, a1, a2 = lr / corr1, 1.0 - beta1_t, 1.0 - beta2
@@ -408,7 +417,7 @@ def _float_body(state, w, g, collect_histogram, out, decay):
                 u = m / (delta if below else r) * scale
             else:
                 u = m / (r + delta) * scale
-            rows.append((m, v, c, u, (wi if decay is None else wi * decay) - u, r))
+            rows.append((m, v, c, u, wi * decay - u, r))
         out.m, v, c, update, new_w, r = zip(*rows)
         if agd:
             out.b, out.prev_corrected = v, c
@@ -429,12 +438,9 @@ def _shape(vec) -> tuple:
 def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
     """Route a uniform step to the optimizer owning `state`.
 
-    Checks that params, gradient and the state's vectors share one shape,
-    and works out the factor 1 - lr_t * weight_decay of the state's decoupled
-    weight decay (a (K, 1) column for a population; rows without decay get
-    exactly 1.0), which the kernel applies to w as it writes w'. `out`, a
-    second state of the same type and size (not `state` itself), receives the
-    new state in place of a fresh one.
+    Checks that params, gradient and the state's vectors share one shape.
+    `out`, a second state of the same type and size (not `state` itself),
+    receives the new state in place of a fresh one.
     """
     # agd_step, adam_step and adabelief_step are one function; the name looked
     # up here is the one a tracer wraps, so each keeps its own kernel span
@@ -454,9 +460,4 @@ def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
     if out is not None and (type(out) is not type(state) or out is state
                             or _shape(getattr(out, field)) != shape):
         raise ShapeError("out must be a second state of the same type and size")
-    hp, t = state.hp, state.t + 1
-    decay = None
-    if (hp.weight_decay > 0.0 if isinstance(hp, HyperParams)
-            else any(h.weight_decay > 0.0 for h in hp)):
-        (decay,) = _per_row(_decay_terms, hp, t)
-    return kernel(state, w, g, collect_histogram, out, decay)
+    return kernel(state, w, g, collect_histogram, out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HyperParams, check_count
+from .core import ConfigError, HyperParams, bounded, check_count, check_int
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -42,6 +42,9 @@ STREAM_GRADS = 103
 # values the block's draws, moments and scratch take 320 KiB
 MC_BLOCK = 8192
 
+# values per partial sum of _compensated_sum
+SUM_CHUNK = 4096
+
 
 def variance_ratio_analytic(beta1: float, t: int) -> float:
     """Var of the debiased momentum average over Var of one gradient.
@@ -52,9 +55,7 @@ def variance_ratio_analytic(beta1: float, t: int) -> float:
     """
     if not (0.0 < beta1 < 1.0):
         raise ConfigError(f"beta1 must lie in (0, 1), got {beta1}")
-    if t < 1:
-        raise ConfigError(f"t must be >= 1, got {t}")
-    bt = beta1 ** t
+    bt = beta1 ** check_count(t, "t")
     return (1.0 + bt) * (1.0 - beta1) / ((1.0 - bt) * (1.0 + beta1))
 
 
@@ -74,13 +75,13 @@ def variance_ratio_mc(combos, samples: int, seed: int) -> list[tuple[float, floa
     L2; each element gets the same three operations in the same order.
     Returns (empirical, analytic) pairs in combo order.
     """
-    combos = list(combos)
+    combos = [(b1, check_count(t, "t")) for b1, t in combos]
     if not combos:
         raise ConfigError("variance_ratio_mc needs at least one (beta1, t) combo")
     # validates every combo's domain before any draw
     analytic = [variance_ratio_analytic(b1, t) for b1, t in combos]
-    if samples < 10_000:
-        raise ConfigError(f"need at least 1e4 samples for a stable estimate, got {samples}")
+    # fewer samples give no stable estimate
+    samples = bounded(check_int, 10_000)(samples, "samples")
     wanted: dict = {}  # t -> the beta1 values whose statistics are taken at t
     for b1, t in combos:
         wanted.setdefault(t, set()).add(b1)
@@ -107,10 +108,10 @@ def variance_ratio_mc(combos, samples: int, seed: int) -> list[tuple[float, floa
     return [(empirical[c], a) for c, a in zip(combos, analytic)]
 
 
-def _compensated_sum(values: np.ndarray, chunk: int = 4096) -> float:
+def _compensated_sum(values: np.ndarray) -> float:
     """Exact (fsum) accumulation of per-chunk partial sums."""
-    parts = [float(np.sum(values[lo:lo + chunk]))
-             for lo in range(0, values.size, chunk)]
+    parts = [float(np.sum(values[lo:lo + SUM_CHUNK]))
+             for lo in range(0, values.size, SUM_CHUNK)]
     return math.fsum(parts)
 
 
@@ -220,8 +221,7 @@ class RegretProblem:
 def make_quadratic_stream(dim: int, horizon: int, seed: int,
                           center_scale: float = 1.0,
                           margin: float = 1.0) -> RegretExperiment:
-    if dim < 1 or horizon < 1:
-        raise ConfigError(f"dim and horizon must be >= 1, got {dim}, {horizon}")
+    dim, horizon = check_count(dim, "dim"), check_count(horizon, "horizon")
     rng = rng_stream(seed, STREAM_CENTERS)
     centers = rng.uniform(-center_scale, center_scale, size=(horizon, dim))
     lo = centers.min(axis=0) - margin
@@ -272,9 +272,8 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
     if grad_stream.ndim != 2:
         raise ConfigError(f"grad_stream must be (T, n), got {grad_stream.shape}")
     T, n = grad_stream.shape
-    if group_size is None:
-        group_size = n
-    if group_size < 1 or n % group_size != 0:
+    group_size = n if group_size is None else check_count(group_size, "group_size")
+    if n % group_size != 0:
         raise ConfigError(f"group_size {group_size} must be a positive divisor of n={n}")
     state = init_state("agd", n, hp)  # validates hp before the bound divides by 1 - beta1
     G = float(np.abs(grad_stream).max())
@@ -299,8 +298,7 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     estimator noise from a real violation, so its result is marked
     inconclusive rather than failed.
     """
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
+    samples = check_count(samples, "samples")
     if hp is None:
         hp = HyperParams(alpha=1e-3)
     hp.validate()

@@ -80,6 +80,11 @@ def test_unknown_schedule_kind():
         HyperParams(alpha=0.1, lr_schedule="linear").validate()
     with pytest.raises(ConfigError):
         HyperParams(alpha=0.1, beta1_schedule="cosine").validate()
+    # unvalidated, lr_at read an unknown kind as milestones and returned alpha
+    with pytest.raises(ConfigError, match="lr schedule"):
+        HyperParams(alpha=0.5, lr_schedule="bogus").lr_at(3)
+    with pytest.raises(ConfigError, match="beta1 schedule"):
+        HyperParams(alpha=0.5, beta1_schedule="bogus").beta1_at(3)
 
 
 @given(st.integers(min_value=1, max_value=10_000))

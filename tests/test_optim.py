@@ -350,12 +350,20 @@ def test_dispatch_routes_by_state_type():
 
 @pytest.mark.parametrize("name", OPTIMIZER_NAMES)
 def test_dispatch_applies_decoupled_decay(name):
-    # zero gradient and zero state: the only move is the decay shrinkage
+    # zero gradient and zero state: the only move is the decay shrinkage,
+    # through dispatch_step and through the exported kernel alike
     hp = HyperParams(alpha=0.1, weight_decay=0.5)
+    kernel = {"agd": agd_step, "agd_amsgrad": agd_step, "adam": adam_step,
+              "adamw": adam_step, "adabelief": adabelief_step,
+              "sgd": sgd_momentum_step}[name]
     w0 = np.full(2, 2.0)
-    _, w, _ = dispatch_step(init_state(name, 2, hp), w0, np.zeros(2))
-    assert np.array_equal(w, w0 * (1.0 - 0.1 * 0.5))
-    assert np.array_equal(w0, [2.0, 2.0])
+    for step in (dispatch_step, kernel):
+        _, w, _ = step(init_state(name, 2, hp), w0, np.zeros(2))
+        assert np.array_equal(w, w0 * (1.0 - 0.1 * 0.5))
+        assert np.array_equal(w0, [2.0, 2.0])
+    # with a gradient too, the kernel takes dispatch_step's step
+    state, w0, g = init_state(name, 2, hp), np.array([1.0, -1.0]), np.array([0.5, -0.5])
+    assert np.array_equal(kernel(state, w0, g)[1], dispatch_step(state, w0, g)[1])
 
 
 def test_steps_do_not_mutate_inputs():

@@ -46,6 +46,9 @@ def test_variance_ratio_analytic_domain():
         variance_ratio_analytic(1.0, 5)
     with pytest.raises(ConfigError):
         variance_ratio_analytic(0.9, 0)
+    for t in (2.5, True):  # each returned a ratio
+        with pytest.raises(ConfigError, match="t must be an integer"):
+            variance_ratio_analytic(0.5, t)
 
 
 def test_variance_ratio_mc_close_to_analytic():
@@ -56,6 +59,14 @@ def test_variance_ratio_mc_close_to_analytic():
 def test_variance_ratio_mc_sample_guard():
     with pytest.raises(ConfigError):
         variance_ratio_mc([(0.9, 10)], samples=5_000, seed=0)
+    # each raised TypeError
+    with pytest.raises(ConfigError, match="t must be an integer"):
+        variance_ratio_mc([(0.5, 2.5)], 10_000, 0)
+    with pytest.raises(ConfigError, match="samples must be an integer"):
+        variance_ratio_mc([(0.9, 10)], samples=10_000.5, seed=0)
+    # an integral float counts as the integer it equals, as every count does
+    assert (variance_ratio_mc([(0.9, 10)], samples=1e4, seed=0)
+            == variance_ratio_mc([(0.9, 10)], samples=10_000, seed=0))
 
 
 def _variance_ratio_mc_per_combo(beta1, t, samples, seed):
@@ -225,8 +236,9 @@ def test_norm_bound_holds_on_random_streams():
 
 def test_norm_bound_group_size_must_divide():
     hp = HyperParams(alpha=1e-3)
-    # 0 divided n by zero, and -5 "divided" 10 until the reshape failed
-    for size in (3, 0, -5, -10):
+    # 0 divided n by zero, and -5 "divided" 10 until the reshape failed;
+    # 2.5 "divided" 10 until the reshape raised TypeError, and True ran as 1
+    for size in (3, 0, -5, -10, 2.5, True):
         with pytest.raises(ConfigError, match="group_size"):
             norm_bound_check(np.zeros((10, 10)), hp, group_size=size)
 
@@ -266,6 +278,20 @@ def test_verify_suite_small_samples_inconclusive():
 
 def test_verify_suite_moderate_samples_pass():
     reports = verify_suite(samples=20_000, seed=0)
+    assert all(r["passed"] is True for r in reports)
+
+
+def test_stream_and_suite_counts_are_integers():
+    # each raised TypeError, or ran with a bool or a fractional count
+    for dim, horizon in ((2.5, 10), (2, True), (2, 10.5)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            make_quadratic_stream(dim, horizon, 0)
+    for samples in (1.5, True):
+        with pytest.raises(ConfigError, match="samples must be an integer"):
+            verify_suite(samples=samples)
+    # an integral float counts as the integer it equals
+    reports = verify_suite(samples=2e4, seed=0)
+    assert reports[0]["parameters"]["samples"] == 20_000
     assert all(r["passed"] is True for r in reports)
 
 
