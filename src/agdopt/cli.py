@@ -173,7 +173,7 @@ def _hp(d: dict) -> HyperParams:
 
 def _hyperparams(value, where: str) -> dict:
     hp = _section(value, _HYPERPARAMS, where)
-    _hp(hp).validate()
+    _hp(hp)  # a HyperParams checks its domain when built
     return hp
 
 
@@ -558,7 +558,6 @@ def main(argv=None) -> int:
         if args.verb == "verify":
             hp = HyperParams(alpha=1e-3, beta1=args.beta1, beta2=args.beta2,
                              delta=args.delta)
-            hp.validate()
             return verify_command(args.samples, args.seed, hp, args.out)
         if args.verb == "race":
             race_command(_load_json(args.config), args.out)

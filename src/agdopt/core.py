@@ -8,8 +8,9 @@ Every optimizer works on flat float64 vectors and exposes a step of the shape
 where the state, made by `optim.init_state(name, n, hp)`, carries the
 hyperparameters and the step counter; step t = state.t + 1 starts at 1. Steps
 are pure: inputs are never mutated, and a fresh state and a fresh w' come
-back. `optimizer_step` is the front door for library callers: it validates
-the state's hyperparameters and the vectors, hands the step to
+back. A HyperParams checks its own domain when it is built, so no state
+holds one outside it. `optimizer_step` is the front door for library
+callers: it validates the vectors, hands the step to
 `optim.dispatch_step` (which checks shapes and routes the step to the kernel
 of the state's type; each kernel applies decoupled weight decay itself) and
 refuses a non-finite result. The kernels' optional `out=` state, which
@@ -97,6 +98,8 @@ class HyperParams:
     auto-switch threshold for the gradient-difference optimizer and the
     denominator epsilon for the Adam family. weight_decay is decoupled:
     w <- w - lr_t * weight_decay * w before the optimizer-specific update.
+    Each value is checked when the instance is built, `dataclasses.replace`
+    included, and a ConfigError names the first one outside its domain.
     """
 
     alpha: float
@@ -108,7 +111,7 @@ class HyperParams:
     milestones: tuple[tuple[int, float], ...] = ()
     beta1_schedule: str = "constant"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha", "beta1", "beta2", "delta", "weight_decay"):
             check_num(getattr(self, name), name)
         if not self.alpha > 0.0:
@@ -141,8 +144,6 @@ class HyperParams:
             return self.alpha
         if self.lr_schedule == "inverse_sqrt":
             return self.alpha / math.sqrt(t)
-        if self.lr_schedule != "milestones":
-            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
         lr = self.alpha
         for step, factor in self.milestones:
             if step <= t:
@@ -157,9 +158,7 @@ class HyperParams:
             return self.beta1
         if self.beta1_schedule == "over_sqrt_t":
             return self.beta1 / math.sqrt(t)
-        if self.beta1_schedule == "over_t":
-            return self.beta1 / t
-        raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}")
+        return self.beta1 / t  # over_t
 
 
 # Histogram convention for the rms preconditioner estimate: 18 base-10 decade
@@ -252,7 +251,6 @@ def optimizer_step(state, w, g, collect_histogram: bool = True):
 
     if not isinstance(state.hp, HyperParams):
         raise ShapeError("optimizer_step takes the state of one run, not a population")
-    state.hp.validate()
     w = as_param_vector(w, "params")
     g = as_param_vector(g, "gradient")
     new_state, new_w, diag = optim.dispatch_step(

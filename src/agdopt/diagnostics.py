@@ -66,7 +66,6 @@ class MlpProblem:
     """Minibatch MLP training; the batch stream advances one step per call."""
 
     def __init__(self, spec: MlpSpec, ds: Dataset, batch_size: int, seed: int):
-        spec.validate()
         self.spec = spec
         self.ds = ds
         self.batch_size = batch_size

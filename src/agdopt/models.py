@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ShapeError
+from .core import ConfigError, ShapeError, bounded, check_count, check_int, check_num
 
 __all__ = [
     "Dataset",
@@ -39,10 +39,11 @@ LOSSES = ("softmax_ce", "logistic", "squared")
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); same key, same draws.
 
-    The key is built as uint64: from a list, NumPy would take a value at or
-    above 2**63 through float64 and lose its low bits.
+    The seed is an integer; a bool or a fraction raises ConfigError. The key
+    is built as uint64: from a list, NumPy would take a value at or above
+    2**63 through float64 and lose its low bits.
     """
-    key = np.array([seed & _M64, stream & _M64], dtype=np.uint64)
+    key = np.array([check_int(seed, "seed") & _M64, stream & _M64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -64,10 +65,7 @@ def two_moons(n: int, noise: float, seed: int) -> Dataset:
     interleave. Angles are evenly spaced, so with noise=0 every point sits
     exactly on its half-circle.
     """
-    if n < 2:
-        raise ConfigError(f"need at least 2 points, got {n}")
-    if noise < 0.0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    n, noise = bounded(check_int, 2)(n, "n"), bounded(check_num, 0.0)(noise, "noise")
     n_out = n // 2
     n_in = n - n_out
     th_out = np.linspace(0.0, np.pi, n_out)
@@ -85,7 +83,11 @@ def two_moons(n: int, noise: float, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """One hidden layer: in_dim -> hidden_dim (activation) -> out_dim (loss head)."""
+    """One hidden layer: in_dim -> hidden_dim (activation) -> out_dim (loss head).
+
+    Checked when built: each size is an integer >= 1 (stored as int), and a
+    ConfigError names the first field outside its domain.
+    """
 
     in_dim: int
     hidden_dim: int
@@ -93,9 +95,9 @@ class MlpSpec:
     activation: str = "tanh"   # tanh | relu
     loss: str = "logistic"     # softmax_ce | logistic | squared
 
-    def validate(self) -> None:
-        if min(self.in_dim, self.hidden_dim, self.out_dim) < 1:
-            raise ConfigError(f"all layer sizes must be >= 1, got {self}")
+    def __post_init__(self) -> None:
+        for name in ("in_dim", "hidden_dim", "out_dim"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.loss not in LOSSES:
@@ -124,7 +126,6 @@ def _unpack(spec: MlpSpec, params: np.ndarray):
 
 def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
     """Weights ~ N(0, 1/fan_in), biases zero."""
-    spec.validate()
     rng = rng_stream(seed, STREAM_INIT)
     i, h, o = spec.in_dim, spec.hidden_dim, spec.out_dim
     parts = [
@@ -244,6 +245,7 @@ def minibatch_stream(ds: Dataset, batch_size: int, seed: int):
     batch_size = ds.n gives one full-batch step per epoch. A trailing batch
     smaller than batch_size is yielded rather than dropped.
     """
+    batch_size = check_int(batch_size, "batch_size")
     if not (1 <= batch_size <= ds.n):
         raise ConfigError(f"batch_size must be in [1, {ds.n}], got {batch_size}")
     epoch = 0

@@ -1,9 +1,9 @@
 """The auto-switching gradient-difference optimizer and its baselines.
 
 States are plain dataclasses over float64 vectors that also carry their step
-counter and their hyperparameters, which `init_state` validates and binds
-once; every step is a function of (state, w, g) and takes step
-t = state.t + 1.
+counter and their hyperparameters, which `init_state` binds once (a
+HyperParams checks its own domain when built); every step is a function of
+(state, w, g) and takes step t = state.t + 1.
 
 Buffer contract: a kernel never writes state, w or g. Called without `out`
 it is pure and returns a fresh state; given `out`, a second state of the same
@@ -128,21 +128,21 @@ class SgdState:
 
 
 def init_state(name: str, n: int, hp):
-    """Fresh zeroed state for an optimizer by name, bound to hp once validated.
+    """Fresh zeroed state for an optimizer by name, bound to hp.
 
     hp is one HyperParams for one run, or a sequence of K of them for a
     population of K runs (see the module docstring).
     """
     n = check_count(n, "n")
     if isinstance(hp, HyperParams):
-        hp.validate()
         shape = n
     else:
         hp = tuple(hp)
         if not hp:
             raise ConfigError("a population needs at least one run")
         for h in hp:
-            h.validate()
+            if not isinstance(h, HyperParams):
+                raise ConfigError(f"a population row must be a HyperParams, got {h!r}")
         shape = (len(hp), n)
     if name in ("agd", "agd_amsgrad"):
         return AgdState(m=np.zeros(shape), b=np.zeros(shape),
@@ -237,11 +237,9 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
     t, hp = state.t + 1, state.hp
     beta1_t, lr, decay, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
     beta1_prod = state.beta1_prod * beta1_t
+    # no guard needed: a HyperParams has each beta1_t in [0, 1), so their
+    # product stays below 1 and corr1 > 0, also in the float body
     corr1 = 1.0 - beta1_prod
-    if (corr1 <= 0.0) if isinstance(corr1, float) else (corr1 <= 0.0).any():
-        raise ZeroDivisionError(
-            f"bias correction 1 - beta1_power = {corr1}; beta1 must stay below 1"
-        )
     scale = lr / corr1
     decayed = type(decay) is np.ndarray or decay != 1.0
     agd = isinstance(state, AgdState)
@@ -389,7 +387,6 @@ def _float_body(state, w, g, collect_histogram, out):
         out.buffer, update, new_w = zip(*rows)
         truncated, r = len(rows), None  # every coordinate takes the momentum path
     else:
-        # corr1 > 0: the run loop binds validated HyperParams, whose beta1_t < 1
         beta1_t, lr, decay, bc2, beta2, delta = _moment_terms(hp, t)
         out.beta1_prod = state.beta1_prod * beta1_t
         corr1 = 1.0 - out.beta1_prod

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HyperParams, bounded, check_count, check_int
+from .core import ConfigError, HyperParams, bounded, check_count, check_int, check_num
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -53,7 +53,7 @@ def variance_ratio_analytic(beta1: float, t: int) -> float:
     ((1-beta1^t)(1+beta1)); it equals 1 at t=1 and decreases toward
     (1-beta1)/(1+beta1).
     """
-    if not (0.0 < beta1 < 1.0):
+    if not (0.0 < check_num(beta1, "beta1") < 1.0):
         raise ConfigError(f"beta1 must lie in (0, 1), got {beta1}")
     bt = beta1 ** check_count(t, "t")
     return (1.0 + bt) * (1.0 - beta1) / ((1.0 - bt) * (1.0 + beta1))
@@ -122,8 +122,7 @@ def alpha_hat_series(alpha: float, beta1: float, beta1_schedule: str,
     Claimed strictly decreasing in t whenever the momentum coefficient is
     non-increasing, beta2=0 included.
     """
-    HyperParams(alpha=alpha, beta1=beta1, beta2=beta2,
-                beta1_schedule=beta1_schedule).validate()
+    HyperParams(alpha=alpha, beta1=beta1, beta2=beta2, beta1_schedule=beta1_schedule)
     T = check_count(T, "T")
     t = np.arange(1, T + 1, dtype=np.float64)
     sqrt_t = np.sqrt(t)
@@ -222,6 +221,8 @@ def make_quadratic_stream(dim: int, horizon: int, seed: int,
                           center_scale: float = 1.0,
                           margin: float = 1.0) -> RegretExperiment:
     dim, horizon = check_count(dim, "dim"), check_count(horizon, "horizon")
+    center_scale = bounded(check_num, 0.0, strict=True)(center_scale, "center_scale")
+    margin = bounded(check_num, 0.0)(margin, "margin")
     rng = rng_stream(seed, STREAM_CENTERS)
     centers = rng.uniform(-center_scale, center_scale, size=(horizon, dim))
     lo = centers.min(axis=0) - margin
@@ -275,8 +276,9 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
     group_size = n if group_size is None else check_count(group_size, "group_size")
     if n % group_size != 0:
         raise ConfigError(f"group_size {group_size} must be a positive divisor of n={n}")
-    state = init_state("agd", n, hp)  # validates hp before the bound divides by 1 - beta1
+    state = init_state("agd", n, hp)
     G = float(np.abs(grad_stream).max())
+    # a HyperParams keeps beta1 < 1, so the bound's divisor is positive
     bound = group_size * (2.0 * G + hp.delta) / (1.0 - hp.beta1) ** 2
     w = np.zeros(n)
     max_ratio = 0.0
@@ -301,7 +303,6 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     samples = check_count(samples, "samples")
     if hp is None:
         hp = HyperParams(alpha=1e-3)
-    hp.validate()
     reports: list[dict] = []
 
     # 1. variance reduction of the debiased momentum average

@@ -72,19 +72,16 @@ def test_milestones_reject_bad_entries():
     for entry in ((0, 0.1), (30, 0.0), (30, math.nan), (30, math.inf), (math.nan, 0.5),
                   (2.5, 0.5), (True, 0.5), (30, 0.5, 1)):
         with pytest.raises(ConfigError, match="milestone"):
-            HyperParams(alpha=0.1, lr_schedule="milestones", milestones=(entry,)).validate()
+            HyperParams(alpha=0.1, lr_schedule="milestones", milestones=(entry,))
 
 
 def test_unknown_schedule_kind():
-    with pytest.raises(ConfigError):
-        HyperParams(alpha=0.1, lr_schedule="linear").validate()
-    with pytest.raises(ConfigError):
-        HyperParams(alpha=0.1, beta1_schedule="cosine").validate()
-    # unvalidated, lr_at read an unknown kind as milestones and returned alpha
+    # no instance with an unknown kind can be built, so lr_at and beta1_at
+    # never meet one (lr_at once read it as milestones and returned alpha)
     with pytest.raises(ConfigError, match="lr schedule"):
-        HyperParams(alpha=0.5, lr_schedule="bogus").lr_at(3)
+        HyperParams(alpha=0.1, lr_schedule="linear")
     with pytest.raises(ConfigError, match="beta1 schedule"):
-        HyperParams(alpha=0.5, beta1_schedule="bogus").beta1_at(3)
+        HyperParams(alpha=0.1, beta1_schedule="cosine")
 
 
 @given(st.integers(min_value=1, max_value=10_000))
@@ -133,11 +130,11 @@ def test_beta1_at_matches_schedule():
 ])
 def test_hyperparam_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
-        HyperParams(**kwargs).validate()
+        HyperParams(**kwargs)
 
 
 def test_zero_betas_are_legal():
-    HyperParams(alpha=1e-3, beta1=0.0, beta2=0.0).validate()
+    HyperParams(alpha=1e-3, beta1=0.0, beta2=0.0)
 
 
 # ---------------------------------------------------------------- histogram
@@ -243,12 +240,10 @@ def test_optimizer_step_histogram_optional():
 
 
 def test_optimizer_step_rejects_state_with_bad_hyperparams():
-    # init_state validates once; a state whose hp was swapped afterwards is
-    # still refused at the front door
-    state = replace(init_state("agd", 2, HyperParams(alpha=1e-3)),
-                    hp=HyperParams(alpha=1e-3, beta1=1.0))
+    # a HyperParams checks itself when built, dataclasses.replace included,
+    # so no state handed to the front door can hold one outside its domain
     with pytest.raises(ConfigError, match="beta1"):
-        optimizer_step(state, np.zeros(2), np.ones(2))
+        replace(HyperParams(alpha=1e-3), beta1=1.0)
 
 
 def test_optimizer_step_rejects_a_population_state():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -52,6 +53,21 @@ def test_rng_stream_keeps_every_bit_of_a_64_bit_seed():
         assert np.array_equal(rng_stream(seed, 5).normal(size=5), ref)
 
 
+def test_seeds_are_integers():
+    # True was keyed as seed 1, 1.5 raised TypeError from `&`; each caller
+    # takes its seed through rng_stream
+    draws = (lambda seed: rng_stream(seed, 0), lambda seed: two_moons(8, 0.1, seed),
+             lambda seed: init_params(MlpSpec(2, 4, 1), seed),
+             lambda seed: epoch_permutation(8, seed, 0))
+    for draw in draws:
+        for seed in (True, 1.5, "0"):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                draw(seed)
+    ref = rng_stream(3, 0).normal(size=5)
+    for seed in (3.0, np.int64(3), np.uint64(3)):
+        assert np.array_equal(rng_stream(seed, 0).normal(size=5), ref)
+
+
 # ---------------------------------------------------------------- two moons
 
 
@@ -90,21 +106,36 @@ def test_two_moons_validation():
         two_moons(1, 0.0, seed=0)
     with pytest.raises(ConfigError):
         two_moons(10, -0.1, seed=0)
+    # a NaN noise gave a dataset with no noise (nan > 0.0 is false), and
+    # True was refused only as fewer than 2 points
+    for n, noise in ((8, math.nan), (8, math.inf), (8, "0.1"), (2.5, 0.1), (True, 0.1)):
+        with pytest.raises(ConfigError, match="must be"):
+            two_moons(n, noise, seed=0)
 
 
 # ---------------------------------------------------------------- mlp shapes
 
 
 def test_spec_validation():
-    MlpSpec(2, 8, 1).validate()
+    MlpSpec(2, 8, 1)
     with pytest.raises(ConfigError):
-        MlpSpec(2, 0, 1).validate()
+        MlpSpec(2, 0, 1)
     with pytest.raises(ConfigError):
-        MlpSpec(2, 8, 1, activation="sigmoid").validate()
+        MlpSpec(2, 8, 1, activation="sigmoid")
     with pytest.raises(ConfigError):
-        MlpSpec(2, 8, 1, loss="hinge").validate()
+        MlpSpec(2, 8, 1, loss="hinge")
     with pytest.raises(ConfigError):
-        MlpSpec(2, 8, 3, loss="logistic").validate()
+        MlpSpec(2, 8, 3, loss="logistic")
+    for size in (2.5, True, "8"):  # 2.5 and True were accepted
+        with pytest.raises(ConfigError, match="hidden_dim must be an integer"):
+            MlpSpec(2, size, 1)
+
+
+def test_spec_stores_integral_sizes_as_int():
+    # a float size was kept and made init_params raise TypeError
+    spec = MlpSpec(2.0, 16.0, 1)
+    assert type(spec.in_dim) is type(spec.hidden_dim) is int
+    assert np.array_equal(init_params(spec, 0), init_params(MlpSpec(2, 16, 1), 0))
 
 
 def test_n_params_and_init():
@@ -313,6 +344,9 @@ def test_minibatch_stream_rejects_bad_batch():
         next(minibatch_stream(ds, 0, seed=0))
     with pytest.raises(ConfigError):
         next(minibatch_stream(ds, 9, seed=0))
+    # 2.5 raised TypeError from range at the first batch
+    with pytest.raises(ConfigError, match="batch_size must be an integer"):
+        next(minibatch_stream(ds, 2.5, seed=0))
 
 
 def _reference_loss_grad(spec, params, inputs, targets):

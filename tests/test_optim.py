@@ -61,6 +61,12 @@ def test_init_state_rejects_a_bad_size(n):
         init_state("agd", n, HP)
 
 
+def test_init_state_rejects_a_population_row_that_is_not_hyperparams():
+    # a dict row was bound unchecked until .validate() raised AttributeError
+    with pytest.raises(ConfigError, match="population row"):
+        init_state("agd", 2, [HP, {"alpha": 1e-3}])
+
+
 # ------------------------------------------------- momentum-difference values
 
 
@@ -95,24 +101,31 @@ def test_agd_compute_s_matches_recurrence():
     assert s2.b[0] == 0.999 * s1.b[0] + (1.0 - 0.999) * (diff * diff)
 
 
+# the largest beta1 a HyperParams holds: 1 - beta1 = 2**-53 exactly
+TOP_BETA1 = math.nextafter(1.0, 0.0)
+
+
 def test_agd_compute_s_guards():
-    # init_state refuses beta1 = 1; a state forced past it still cannot divide by 0
-    bad = HyperParams(alpha=1e-3, beta1=1.0)
-    with pytest.raises(ConfigError):
-        init_state("agd", 1, bad)
-    with pytest.raises(ZeroDivisionError):
-        agd_step(replace(init_state("agd", 1, HP), hp=bad), np.zeros(1), np.zeros(1))
+    # beta1 = 1 cannot be built, and the kernel needs no guard of its own:
+    # at the top of the domain the bias correction is still positive
+    with pytest.raises(ConfigError, match="beta1"):
+        replace(HP, beta1=1.0)
+    state, w, _ = agd_step(init_state("agd", 1, replace(HP, beta1=TOP_BETA1)),
+                           np.zeros(1), np.ones(1))
+    assert 1.0 - state.beta1_prod == 2.0 ** -53
+    assert state.prev_corrected[0] == 1.0 and np.isfinite(w).all()
 
 
 @pytest.mark.parametrize("name", [o for o in OPTIMIZER_NAMES if o != "sgd"])
 def test_moment_kernel_guards_every_variant(name):
-    # a forced beta1 = 1 refuses to divide by 0 in one run, and in a
-    # population row whose beta1 differs from the others' (a column)
-    bad = HyperParams(alpha=1e-3, beta1=1.0)
-    for state in (replace(init_state(name, 1, HP), hp=bad),
-                  replace(init_state(name, 1, [HP, HP]), hp=(HP, bad))):
-        with pytest.raises(ZeroDivisionError, match="beta1"):
-            dispatch_step(state, np.zeros(state.m.shape), np.zeros(state.m.shape))
+    # beta1 at the top of its domain steps to a finite iterate in one run,
+    # and in a population row whose beta1 differs from the others' (a column)
+    top = replace(HP, beta1=TOP_BETA1)
+    for state in (init_state(name, 1, top), init_state(name, 1, [HP, top])):
+        ones = np.ones(state.m.shape)
+        for _ in range(3):
+            state, w, _ = dispatch_step(state, ones, ones)
+            assert np.isfinite(w).all()
 
 
 def test_constant_gradient_sharpens_bias_correction():

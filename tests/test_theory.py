@@ -49,6 +49,9 @@ def test_variance_ratio_analytic_domain():
     for t in (2.5, True):  # each returned a ratio
         with pytest.raises(ConfigError, match="t must be an integer"):
             variance_ratio_analytic(0.5, t)
+    for beta1 in ("0.5", True, math.nan):  # "0.5" raised TypeError
+        with pytest.raises(ConfigError, match="beta1 must be a finite number"):
+            variance_ratio_analytic(beta1, 5)
 
 
 def test_variance_ratio_mc_close_to_analytic():
@@ -191,6 +194,16 @@ def test_quadratic_stream_geometry():
     assert np.array_equal(exp.centers, again.centers)
 
 
+@pytest.mark.parametrize("key, value", [("center_scale", 0.0), ("center_scale", math.nan),
+                                        ("center_scale", "1"), ("margin", -5.0),
+                                        ("margin", math.inf)])
+def test_quadratic_stream_checks_like_the_cli(key, value):
+    # margin=-5 gave an inverted box (lo > hi), and a NaN center_scale
+    # raised NumPy's OverflowError
+    with pytest.raises(ConfigError, match=key):
+        make_quadratic_stream(2, 10, 0, **{key: value})
+
+
 def test_online_regret_nonnegative_at_horizon():
     exp = make_quadratic_stream(2, 2000, seed=0)
     hp = HyperParams(alpha=0.5, lr_schedule="inverse_sqrt",
@@ -289,6 +302,9 @@ def test_stream_and_suite_counts_are_integers():
     for samples in (1.5, True):
         with pytest.raises(ConfigError, match="samples must be an integer"):
             verify_suite(samples=samples)
+    # 1.5 raised TypeError from `&` in rng_stream
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        verify_suite(samples=5000, seed=1.5)
     # an integral float counts as the integer it equals
     reports = verify_suite(samples=2e4, seed=0)
     assert reports[0]["parameters"]["samples"] == 20_000
