@@ -22,12 +22,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import MISSING, asdict, fields
 from itertools import chain
 
 import numpy as np
 
-from .core import (BETA1_KINDS, LR_KINDS, ConfigError, HyperParams, bounded, check_count,
-                   check_int, check_num)
+from .core import ConfigError, HyperParams, bounded, check_count, check_int, check_num
 from .diagnostics import MlpProblem, TestFnProblem, race, record_run, record_runs
 from .models import ACTIVATIONS, LOSSES, MlpSpec, two_moons
 from .optim import CHUNK, OPTIMIZER_NAMES
@@ -45,14 +45,8 @@ __all__ = [
     "main",
 ]
 
-SWEEPABLE = (
-    "hyperparams.alpha",
-    "hyperparams.beta1",
-    "hyperparams.beta2",
-    "hyperparams.delta",
-    "hyperparams.weight_decay",
-    "seed",
-)
+SWEEPABLE = tuple(f"hyperparams.{f.name}" for f in fields(HyperParams)
+                  if f.type == "float") + ("seed",)
 _BLOCK = 512  # rows per `%` template in the writers, which bounds their transient strings
 
 
@@ -140,41 +134,27 @@ _POSITIVE = bounded(check_num, 0.0, strict=True)
 _NONNEGATIVE = bounded(check_num, 0.0)
 
 
-def _milestones(value, where: str) -> list:
-    if not (isinstance(value, list)
-            and all(isinstance(e, list) and len(e) == 2 for e in value)):
-        raise ConfigError(f"{where} must be a list of [step, factor] pairs, got {value!r}")
-    return [[check_int(step, f"{where} step"), check_num(factor, f"{where} factor")]
-            for step, factor in value]
-
-
 def _start(value, where: str) -> list:
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{where} must be a 2-element list, got {value!r}")
     return [check_num(v, where) for v in value]
 
 
-_HYPERPARAMS = {
-    "alpha": (check_num, REQUIRED),
-    "beta1": (check_num, 0.9),
-    "beta2": (check_num, 0.999),
-    "delta": (check_num, 1e-8),
-    "weight_decay": (check_num, 0.0),
-    "lr_schedule": (_one_of(*LR_KINDS), "constant"),
-    "milestones": (_milestones, []),
-    "beta1_schedule": (_one_of(*BETA1_KINDS), "constant"),
-}
-
-
-def _hp(d: dict) -> HyperParams:
-    """The HyperParams of a canonical hyperparams dict."""
-    return HyperParams(**dict(d, milestones=tuple(map(tuple, d["milestones"]))))
+# HyperParams states the keys, defaults and domain; its build checks the values
+_HYPERPARAMS = {f.name: (lambda value, where: value,
+                         REQUIRED if f.default is MISSING else f.default)
+                for f in fields(HyperParams)}
 
 
 def _hyperparams(value, where: str) -> dict:
-    hp = _section(value, _HYPERPARAMS, where)
-    _hp(hp)  # a HyperParams checks its domain when built
-    return hp
+    """The canonical dict of the HyperParams built from `value`; a ConfigError
+    from the build is raised again with `where` in front."""
+    d = _section(value, _HYPERPARAMS, where)
+    try:
+        hp = HyperParams(**d)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
+    return dict(asdict(hp), milestones=[list(m) for m in hp.milestones])
 
 
 _DATASET = {"name": (_one_of("two_moons"), REQUIRED), "n": (bounded(check_int, 2), REQUIRED),
@@ -255,7 +235,7 @@ def run_command(cfg: dict, out_dir: str) -> dict:
     problem = _build_problem(cfg)
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    traj = record_run(problem, cfg["optimizer"], _hp(cfg["hyperparams"]),
+    traj = record_run(problem, cfg["optimizer"], HyperParams(**cfg["hyperparams"]),
                       _steps(cfg, problem), snapshot_every=cfg["snapshot_every"],
                       tol=cfg["tol"])
     return _write_run(cfg, problem, traj, time.perf_counter() - t0, out_dir)
@@ -353,7 +333,7 @@ def _run_points(cfgs: list, dirs: list) -> list:
         first = cfgs[0]
         t0 = time.perf_counter()
         trajs = record_runs(problems, first["optimizer"],
-                            [_hp(cfg["hyperparams"]) for cfg in cfgs],
+                            [HyperParams(**cfg["hyperparams"]) for cfg in cfgs],
                             _steps(first, problems[0]),
                             snapshot_every=first["snapshot_every"], tol=first["tol"])
         wall = time.perf_counter() - t0
@@ -470,7 +450,7 @@ def parse_race_config(d) -> dict:
 def race_command(d: dict, out_dir: str) -> dict:
     cfg = parse_race_config(d)
     problem = _build_problem(cfg)
-    hps = {e["optimizer"]: _hp(e["hyperparams"]) for e in cfg["entrants"]}
+    hps = {e["optimizer"]: HyperParams(**e["hyperparams"]) for e in cfg["entrants"]}
     result = race(problem, list(hps), hps, tol=cfg["tol"], max_steps=cfg["max_steps"])
     os.makedirs(out_dir, exist_ok=True)
     payload = {
@@ -516,16 +496,15 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated values, e.g. 1e-8,1e-6,1e-4")
+                         help="comma-separated values, e.g. 1e-6,1e-4,1e-2")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run the analytic-claim checks")
     p_verify.add_argument("--samples", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--beta1", type=float, default=0.9)
-    p_verify.add_argument("--beta2", type=float, default=0.999)
-    p_verify.add_argument("--delta", type=float, default=1e-8)
+    for key in ("beta1", "beta2", "delta"):
+        p_verify.add_argument(f"--{key}", type=float, default=getattr(HyperParams, key))
     p_verify.add_argument("--out", default=None)
 
     p_race = sub.add_parser("race", help="head-to-head steps-to-tolerance")

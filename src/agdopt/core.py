@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,7 +99,9 @@ class HyperParams:
     denominator epsilon for the Adam family. weight_decay is decoupled:
     w <- w - lr_t * weight_decay * w before the optimizer-specific update.
     Each value is checked when the instance is built, `dataclasses.replace`
-    included, and a ConfigError names the first one outside its domain.
+    included, and a ConfigError names the first one outside its domain. The
+    instance keeps what it checked: the reals as floats and milestones as a
+    tuple of (int step, float factor) pairs, so it is hashable.
     """
 
     alpha: float
@@ -112,8 +114,9 @@ class HyperParams:
     beta1_schedule: str = "constant"
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta1", "beta2", "delta", "weight_decay"):
-            check_num(getattr(self, name), name)
+        for f in fields(self):
+            if f.type == "float":
+                object.__setattr__(self, f.name, check_num(getattr(self, f.name), f.name))
         if not self.alpha > 0.0:
             raise ConfigError(f"alpha must be a positive finite real, got {self.alpha}")
         if not (0.0 <= self.beta1 < 1.0):
@@ -125,15 +128,24 @@ class HyperParams:
         if not self.weight_decay >= 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.lr_schedule not in LR_KINDS:
-            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
+            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}; "
+                              f"expected one of {LR_KINDS}")
         if self.beta1_schedule not in BETA1_KINDS:
-            raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}")
+            raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}; "
+                              f"expected one of {BETA1_KINDS}")
+        if not isinstance(self.milestones, (tuple, list)):
+            raise ConfigError(f"milestones must be a list of (step, factor) pairs, "
+                              f"got {self.milestones!r}")
+        pairs = []
         for entry in self.milestones:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
                 raise ConfigError(f"bad milestone {entry!r}; expected (step, factor)")
-            if (check_int(entry[0], "milestone step") < 1
-                    or not check_num(entry[1], "milestone factor") > 0.0):
+            pair = (check_int(entry[0], "milestone step"),
+                    check_num(entry[1], "milestone factor"))
+            if pair[0] < 1 or not pair[1] > 0.0:
                 raise ConfigError(f"bad milestone {entry!r}")
+            pairs.append(pair)
+        object.__setattr__(self, "milestones", tuple(pairs))
 
     def lr_at(self, t: int) -> float:
         """constant: alpha; inverse_sqrt: alpha / sqrt(t); milestones: alpha

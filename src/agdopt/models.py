@@ -66,6 +66,7 @@ def two_moons(n: int, noise: float, seed: int) -> Dataset:
     exactly on its half-circle.
     """
     n, noise = bounded(check_int, 2)(n, "n"), bounded(check_num, 0.0)(noise, "noise")
+    seed = check_int(seed, "seed")
     n_out = n // 2
     n_in = n - n_out
     th_out = np.linspace(0.0, np.pi, n_out)

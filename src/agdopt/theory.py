@@ -257,6 +257,12 @@ def loglog_slope(series: np.ndarray, lo_frac: float = 0.1) -> float:
     return float(slope)
 
 
+def _one_run(hp) -> HyperParams:
+    if not isinstance(hp, HyperParams):
+        raise ConfigError(f"hp must be a HyperParams, got {hp!r}")
+    return hp
+
+
 def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
                            group_size: int | None = None):
     """Check sum_i v_{t,i} < n (2G+delta) / (1-beta1)^2 along a run.
@@ -269,6 +275,7 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
     n = k. Returns the max observed ratio bound-side; < 1 everywhere means
     the claim held.
     """
+    hp = _one_run(hp)
     grad_stream = np.asarray(grad_stream, dtype=np.float64)
     if grad_stream.ndim != 2:
         raise ConfigError(f"grad_stream must be (T, n), got {grad_stream.shape}")
@@ -301,8 +308,7 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     inconclusive rather than failed.
     """
     samples = check_count(samples, "samples")
-    if hp is None:
-        hp = HyperParams(alpha=1e-3)
+    hp = HyperParams(alpha=1e-3) if hp is None else _one_run(hp)
     reports: list[dict] = []
 
     # 1. variance reduction of the debiased momentum average

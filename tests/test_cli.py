@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 import agdopt
 from agdopt.cli import (
+    SWEEPABLE,
     derive_seed,
     main,
     parse_race_config,
     parse_run_config,
 )
-from agdopt.core import ConfigError
+from agdopt.core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -185,6 +187,19 @@ def test_readme_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     capsys.readouterr()
+
+
+def test_readme_names_the_hyperparameters_and_sweepable_paths():
+    # HyperParams states the keys, their schedule kinds and so the sweep paths
+    text = README.read_text()
+    keys = text.split("Hyperparameter keys:")[1].split("\n\n")[0]
+    names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys))
+    assert names == [f.name for f in fields(HyperParams)]
+    kinds = {key: tuple(re.findall(r"`(\w+)`", listed))
+             for key, listed in re.findall(r"`(\w+_schedule)` \(([^)]*)\)", keys)}
+    assert kinds == {"lr_schedule": LR_KINDS, "beta1_schedule": BETA1_KINDS}
+    paths = text.split("Sweepable paths:")[1].split(". ")[0]
+    assert tuple(re.findall(r"`([\w.]+)`", paths)) == SWEEPABLE
 
 
 # ---------------------------------------------------------------- seeds
@@ -362,6 +377,36 @@ def test_run_verb_checks_mlp_sizes_before_any_work(tmp_path, capsys, problem):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     last_error(capsys)
+    assert not out.exists()
+
+
+BAD_HYPERPARAMS = {  # a hyperparams section, and a name its error must give
+    "alpha_string": ({"alpha": "1e-3"}, "alpha"),
+    "alpha_zero": ({"alpha": 0.0}, "alpha"),
+    "beta1_one": ({"alpha": 1e-3, "beta1": 1.0}, "beta1"),
+    "milestone_negative": ({"alpha": 1e-3, "lr_schedule": "milestones",
+                            "milestones": [[2, -1.0]]}, "milestone"),
+    "alpha_missing": ({"beta1": 0.5}, "alpha"),
+    "key_unknown": ({"alpha": 1e-3, "gamma": 1}, "gamma"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_HYPERPARAMS)
+@pytest.mark.parametrize("verb", ["run", "sweep", "race"])
+def test_hyperparam_errors_name_their_section_once(tmp_path, capsys, verb, case):
+    # type errors named the key's path and range errors no path at all
+    hp, name = BAD_HYPERPARAMS[case]
+    if verb == "race":
+        config = dict(RACE_QUAD, entrants=[{"optimizer": "agd", "hyperparams": hp}])
+        section = "config.entrants[0].hyperparams"
+    else:
+        config, section = dict(BASE, hyperparams=hp), "config.hyperparams"
+    extra = ["--param", "hyperparams.delta", "--values", "1e-8"] if verb == "sweep" else []
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, config)
+    assert main([verb, "--config", cfg, "--out", str(out), *extra]) == 2
+    message = last_error(capsys)
+    assert message.count(section) == 1 and name in message
     assert not out.exists()
 
 
@@ -630,7 +675,8 @@ def test_sweep_checks_every_point_before_any_runs(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--param", "hyperparams.beta1",
                  "--values", "0.5,0.9,1.5", "--out", str(out)]) == 2
-    assert "beta1" in last_error(capsys)
+    message = last_error(capsys)
+    assert "beta1" in message and message.count("config.hyperparams") == 1
     assert not out.exists()
 
 

@@ -127,6 +127,8 @@ def test_beta1_at_matches_schedule():
     {"alpha": 1e-3, "weight_decay": -0.01},
     {"alpha": True},
     {"alpha": 1e-3, "beta1": "0.5"},
+    {"alpha": 1e-3, "milestones": 5},
+    {"alpha": 1e-3, "milestones": None},
 ])
 def test_hyperparam_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
@@ -135,6 +137,15 @@ def test_hyperparam_validation_rejects(kwargs):
 
 def test_zero_betas_are_legal():
     HyperParams(alpha=1e-3, beta1=0.0, beta2=0.0)
+
+
+def test_hyperparams_keep_what_they_checked():
+    # the float step and the lists were kept, which made the frozen instance
+    # unhashable
+    hp = HyperParams(alpha=1, lr_schedule="milestones", milestones=[[2.0, 1]])
+    assert type(hp.alpha) is float and hp.milestones == ((2, 1.0),)
+    assert [type(x) for x in hp.milestones[0]] == [int, float]
+    assert hash(hp) == hash(replace(hp))
 
 
 # ---------------------------------------------------------------- histogram

@@ -55,8 +55,10 @@ def test_rng_stream_keeps_every_bit_of_a_64_bit_seed():
 
 def test_seeds_are_integers():
     # True was keyed as seed 1, 1.5 raised TypeError from `&`; each caller
-    # takes its seed through rng_stream
+    # takes its seed through rng_stream, but two_moons without noise draws
+    # nothing and kept 1.5 as its seed
     draws = (lambda seed: rng_stream(seed, 0), lambda seed: two_moons(8, 0.1, seed),
+             lambda seed: two_moons(8, 0.0, seed),
              lambda seed: init_params(MlpSpec(2, 4, 1), seed),
              lambda seed: epoch_permutation(8, seed, 0))
     for draw in draws:

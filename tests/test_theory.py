@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from agdopt import theory
 from agdopt.core import ConfigError, HyperParams
 from agdopt.models import rng_stream
 from agdopt.theory import (
@@ -260,6 +261,11 @@ def test_norm_bound_rejects_bad_hyperparams():
     # refused before the bound divides by 1 - beta1
     with pytest.raises(ConfigError, match="beta1"):
         norm_bound_check(np.ones((3, 2)), HyperParams(alpha=1e-3, beta1=1.0))
+    # a list raised AttributeError after building a population state, and a
+    # dict got a message about population rows
+    for hp in ([HyperParams(alpha=1e-3)], {"alpha": 1e-3}, None):
+        with pytest.raises(ConfigError, match="hp must be a HyperParams"):
+            norm_bound_check(np.ones((3, 2)), hp)
 
 
 def test_norm_bound_rejects_flat_stream():
@@ -311,7 +317,16 @@ def test_stream_and_suite_counts_are_integers():
     assert all(r["passed"] is True for r in reports)
 
 
-def test_verify_suite_rejects_bad_hp():
+def test_verify_suite_rejects_bad_hp(monkeypatch):
     with pytest.raises(ConfigError):
         verify_suite(samples=5_000, seed=0,
                      hp=HyperParams(alpha=1e-3, beta2=1.0))
+
+    # refused before the Monte-Carlo check draws its first sample
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the Monte-Carlo check ran")
+
+    monkeypatch.setattr(theory, "variance_ratio_mc", no_draws)
+    for hp in ([HyperParams(alpha=1e-3)], {"alpha": 1e-3}):
+        with pytest.raises(ConfigError, match="hp must be a HyperParams"):
+            verify_suite(samples=10_000, seed=0, hp=hp)
