@@ -189,6 +189,16 @@ def test_verify_report_bytes(tmp_path):
 """
 
 
+def _run_digest(out):
+    """The sha256 of a run's trajectory.csv, histograms.json and masked
+    summary.json."""
+    digest = hashlib.sha256()
+    for text in ((out / "trajectory.csv").read_text(),
+                 (out / "histograms.json").read_text(), _masked_summary(out)):
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
 # MLP runs, pinned by the sha256 of trajectory.csv, histograms.json and the
 # masked summary.json. Ten points in batches of 4 leave a trailing batch of 2;
 # hidden_dim 16384 (n = 65537 with the logistic head) spans several kernel
@@ -227,12 +237,15 @@ MLP_CASES = {
         "9a218a26a7a892dba8040a4e87db93c318e1f5d0d0ec295eb558a35033ca2fd2",
     ("tanh", "squared", 4, "adabelief", 0.0, 16384):
         "b96bf4575ea4fc0b14879f9e31d388059ae7c9f71b127942d816b2f2824d4102",
+    # a seventh entry is the beta1 schedule, so B_t is no power of beta1
+    ("tanh", "logistic", 4, "agd", 0.0, 16384, "over_t"):
+        "46ef2bc4fa25287e06ca0b88f7c95a4ab0ee0bbc191ef8bd7a85bc87065cb0c1",
 }
 
 
 @pytest.mark.parametrize("case", sorted(MLP_CASES), ids=lambda c: "-".join(map(str, c)))
 def test_mlp_run_bytes(tmp_path, case):
-    activation, loss, batch, optimizer, wd, hidden = case
+    activation, loss, batch, optimizer, wd, hidden, *schedule = case
     cfg = {
         "problem": {"kind": "mlp", "hidden_dim": hidden, "activation": activation,
                     "loss": loss, "dataset": {"name": "two_moons", "n": 10},
@@ -243,12 +256,9 @@ def test_mlp_run_bytes(tmp_path, case):
         "steps": 7,
         "snapshot_every": 3,
     }
-    out = _run(tmp_path, cfg)
-    digest = hashlib.sha256()
-    for text in ((out / "trajectory.csv").read_text(),
-                 (out / "histograms.json").read_text(), _masked_summary(out)):
-        digest.update(text.encode())
-    assert digest.hexdigest() == MLP_CASES[case]
+    if schedule:
+        cfg["hyperparams"]["beta1_schedule"] = schedule[0]
+    assert _run_digest(_run(tmp_path, cfg)) == MLP_CASES[case]
 
 
 # Sweeps, pinned by the sha256 of every file under --out (paths included),
@@ -292,6 +302,15 @@ SWEEP_CASES = {
          "seed": 2, "steps": 30, "snapshot_every": 4},
         "hyperparams.beta1", "0,0.5,0.9,0.99",
         "432c9a49d29684fcec9b37cb6fbb3c830ae2b38dc857dd0f038a9579a6150ee7"),
+    # an agd population whose rows carry a B_t column under a decaying beta1
+    "agd-beale-beta1": (
+        {"problem": {"kind": "testfn", "name": "beale", "start": [1.0, 1.0]},
+         "optimizer": "agd",
+         "hyperparams": {"alpha": 1e-2, "beta1_schedule": "over_sqrt_t",
+                         "weight_decay": 1e-3},
+         "seed": 2, "steps": 60, "snapshot_every": 4},
+        "hyperparams.beta1", "0,0.5,0.9,0.99",
+        "a8ec72e04ad3b433e7aff54f0d27c53bac52822ee7f854a34b652314a445596a"),
 }
 
 
@@ -311,13 +330,19 @@ def test_sweep_bytes(tmp_path, case):
 def test_long_run_bytes(tmp_path):
     cfg = {"problem": {"kind": "testfn", "name": "rosenbrock"}, "optimizer": "agd",
            "hyperparams": {"alpha": 1e-3}, "seed": 0, "steps": 2500, "snapshot_every": 1}
-    out = _run(tmp_path, cfg)
-    digest = hashlib.sha256()
-    for text in ((out / "trajectory.csv").read_text(),
-                 (out / "histograms.json").read_text(), _masked_summary(out)):
-        digest.update(text.encode())
-    assert digest.hexdigest() == \
+    assert _run_digest(_run(tmp_path, cfg)) == \
         "b9628f13de2d3330a494d5ef09c4c5ef06c7f39bf7c6321a7776a5753954f7ca"
+
+
+# A lone run on the float lane (n = 2) under a decaying beta1, pinned the same
+# way: the debiasing terms of consecutive steps differ at every step.
+def test_float_lane_run_bytes(tmp_path):
+    cfg = {"problem": {"kind": "testfn", "name": "rosenbrock"},
+           "optimizer": "agd_amsgrad",
+           "hyperparams": {"alpha": 1e-3, "beta1_schedule": "over_sqrt_t"},
+           "seed": 0, "steps": 3000, "snapshot_every": 7}
+    assert _run_digest(_run(tmp_path, cfg)) == \
+        "1c7580eaa2229063e3a4f82606a92a5bd48ae76c0cc89b853571b474deae36d0"
 
 
 def test_diverging_run_csv_tokens(tmp_path):
