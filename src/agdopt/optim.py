@@ -3,7 +3,9 @@
 States are plain dataclasses over float64 vectors that also carry their step
 counter and their hyperparameters, which `init_state` binds once (a
 HyperParams checks its own domain when built); every step is a function of
-(state, w, g) and takes step t = state.t + 1.
+(state, w, g) and takes step t = state.t + 1. AGD's state holds two vectors,
+m and b, the same size as Adam's m and v: the previous debiased average in
+s_t below is recomputed from m and B_{t-1} rather than kept.
 
 Buffer contract: a kernel never writes state, w or g. Called without `out`
 it is pure and returns a fresh state; given `out`, a second state of the same
@@ -101,13 +103,21 @@ OPTIMIZER_NAMES = ("agd", "agd_amsgrad", "adam", "adamw", "adabelief", "sgd")
 
 @dataclass
 class AgdState:
+    # two vectors, as Adam's m and v: a step recomputes the previous debiased
+    # average m_{t-1} / (1 - B_{t-1}) from m and beta1_prod
     m: np.ndarray              # first-moment EMA
     b: np.ndarray              # second-moment EMA of the momentum differences
-    prev_corrected: np.ndarray  # m_{t-1} / (1 - B_{t-1}), cached between steps
     beta1_prod: float | np.ndarray  # B_t = prod_{i<=t} beta1_i, 1 before any step
     t: int
     hp: HyperParams | tuple[HyperParams, ...]
     amsgrad: bool
+
+    @property
+    def prev_corrected(self) -> np.ndarray:
+        """The debiased average m_t / (1 - B_t) that the next step subtracts,
+        zeros before any step. Read-only, computed on each read."""
+        m = np.asarray(self.m)
+        return np.zeros_like(m) if self.t == 0 else m / (1.0 - self.beta1_prod)
 
 
 @dataclass
@@ -145,8 +155,7 @@ def init_state(name: str, n: int, hp):
                 raise ConfigError(f"a population row must be a HyperParams, got {h!r}")
         shape = (len(hp), n)
     if name in ("agd", "agd_amsgrad"):
-        return AgdState(m=np.zeros(shape), b=np.zeros(shape),
-                        prev_corrected=np.zeros(shape), beta1_prod=1.0, t=0, hp=hp,
+        return AgdState(m=np.zeros(shape), b=np.zeros(shape), beta1_prod=1.0, t=0, hp=hp,
                         amsgrad=name == "agd_amsgrad")
     if name in ("adam", "adamw", "adabelief"):
         return AdamLikeState(m=np.zeros(shape), v=np.zeros(shape), beta1_prod=1.0, t=0,
@@ -202,20 +211,23 @@ def _norm(update):
 
 # One kernel serves AGD and the Adam family, and reads the variant's rules
 # from the state. Its second moment, AGD's b or the Adam family's v, takes one
-# slot fed with x**2. AGD's x is s_t; it divides by the floor max(bhat, delta),
-# counts the truncated coordinates and writes prev_corrected, and amsgrad
-# clamps the slot below by its last value. The Adam family divides by
-# rms + delta; its x is g_t, or g_t - m_t for AdaBelief, which adds delta
-# after the EMA.
+# slot fed with x**2. AGD's x is s_t, the debiased average m / corr1 less the
+# previous one, m0 / corr0, which it recomputes from the state's m and B_{t-1}
+# through the same 1 - B expression the previous step divided by, so it gets
+# that step's bits; it divides by the floor max(bhat, delta) and counts the
+# truncated coordinates, and amsgrad clamps the slot below by its last value.
+# The Adam family divides by rms + delta; its x is g_t, or g_t - m_t for
+# AdaBelief, which adds delta after the EMA.
 #
 # Besides out's vectors the kernel writes two fresh arrays, the update and
 # w', and no other scratch. The update holds the body's intermediate terms
-# (`s`) until its last passes write the update there. w' holds the rms
-# estimate, unless a histogram needs it whole, until w' = (w * decay) - update
-# is written there, decaying first; where every row's factor is exactly 1.0
-# the product is w itself, and the body skips that pass over w. The ufuncs
-# take their destination positionally, which costs less than out= on the tiny
-# vectors of a 2-D problem (np.maximum accepts only out=).
+# (`s`) until its last passes write the update there. w' holds AGD's
+# m0 / corr0 and then the rms estimate (`r`), unless a histogram needs the
+# estimate whole, until w' = (w * decay) - update is written there, decaying
+# first; where every row's factor is exactly 1.0 the product is w itself, and
+# the body skips that pass over w. The ufuncs take their destination
+# positionally, which costs less than out= on the tiny vectors of a 2-D
+# problem (np.maximum accepts only out=).
 
 
 def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = True,
@@ -238,12 +250,13 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
     beta1_t, lr, decay, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
     beta1_prod = state.beta1_prod * beta1_t
     # no guard needed: a HyperParams has each beta1_t in [0, 1), so their
-    # product stays below 1 and corr1 > 0, also in the float body
-    corr1 = 1.0 - beta1_prod
+    # product stays below 1 and corr1 > 0 (corr0 > 0 from step 2), also in
+    # the float body
+    corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - beta1_prod
     scale = lr / corr1
     decayed = type(decay) is np.ndarray or decay != 1.0
     agd = isinstance(state, AgdState)
-    vecs, flag = (("m", "b", "prev_corrected"), "amsgrad") if agd else (("m", "v"), "variant")
+    vecs, flag = (("m", "b"), "amsgrad") if agd else (("m", "v"), "variant")
     amsgrad, belief = agd and state.amsgrad, not agd and state.variant == "adabelief"
     if out is None:
         out = replace(state, **{k: np.empty_like(getattr(state, k)) for k in vecs})
@@ -251,17 +264,18 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
 
     n = w.shape[-1]
 
-    def body(m0, v0, g, w, m, v, s, new_w, r, prev=None, corrected=None):
+    def body(m0, v0, g, w, m, v, s, new_w, r):
         # m = beta1_t * m0 + (1 - beta1_t) * g
         np.multiply(m0, beta1_t, m)
         np.multiply(g, 1.0 - beta1_t, s)
         np.add(m, s, m)
-        # x = m / corr1 - prev (just m / corr1 at t = 1), g - m or g
+        # x = m / corr1 - m0 / corr0 (just m / corr1 at t = 1), g - m or g;
+        # r is free until the rms estimate
         x = g
         if agd:
-            x = np.divide(m, corr1, corrected)
+            x = np.divide(m, corr1, s)
             if t > 1:
-                x = np.subtract(corrected, prev, s)
+                np.subtract(s, np.divide(m0, corr0, r), s)
         elif belief:
             x = np.subtract(g, m, s)
         # v = beta2 * v0 + (1 - beta2) * x**2, then the clamp or + delta
@@ -291,10 +305,7 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
 
     update, new_w = np.empty(w.shape), np.empty(w.shape)
     r = np.empty(w.shape) if collect_histogram else new_w
-    arrays = (state.m, v_in, g, w, out.m, v_out, update, new_w, r)
-    if agd:
-        arrays += (state.prev_corrected, out.prev_corrected)
-    truncated = chunked(body, n, arrays)
+    truncated = chunked(body, n, (state.m, v_in, g, w, out.m, v_out, update, new_w, r))
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),
@@ -360,12 +371,12 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 # NumPy 2.4.6):
 #
 #     n            1     2     4     8     16
-#     agd          3.33  2.26  1.92  1.51  1.00
-#     agd_amsgrad  3.45  2.31  1.99  1.53  1.08
-#     adam         2.64  1.99  1.75  1.40  1.02
-#     adamw        2.81  1.97  1.78  1.47  1.09
-#     adabelief    3.10  2.12  2.02  1.51  1.12
-#     sgd          1.43  1.16  1.08  0.87  0.65
+#     agd          3.46  2.39  2.03  1.55  1.12
+#     agd_amsgrad  3.65  2.49  2.03  1.60  1.15
+#     adam         2.80  1.90  1.66  1.35  0.99
+#     adamw        2.74  1.91  1.67  1.39  1.02
+#     adabelief    3.11  2.06  1.77  1.41  1.02
+#     sgd          1.50  1.22  1.09  0.87  0.67
 #
 # SGD's NumPy body is only four ufunc calls. Against its float body with no
 # diagnostics, as a race's steps take it, the same ratio at n = 2 and 8 was
@@ -389,19 +400,19 @@ def _float_body(state, w, g, collect_histogram, out):
     else:
         beta1_t, lr, decay, bc2, beta2, delta = _moment_terms(hp, t)
         out.beta1_prod = state.beta1_prod * beta1_t
-        corr1 = 1.0 - out.beta1_prod
+        corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - out.beta1_prod
         scale, a1, a2 = lr / corr1, 1.0 - beta1_t, 1.0 - beta2
         agd = isinstance(state, AgdState)
         amsgrad, belief = agd and state.amsgrad, not agd and state.variant == "adabelief"
         v_in = state.b if agd else state.v
-        prevs = state.prev_corrected if agd else state.m  # read by AGD only
-        for m0, v0, prev, gi, wi in zip(state.m, v_in, prevs, g.tolist(), w.tolist()):
+        for m0, v0, gi, wi in zip(state.m, v_in, g.tolist(), w.tolist()):
             m = m0 * beta1_t + gi * a1
             if agd:
-                c = m / corr1
-                x = c if t == 1 else c - prev
+                x = m / corr1
+                if t > 1:
+                    x = x - m0 / corr0
             else:
-                c, x = None, gi - m if belief else gi
+                x = gi - m if belief else gi
             v = v0 * beta2 + x * x * a2
             if amsgrad:
                 v = v0 if v < v0 else v
@@ -414,12 +425,9 @@ def _float_body(state, w, g, collect_histogram, out):
                 u = m / (delta if below else r) * scale
             else:
                 u = m / (r + delta) * scale
-            rows.append((m, v, c, u, wi * decay - u, r))
-        out.m, v, c, update, new_w, r = zip(*rows)
-        if agd:
-            out.b, out.prev_corrected = v, c
-        else:
-            out.v = v
+            rows.append((m, v, u, wi * decay - u, r))
+        out.m, v, update, new_w, r = zip(*rows)
+        setattr(out, "b" if agd else "v", v)
     out.t, out.hp = t, hp
     diag = None if collect_histogram is None else StepDiagnostics(
         truncated / len(rows), _norm(np.array(update)),

@@ -597,6 +597,42 @@ def test_run_steps_buffers_match_pure_steps(name, n):
         assert 0.0 < traj.truncation_fraction[-1] < 1.0
 
 
+class IdentityGradProblem:
+    """Loss 0 with gradient w, a fresh array per call: a run's memory is then
+    the run loop's and the kernel's own arrays."""
+
+    name = "identity"
+    optimum = None
+
+    def __init__(self, n):
+        self.n = n
+
+    def init_params(self):
+        return np.ones(self.n)
+
+    def loss_grad(self, w):
+        return 0.0, w.copy()
+
+
+@pytest.mark.parametrize("name, vectors", [("agd", {"m", "b"}),
+                                           ("agd_amsgrad", {"m", "b"}),
+                                           ("adam", {"m", "v"})])
+def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
+    # AGD's state is two vectors, the size of Adam's: with both state sets,
+    # w, g, the update, w' and the histogram's array a lone run peaks at
+    # about 9.3 vectors, and a third vector per state set would add two
+    n = 4 * CHUNK + 1
+    assert {f for f, v in vars(init_state(name, n, HP)).items()
+            if isinstance(v, np.ndarray)} == vectors
+    tracemalloc.start()
+    try:
+        record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * n, peak / (8 * n)
+
+
 # ------------------------------------------------------------ populations
 
 
