@@ -27,8 +27,9 @@ from itertools import chain
 
 import numpy as np
 
-from .core import ConfigError, HyperParams, bounded, check_count, check_int, check_num
-from .diagnostics import MlpProblem, TestFnProblem, race, record_run, record_runs
+from .core import (ConfigError, HyperParams, bounded, check_count, check_int, check_num,
+                   check_positive, one_of)
+from .diagnostics import MlpProblem, TestFnProblem, check_start, race, record_run, record_runs
 from .models import ACTIVATIONS, LOSSES, MlpSpec, two_moons
 from .optim import CHUNK, OPTIMIZER_NAMES
 from .testfns import TESTFNS, get_testfn
@@ -122,22 +123,7 @@ def _section(d, schema: dict, where: str) -> dict:
     return out
 
 
-def _one_of(*choices: str):
-    def one_of(value, where: str) -> str:
-        if not isinstance(value, str) or value not in choices:
-            raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
-        return value
-    return one_of
-
-
-_POSITIVE = bounded(check_num, 0.0, strict=True)
 _NONNEGATIVE = bounded(check_num, 0.0)
-
-
-def _start(value, where: str) -> list:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{where} must be a 2-element list, got {value!r}")
-    return [check_num(v, where) for v in value]
 
 
 # HyperParams states the keys, defaults and domain; its build checks the values
@@ -157,42 +143,41 @@ def _hyperparams(value, where: str) -> dict:
     return dict(asdict(hp), milestones=[list(m) for m in hp.milestones])
 
 
-_DATASET = {"name": (_one_of("two_moons"), REQUIRED), "n": (bounded(check_int, 2), REQUIRED),
+_DATASET = {"name": (one_of("two_moons"), REQUIRED), "n": (bounded(check_int, 2), REQUIRED),
             "noise": (_NONNEGATIVE, 0.15)}
 _PROBLEMS = {
-    "testfn": {"name": (_one_of(*TESTFNS), REQUIRED), "start": (_start, None)},
+    "testfn": {"name": (one_of(*TESTFNS), REQUIRED), "start": (check_start, None)},
     "mlp": {
         "hidden_dim": (check_count, 16),
-        "activation": (_one_of(*ACTIVATIONS), "tanh"),
-        "loss": (_one_of(*LOSSES), "logistic"),
+        "activation": (one_of(*ACTIVATIONS), "tanh"),
+        "loss": (one_of(*LOSSES), "logistic"),
         "dataset": (lambda v, where: _section(v, _DATASET, where), REQUIRED),
         "batch_size": (check_count, 8),
     },
     # the horizon is the run's steps count
-    "regret": {"dim": (check_count, 2), "center_scale": (_POSITIVE, 1.0),
+    "regret": {"dim": (check_count, 2), "center_scale": (check_positive, 1.0),
                "margin": (_NONNEGATIVE, 1.0)},
 }
 
 
 def _problem(value, where: str) -> dict:
     """A problem object; its kind picks the schema of its other keys."""
-    kind = _one_of(*_PROBLEMS)(_object(value, where).get("kind"), f"{where}.kind")
-    p = _section(value, {"kind": (_one_of(kind), REQUIRED), **_PROBLEMS[kind]}, where)
-    if kind == "mlp" and p["batch_size"] > p["dataset"]["n"]:
-        raise ConfigError(f"{where}.batch_size must be in [1, {p['dataset']['n']}], "
-                          f"got {p['batch_size']}")
+    kind = one_of(*_PROBLEMS)(_object(value, where).get("kind"), f"{where}.kind")
+    p = _section(value, {"kind": (one_of(kind), REQUIRED), **_PROBLEMS[kind]}, where)
+    if kind == "mlp":  # minibatch_stream's domain, checked before any --out exists
+        bounded(check_int, 1, below=p["dataset"]["n"] + 1)(p["batch_size"], f"{where}.batch_size")
     return p
 
 
 _RUN = {
     "problem": (_problem, REQUIRED),
-    "optimizer": (_one_of(*OPTIMIZER_NAMES), REQUIRED),
+    "optimizer": (one_of(*OPTIMIZER_NAMES), REQUIRED),
     "hyperparams": (_hyperparams, REQUIRED),
     "seed": (check_int, REQUIRED),
     "steps": (check_count, None),
     "epochs": (check_count, None),
     "snapshot_every": (check_count, 1),
-    "tol": (_POSITIVE, 1e-2),
+    "tol": (check_positive, 1e-2),
 }
 
 
@@ -355,10 +340,7 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
     more than one, else in this process. A group that raises prints one JSON
     line on stderr, and its points' rows get status error.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if path not in SWEEPABLE:
-        raise ConfigError(f"cannot sweep {path!r}; choose one of {SWEEPABLE}")
+    jobs, path = check_count(jobs, "jobs"), one_of(*SWEEPABLE)(path, "sweep path")
     if not values:
         raise ConfigError("sweep needs at least one value")
     base = parse_run_config(base_dict)
@@ -418,7 +400,7 @@ def verify_command(samples: int, seed: int, hp: HyperParams, out_path: str | Non
 # ---------------------------------------------------------------- race verb
 
 
-_ENTRANT = {"optimizer": (_one_of(*OPTIMIZER_NAMES), REQUIRED),
+_ENTRANT = {"optimizer": (one_of(*OPTIMIZER_NAMES), REQUIRED),
             "hyperparams": (_hyperparams, REQUIRED)}
 
 
@@ -431,7 +413,7 @@ def _entrants(value, where: str) -> list:
 _RACE = {
     "problem": (_problem, REQUIRED),
     "entrants": (_entrants, REQUIRED),
-    "tol": (_POSITIVE, 1e-2),
+    "tol": (check_positive, 1e-2),
     "max_steps": (check_count, 100_000),
 }
 

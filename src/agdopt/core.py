@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,22 +72,41 @@ def check_num(value, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def bounded(check, lo, strict: bool = False):
-    """`check`, then require the value >= lo (> lo when strict)."""
+def bounded(check, lo, strict: bool = False, below=None):
+    """`check`, then require the value >= lo (> lo when strict) and, when
+    `below` is given, < below."""
+    domain = (f"{'>' if strict else '>='} {lo}" if below is None
+              else f"in {'(' if strict else '['}{lo}, {below})")
+
     def bounded(value, where: str):
         x = check(value, where)
-        if x < lo or (strict and x == lo):
-            raise ConfigError(f"{where} must be {'>' if strict else '>='} {lo}, got {x}")
+        if x < lo or (strict and x == lo) or (below is not None and x >= below):
+            raise ConfigError(f"{where} must be {domain}, got {x}")
         return x
     return bounded
 
 
+def one_of(*choices: str):
+    """A string among `choices`."""
+    def one_of(value, where: str) -> str:
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+        return value
+    return one_of
+
+
 # an integer >= 1: a step budget, a cadence or a vector length
 check_count = bounded(check_int, 1)
+# a finite real > 0: a step size, a tolerance or a scale
+check_positive = bounded(check_num, 0.0, strict=True)
 
 
 LR_KINDS = ("constant", "inverse_sqrt", "milestones")
 BETA1_KINDS = ("constant", "over_sqrt_t", "over_t")
+_UNIT = bounded(check_num, 0, below=1)
+# the domain of each real field of HyperParams, in field order
+_REALS = {"alpha": check_positive, "beta1": _UNIT, "beta2": _UNIT, "delta": check_positive,
+          "weight_decay": bounded(check_num, 0)}
 
 
 @dataclass(frozen=True)
@@ -114,25 +133,10 @@ class HyperParams:
     beta1_schedule: str = "constant"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type == "float":
-                object.__setattr__(self, f.name, check_num(getattr(self, f.name), f.name))
-        if not self.alpha > 0.0:
-            raise ConfigError(f"alpha must be a positive finite real, got {self.alpha}")
-        if not (0.0 <= self.beta1 < 1.0):
-            raise ConfigError(f"beta1 must lie in [0, 1), got {self.beta1}")
-        if not (0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if not self.delta > 0.0:
-            raise ConfigError(f"delta must be a positive finite real, got {self.delta}")
-        if not self.weight_decay >= 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.lr_schedule not in LR_KINDS:
-            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}; "
-                              f"expected one of {LR_KINDS}")
-        if self.beta1_schedule not in BETA1_KINDS:
-            raise ConfigError(f"unknown beta1 schedule {self.beta1_schedule!r}; "
-                              f"expected one of {BETA1_KINDS}")
+        for name, check in _REALS.items():
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        one_of(*LR_KINDS)(self.lr_schedule, "lr schedule")
+        one_of(*BETA1_KINDS)(self.beta1_schedule, "beta1 schedule")
         if not isinstance(self.milestones, (tuple, list)):
             raise ConfigError(f"milestones must be a list of (step, factor) pairs, "
                               f"got {self.milestones!r}")
@@ -140,11 +144,8 @@ class HyperParams:
         for entry in self.milestones:
             if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
                 raise ConfigError(f"bad milestone {entry!r}; expected (step, factor)")
-            pair = (check_int(entry[0], "milestone step"),
-                    check_num(entry[1], "milestone factor"))
-            if pair[0] < 1 or not pair[1] > 0.0:
-                raise ConfigError(f"bad milestone {entry!r}")
-            pairs.append(pair)
+            pairs.append((check_count(entry[0], "milestone step"),
+                          check_positive(entry[1], "milestone factor")))
         object.__setattr__(self, "milestones", tuple(pairs))
 
     def lr_at(self, t: int) -> float:

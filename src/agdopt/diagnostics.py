@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (HIST_BINS, ConfigError, HyperParams, ShapeError, as_param_vector,
-                   check_count)
+                   check_count, check_num, check_positive)
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
 from .optim import FLOAT_MAX_N, dispatch_step, init_state
 from .testfns import TestFunction
@@ -45,14 +45,29 @@ __all__ = [
 DIVERGENCE_LOSS = 1e12
 
 
+def check_start(value, where: str, dim: int = 2) -> list:
+    """A start point: a list, tuple or 1-D array of `dim` finite numbers (2,
+    the dimension of every registered test function, by default), returned
+    as a list of floats."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not (isinstance(value, (list, tuple)) and len(value) == dim):
+        raise ConfigError(f"{where} must be a {dim}-element list, got {value!r}")
+    return [check_num(v, where) for v in value]
+
+
 class TestFnProblem:
-    """Deterministic full-gradient problem over an analytic test function."""
+    """Deterministic full-gradient problem over an analytic test function.
+
+    A start, when given, is checked when the problem is built (see
+    check_start); without one the run starts at the function's default.
+    """
 
     def __init__(self, fn: TestFunction, start=None):
         self.fn = fn
         self.name = fn.name
-        self.start = np.array(fn.default_start if start is None else start,
-                              dtype=np.float64)
+        self.start = np.array(fn.default_start if start is None
+                              else check_start(start, "start", fn.dim), dtype=np.float64)
         self.optimum = fn.optimum
 
     def init_params(self) -> np.ndarray:
@@ -123,8 +138,7 @@ class _Population:
     """
 
     def __init__(self, problems, optimizer: str, hps, steps: int, tol: float | None):
-        if tol is not None and not tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {tol}")
+        tol = None if tol is None else check_positive(tol, "tol")
         self.steps = check_count(steps, "steps")
         self._problems, hps = list(problems), tuple(hps)
         if not self._problems or len(self._problems) != len(hps):
@@ -342,8 +356,8 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
     final distance is that of the iterate its loss diverged at. Each entrant
     steps through the run loop of record_runs and records no columns.
     """
-    max_steps, optimum = check_count(max_steps, "max_steps"), problem.optimum
-    if optimum is None:
+    tol, max_steps = check_positive(tol, "tol"), check_count(max_steps, "max_steps")
+    if problem.optimum is None:
         raise ConfigError(f"problem {problem.name!r} has no known optimum to race to")
     steps_to_tol: dict[str, int | None] = {}
     final_distance: dict[str, float] = {}
@@ -355,7 +369,7 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
                     break
                 run.step(t, None)
             steps_to_tol[name] = run.steps_to_tol[0]
-            d = (run.W if run.params[0] is None else run.params[0]) - optimum
+            d = (run.W if run.params[0] is None else run.params[0]) - problem.optimum
             final_distance[name] = math.sqrt(float(d @ d))
     return RaceResult(steps_to_tol=steps_to_tol, final_distance=final_distance,
                       tol=tol, max_steps=max_steps)

@@ -9,11 +9,12 @@ shuffles epoch e.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ShapeError, bounded, check_count, check_int, check_num
+from .core import ConfigError, ShapeError, bounded, check_count, check_int, check_num, one_of
 
 __all__ = [
     "Dataset",
@@ -99,10 +100,8 @@ class MlpSpec:
     def __post_init__(self) -> None:
         for name in ("in_dim", "hidden_dim", "out_dim"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
+        one_of(*ACTIVATIONS)(self.activation, "activation")
+        one_of(*LOSSES)(self.loss, "loss")
         if self.loss == "logistic" and self.out_dim != 1:
             raise ConfigError("logistic loss needs out_dim == 1")
 
@@ -241,18 +240,13 @@ def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:
 
 
 def minibatch_stream(ds: Dataset, batch_size: int, seed: int):
-    """Yield (inputs, targets) minibatches forever, reshuffling each epoch.
+    """An endless iterator of (inputs, targets) minibatches, reshuffled each
+    epoch; batch_size, an integer in [1, ds.n], is checked on the call.
 
     batch_size = ds.n gives one full-batch step per epoch. A trailing batch
     smaller than batch_size is yielded rather than dropped.
     """
-    batch_size = check_int(batch_size, "batch_size")
-    if not (1 <= batch_size <= ds.n):
-        raise ConfigError(f"batch_size must be in [1, {ds.n}], got {batch_size}")
-    epoch = 0
-    while True:
-        perm = epoch_permutation(ds.n, seed, epoch)
-        for lo in range(0, ds.n, batch_size):
-            idx = perm[lo:lo + batch_size]
-            yield ds.inputs[idx], ds.targets[idx]
-        epoch += 1
+    batch_size = bounded(check_int, 1, below=ds.n + 1)(batch_size, "batch_size")
+    perms = (epoch_permutation(ds.n, seed, epoch) for epoch in itertools.count())
+    batches = (perm[lo:lo + batch_size] for perm in perms for lo in range(0, ds.n, batch_size))
+    return ((ds.inputs[idx], ds.targets[idx]) for idx in batches)

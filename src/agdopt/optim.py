@@ -78,6 +78,7 @@ from .core import (  # CHUNK is re-exported for cli
     bhat_histogram,
     check_count,
     chunked,
+    one_of,
 )
 
 __all__ = [
@@ -143,7 +144,7 @@ def init_state(name: str, n: int, hp):
     hp is one HyperParams for one run, or a sequence of K of them for a
     population of K runs (see the module docstring).
     """
-    n = check_count(n, "n")
+    name, n = one_of(*OPTIMIZER_NAMES)(name, "optimizer"), check_count(n, "n")
     if isinstance(hp, HyperParams):
         shape = n
     else:
@@ -160,9 +161,7 @@ def init_state(name: str, n: int, hp):
     if name in ("adam", "adamw", "adabelief"):
         return AdamLikeState(m=np.zeros(shape), v=np.zeros(shape), beta1_prod=1.0, t=0,
                              hp=hp, variant=name)
-    if name == "sgd":
-        return SgdState(buffer=np.zeros(shape), t=0, hp=hp)
-    raise ConfigError(f"unknown optimizer {name!r}; expected one of {OPTIMIZER_NAMES}")
+    return SgdState(buffer=np.zeros(shape), t=0, hp=hp)
 
 
 def _per_row(terms, hp, t: int):

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, one_of
 
 __all__ = [
     "beale",
@@ -150,12 +150,7 @@ TESTFNS = {
 
 
 def get_testfn(name: str) -> TestFunction:
-    try:
-        return TESTFNS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown test function {name!r}; expected one of {sorted(TESTFNS)}"
-        ) from None
+    return TESTFNS[one_of(*TESTFNS)(name, "test function")]
 
 
 @dataclass

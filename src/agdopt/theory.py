@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, HyperParams, bounded, check_count, check_int, check_num
+from .core import (ConfigError, HyperParams, bounded, check_count, check_int, check_num,
+                   check_positive)
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -53,8 +54,7 @@ def variance_ratio_analytic(beta1: float, t: int) -> float:
     ((1-beta1^t)(1+beta1)); it equals 1 at t=1 and decreases toward
     (1-beta1)/(1+beta1).
     """
-    if not (0.0 < check_num(beta1, "beta1") < 1.0):
-        raise ConfigError(f"beta1 must lie in (0, 1), got {beta1}")
+    beta1 = bounded(check_num, 0, strict=True, below=1)(beta1, "beta1")
     bt = beta1 ** check_count(t, "t")
     return (1.0 + bt) * (1.0 - beta1) / ((1.0 - bt) * (1.0 + beta1))
 
@@ -221,7 +221,7 @@ def make_quadratic_stream(dim: int, horizon: int, seed: int,
                           center_scale: float = 1.0,
                           margin: float = 1.0) -> RegretExperiment:
     dim, horizon = check_count(dim, "dim"), check_count(horizon, "horizon")
-    center_scale = bounded(check_num, 0.0, strict=True)(center_scale, "center_scale")
+    center_scale = check_positive(center_scale, "center_scale")
     margin = bounded(check_num, 0.0)(margin, "margin")
     rng = rng_stream(seed, STREAM_CENTERS)
     centers = rng.uniform(-center_scale, center_scale, size=(horizon, dim))

@@ -18,8 +18,11 @@ from agdopt.cli import (
     main,
     parse_race_config,
     parse_run_config,
+    sweep_command,
 )
 from agdopt.core import BETA1_KINDS, LR_KINDS, ConfigError, HyperParams
+from agdopt.models import ACTIVATIONS, LOSSES
+from agdopt.testfns import TESTFNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -200,6 +203,58 @@ def test_readme_names_the_hyperparameters_and_sweepable_paths():
     assert kinds == {"lr_schedule": LR_KINDS, "beta1_schedule": BETA1_KINDS}
     paths = text.split("Sweepable paths:")[1].split(". ")[0]
     assert tuple(re.findall(r"`([\w.]+)`", paths)) == SWEEPABLE
+
+
+def test_readme_names_the_problem_keys_and_defaults():
+    # README's object of each kind against the CLI's schema: the same keys,
+    # each listed value passes its key's check, a listed default is the
+    # schema's, and "a" | "b" alternatives are the key's choices, the first
+    # one its default
+    import agdopt.cli as cli
+
+    text = " ".join(README.read_text().split("Problem kinds:")[1]
+                    .split("Hyperparameter keys:")[0].split())
+    choices = {"name": TESTFNS, "activation": ACTIVATIONS, "loss": LOSSES}
+
+    def check(obj, schema, where):
+        assert obj.keys() == schema.keys(), where
+        for key, (check_value, default) in schema.items():
+            value = obj[key]
+            if isinstance(value, dict):
+                check(value, cli._DATASET, f"{where}.{key}")
+                continue
+            listed = value if isinstance(value, list) else [value]
+            if isinstance(value, list):
+                assert set(value) == set(choices[key]), (where, key)
+            if value is not None:
+                for v in listed:
+                    check_value(v, f"{where}.{key}")
+            if default is not cli.REQUIRED:
+                assert listed[0] == default, (where, key)
+
+    kinds = re.findall(r"- `(\w+)`: `([^`]*)`", text)
+    assert [kind for kind, _ in kinds] == list(cli._PROBLEMS)
+    for kind, obj in kinds:
+        obj = re.sub(r'"\w+"(?: \| "\w+")+', lambda m: f"[{m[0].replace(' |', ',')}]", obj)
+        obj = json.loads(obj.replace("[x, y]", "null"))
+        assert obj.pop("kind") == kind
+        check(obj, cli._PROBLEMS[kind], kind)
+
+
+def test_readme_quotes_the_cli_hyperparameter_errors(tmp_path, capsys):
+    quoted = dict(re.findall(r"`(config\.hyperparams|config\.entrants\[0\]\.hyperparams): "
+                             r"([^`]*)`", README.read_text()))
+    cases = {
+        "config.hyperparams": ("run", dict(BASE, hyperparams={"alpha": 1e-3, "beta1": 1.0})),
+        "config.entrants[0].hyperparams": ("race", dict(RACE_QUAD, entrants=[
+            {"optimizer": "agd", "hyperparams": {"alpha": "1e-3"}}])),
+    }
+    assert quoted.keys() == cases.keys()
+    for section, (verb, config) in cases.items():
+        out = tmp_path / verb
+        assert main([verb, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+        assert last_error(capsys) == f"{section}: {quoted[section]}"
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- seeds
@@ -698,6 +753,16 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert main(["sweep", "--config", cfg, "--param", "hyperparams.alpha",
                  "--values", "1e-3,2e-3", "--out", str(out), "--jobs", jobs]) == 2
     assert "jobs" in last_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [True, "2", 2.5])
+def test_sweep_command_checks_jobs_before_any_work(tmp_path, jobs):
+    # True ran as 1 job, "2" raised TypeError, and 2.5 raised TypeError after
+    # creating the out directory
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="jobs must be an integer"):
+        sweep_command(BASE, "hyperparams.alpha", [1e-3, 2e-3], str(out), jobs=jobs)
     assert not out.exists()
 
 

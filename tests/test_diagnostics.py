@@ -329,6 +329,54 @@ def test_record_run_rejects_bad_tol():
             record_run(p, "agd", HP, steps=5, tol=tol)
 
 
+class NeverStepped(TestFnProblem):
+    """A test-function problem whose oracle must not be called."""
+
+    def loss_grad(self, w):
+        raise AssertionError("a step ran")
+
+
+TOL_CALLS = {
+    "record_run": lambda p, tol: record_run(p, "agd", HP, steps=5, tol=tol),
+    "record_runs": lambda p, tol: record_runs([p, p], "agd", [HP, HP], 5, tol=tol),
+    "race": lambda p, tol: race(p, ["agd"], {"agd": HP}, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [True, math.inf, "0.01"])
+@pytest.mark.parametrize("call", sorted(TOL_CALLS))
+def test_tol_is_checked_before_any_step(call, tol):
+    # True ran as 1.0 (a race reported "tol": True), inf was accepted and
+    # "0.01" raised TypeError
+    with pytest.raises(ConfigError, match="tol must be"):
+        TOL_CALLS[call](NeverStepped(TESTFNS["quad_skew"]), tol)
+
+
+@pytest.mark.parametrize("start", [["1", "2"], [1.0], [1.0, 2.0, 3.0], [math.nan, 0.0],
+                                   5.0, [[1.0, 2.0]]])
+def test_testfn_problem_checks_its_start(start):
+    # ["1", "2"] was coerced to floats, and a 1-element start failed mid-run
+    # with IndexError, a 3-element one with ShapeError
+    with pytest.raises(ConfigError, match="start must be"):
+        NeverStepped(TESTFNS["quad_skew"], start)
+
+
+def test_testfn_problem_takes_a_start_as_a_list_tuple_or_array():
+    fn = TESTFNS["quad_skew"]
+    for start in ([1, 2], (1.0, 2), np.array([1.0, 2.0])):
+        w = TestFnProblem(fn, start).init_params()
+        assert w.dtype == np.float64 and w.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("batch_size", [0, True, 65, 2.5])
+def test_mlp_problem_checks_its_batch_size_when_built(batch_size):
+    # 0 built and made steps_per_epoch raise ZeroDivisionError, True ran as
+    # 1, and 65 (above n) and 2.5 failed only at step 1
+    ds = two_moons(64, 0.1, seed=1)
+    with pytest.raises(ConfigError, match="batch_size must be"):
+        MlpProblem(MlpSpec(2, 4, 1), ds, batch_size=batch_size, seed=1)
+
+
 # ------------------------------------------------- projected online runs
 
 
