@@ -12,8 +12,7 @@ from .core import (
     optimizer_step,
 )
 from .optim import (
-    AdamLikeState,
-    AgdState,
+    MomentState,
     OPTIMIZER_NAMES,
     SgdState,
     adabelief_step,

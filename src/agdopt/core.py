@@ -12,10 +12,10 @@ back. A HyperParams checks its own domain when it is built, so no state
 holds one outside it. `optimizer_step` is the front door for library
 callers: it validates the vectors, hands the step to
 `optim.dispatch_step` (which checks shapes and routes the step to the kernel
-of the state's type; each kernel applies decoupled weight decay itself) and
-refuses a non-finite result. The kernels' optional `out=` state, which
-they overwrite instead of allocating, is for the run loop of `diagnostics`
-alone; no library path passes it.
+of the state's optimizer, by its name; each kernel applies decoupled weight
+decay itself) and refuses a non-finite result. The kernels' optional `out=`
+state, which they overwrite instead of allocating, is for the run loop of
+`diagnostics` alone; no library path passes it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ __all__ = [
     "HIST_EDGES",
     "LR_KINDS",
     "BETA1_KINDS",
+    "check_int", "check_num", "bounded", "one_of", "check_count", "check_positive",
+    "check_hyperparams",
 ]
 
 
@@ -172,6 +174,13 @@ class HyperParams:
         if self.beta1_schedule == "over_sqrt_t":
             return self.beta1 / math.sqrt(t)
         return self.beta1 / t  # over_t
+
+
+def check_hyperparams(value, where: str = "hp") -> HyperParams:
+    """A HyperParams, which has checked its own domain when built."""
+    if not isinstance(value, HyperParams):
+        raise ConfigError(f"{where} must be a HyperParams, got {value!r}")
+    return value
 
 
 # Histogram convention for the rms preconditioner estimate: 18 base-10 decade

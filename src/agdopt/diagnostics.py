@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (HIST_BINS, ConfigError, HyperParams, ShapeError, as_param_vector,
-                   check_count, check_num, check_positive)
+                   check_count, check_hyperparams, check_num, check_positive, one_of)
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
-from .optim import FLOAT_MAX_N, dispatch_step, init_state
+from .optim import FLOAT_MAX_N, OPTIMIZER_NAMES, dispatch_step, init_state
 from .testfns import TestFunction
 
 __all__ = [
@@ -140,7 +140,7 @@ class _Population:
     def __init__(self, problems, optimizer: str, hps, steps: int, tol: float | None):
         tol = None if tol is None else check_positive(tol, "tol")
         self.steps = check_count(steps, "steps")
-        self._problems, hps = list(problems), tuple(hps)
+        self._problems, hps = list(problems), tuple(map(check_hyperparams, hps))
         if not self._problems or len(self._problems) != len(hps):
             raise ConfigError(f"need one HyperParams per problem, got {len(hps)} "
                               f"for {len(self._problems)}")
@@ -354,16 +354,22 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
     Results do not depend on the order optimizers are listed in. An entrant
     that diverges (see record_run) stops at that step and is DNF, and its
     final distance is that of the iterate its loss diverged at. Each entrant
-    steps through the run loop of record_runs and records no columns.
+    steps through the run loop of record_runs and records no columns. The
+    entrants are one or more distinct optimizer names, each with a
+    HyperParams in hp_map.
     """
     tol, max_steps = check_positive(tol, "tol"), check_count(max_steps, "max_steps")
     if problem.optimum is None:
         raise ConfigError(f"problem {problem.name!r} has no known optimum to race to")
+    names = [one_of(*OPTIMIZER_NAMES)(name, "entrant") for name in optimizers]
+    if not names or len(set(names)) < len(names):
+        raise ConfigError(f"a race needs one or more distinct entrants, got {names}")
+    hps = [check_hyperparams(hp_map.get(name), f"hp_map[{name!r}]") for name in names]
     steps_to_tol: dict[str, int | None] = {}
     final_distance: dict[str, float] = {}
     with np.errstate(over="ignore"):  # overflow on the way to divergence is a DNF
-        for name in optimizers:
-            run = _Population([problem], name, [hp_map[name]], max_steps, tol)
+        for name, hp in zip(names, hps):
+            run = _Population([problem], name, [hp], max_steps, tol)
             for t in range(1, max_steps + 1):
                 if run.steps_to_tol[0] is not None or run.diverged_at[0] is not None:
                     break

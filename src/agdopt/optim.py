@@ -1,16 +1,18 @@
 """The auto-switching gradient-difference optimizer and its baselines.
 
 States are plain dataclasses over float64 vectors that also carry their step
-counter and their hyperparameters, which `init_state` binds once (a
-HyperParams checks its own domain when built); every step is a function of
-(state, w, g) and takes step t = state.t + 1. AGD's state holds two vectors,
-m and b, the same size as Adam's m and v: the previous debiased average in
-s_t below is recomputed from m and B_{t-1} rather than kept.
+counter, their hyperparameters, which `init_state` binds once (a HyperParams
+checks its own domain when built), and the name of their optimizer, one of
+OPTIMIZER_NAMES; every step is a function of (state, w, g) and takes step
+t = state.t + 1. Every state's first vector is m. The five moment optimizers
+share one state type, MomentState, of two vectors, m and b, whose b is AGD's
+b_t below and the Adam family's v_t: the previous debiased average in s_t is
+recomputed from m and B_{t-1} rather than kept. SgdState holds m alone.
 
 Buffer contract: a kernel never writes state, w or g. Called without `out`
 it is pure and returns a fresh state; given `out`, a second state of the same
-type and size, it overwrites out's vectors and fields and returns it, so a
-loop that alternates two states allocates none per step (only the run loop
+optimizer and size, it overwrites out's vectors and fields and returns it, so
+a loop that alternates two states allocates none per step (only the run loop
 of `diagnostics` passes it). w' is a fresh array either way. Each vector
 operation writes into a preallocated destination, in the order and with the
 scalars of the equations below, so the bits are those of the plain
@@ -48,18 +50,20 @@ same quantity with numerator and denominator both divided by sqrt(1 - beta2**t).
 s_t estimates curvature lr_t ago (difference of consecutive debiased momentum
 averages), so coordinates whose recent gradients barely moved have bhat below
 delta and fall back to a momentum-SGD step with effective rate lr_t / delta;
-the rest take an rms-preconditioned step. The amsgrad flag additionally keeps
-b_t elementwise non-decreasing, which the sublinear-regret run mode requires.
+the rest take an rms-preconditioned step. agd_amsgrad additionally keeps b_t
+elementwise non-decreasing, which the sublinear-regret run mode requires.
 
 The Adam / AdamW / AdaBelief and SGD+momentum baselines share the same calling
 convention so runs and races can treat optimizers uniformly. One kernel serves
 five optimizers under three names (agd_step, adam_step, adabelief_step): AGD
-and its amsgrad flag, and the Adam family, which differs from AGD only in
-feeding the second moment with g_t (Adam; AdamW adds nothing but the decoupled
-weight decay) or g_t - m_t (AdaBelief) and dividing by sqrt(vhat) + delta.
+and agd_amsgrad, and the Adam family, which differs from AGD only in feeding
+the second moment with g_t (Adam; AdamW adds nothing but the decoupled weight
+decay) or g_t - m_t (AdaBelief) and dividing by sqrt(vhat) + delta. The
+state's name picks the rules.
 Every kernel applies decoupled weight decay itself, multiplying w by the
 factor 1 - lr_t * weight_decay as it writes w', from the same lr_t as its
-update. `dispatch_step` is the one place that checks a step's shapes.
+update. `dispatch_step` is the one place that checks a step's shapes, and
+routes the step by the state's name.
 """
 
 from __future__ import annotations
@@ -77,13 +81,13 @@ from .core import (  # CHUNK is re-exported for cli
     StepDiagnostics,
     bhat_histogram,
     check_count,
+    check_hyperparams,
     chunked,
     one_of,
 )
 
 __all__ = [
-    "AgdState",
-    "AdamLikeState",
+    "MomentState",
     "SgdState",
     "OPTIMIZER_NAMES",
     "init_state",
@@ -103,39 +107,30 @@ OPTIMIZER_NAMES = ("agd", "agd_amsgrad", "adam", "adamw", "adabelief", "sgd")
 
 
 @dataclass
-class AgdState:
-    # two vectors, as Adam's m and v: a step recomputes the previous debiased
-    # average m_{t-1} / (1 - B_{t-1}) from m and beta1_prod
+class MomentState:
+    # two vectors: an AGD step recomputes the previous debiased average
+    # m_{t-1} / (1 - B_{t-1}) from m and beta1_prod
     m: np.ndarray              # first-moment EMA
-    b: np.ndarray              # second-moment EMA of the momentum differences
+    b: np.ndarray              # second-moment EMA: AGD's b_t, the Adam family's v_t
     beta1_prod: float | np.ndarray  # B_t = prod_{i<=t} beta1_i, 1 before any step
     t: int
     hp: HyperParams | tuple[HyperParams, ...]
-    amsgrad: bool
+    name: str  # "agd" | "agd_amsgrad" | "adam" | "adamw" | "adabelief"
 
     @property
     def prev_corrected(self) -> np.ndarray:
-        """The debiased average m_t / (1 - B_t) that the next step subtracts,
-        zeros before any step. Read-only, computed on each read."""
+        """The debiased average m_t / (1 - B_t) that AGD's next step
+        subtracts, zeros before any step. Read-only, computed on each read."""
         m = np.asarray(self.m)
         return np.zeros_like(m) if self.t == 0 else m / (1.0 - self.beta1_prod)
 
 
 @dataclass
-class AdamLikeState:
-    m: np.ndarray
-    v: np.ndarray
-    beta1_prod: float | np.ndarray
-    t: int
-    hp: HyperParams | tuple[HyperParams, ...]
-    variant: str  # "adam" | "adamw" | "adabelief"
-
-
-@dataclass
 class SgdState:
-    buffer: np.ndarray  # momentum accumulator: buffer = mu*buffer + g
+    m: np.ndarray  # momentum accumulator: m = mu*m + g
     t: int
     hp: HyperParams | tuple[HyperParams, ...]
+    name = "sgd"  # a class attribute: vars() and replace() see m, t and hp
 
 
 def init_state(name: str, n: int, hp):
@@ -148,20 +143,14 @@ def init_state(name: str, n: int, hp):
     if isinstance(hp, HyperParams):
         shape = n
     else:
-        hp = tuple(hp)
+        hp = tuple(check_hyperparams(h, "a population row") for h in hp)
         if not hp:
             raise ConfigError("a population needs at least one run")
-        for h in hp:
-            if not isinstance(h, HyperParams):
-                raise ConfigError(f"a population row must be a HyperParams, got {h!r}")
         shape = (len(hp), n)
-    if name in ("agd", "agd_amsgrad"):
-        return AgdState(m=np.zeros(shape), b=np.zeros(shape), beta1_prod=1.0, t=0, hp=hp,
-                        amsgrad=name == "agd_amsgrad")
-    if name in ("adam", "adamw", "adabelief"):
-        return AdamLikeState(m=np.zeros(shape), v=np.zeros(shape), beta1_prod=1.0, t=0,
-                             hp=hp, variant=name)
-    return SgdState(buffer=np.zeros(shape), t=0, hp=hp)
+    if name == "sgd":
+        return SgdState(m=np.zeros(shape), t=0, hp=hp)
+    return MomentState(m=np.zeros(shape), b=np.zeros(shape), beta1_prod=1.0, t=0, hp=hp,
+                       name=name)
 
 
 def _per_row(terms, hp, t: int):
@@ -208,15 +197,16 @@ def _norm(update):
     return np.sqrt(np.vecdot(update, update))
 
 
-# One kernel serves AGD and the Adam family, and reads the variant's rules
-# from the state. Its second moment, AGD's b or the Adam family's v, takes one
-# slot fed with x**2. AGD's x is s_t, the debiased average m / corr1 less the
-# previous one, m0 / corr0, which it recomputes from the state's m and B_{t-1}
-# through the same 1 - B expression the previous step divided by, so it gets
-# that step's bits; it divides by the floor max(bhat, delta) and counts the
-# truncated coordinates, and amsgrad clamps the slot below by its last value.
-# The Adam family divides by rms + delta; its x is g_t, or g_t - m_t for
-# AdaBelief, which adds delta after the EMA.
+# One kernel serves AGD and the Adam family, and reads the rules from the
+# state's name, compared inline on every step. Its second moment b, AGD's b_t
+# or the Adam family's v_t, is fed with x**2. AGD's x is s_t, the debiased
+# average m / corr1 less the previous one, m0 / corr0, which it recomputes
+# from the state's m and B_{t-1} through the same 1 - B expression the
+# previous step divided by, so it gets that step's bits; it divides by the
+# floor max(bhat, delta) and counts the truncated coordinates, and
+# agd_amsgrad clamps b below by its last value. The Adam family divides by
+# rms + delta; its x is g_t, or g_t - m_t for AdaBelief, which adds delta
+# after the EMA.
 #
 # Besides out's vectors the kernel writes two fresh arrays, the update and
 # w', and no other scratch. The update holds the body's intermediate terms
@@ -229,14 +219,14 @@ def _norm(update):
 # problem (np.maximum accepts only out=).
 
 
-def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = True,
-             out=None):
+def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None):
     """One step of AGD or of the Adam family; returns (state', w', diagnostics).
 
-    An AgdState takes the auto-switching update above. An AdamLikeState takes
-    w <- w - lr_t * mhat / (sqrt(vhat) + delta), where delta plays the usual
-    epsilon role and v tracks g_t**2 (Adam, AdamW) or (g_t - m_t)**2 plus
-    delta each step (AdaBelief, as the reference implementation does).
+    A state named agd or agd_amsgrad takes the auto-switching update above.
+    One of the Adam family takes w <- w - lr_t * mhat / (sqrt(vhat) + delta),
+    where delta plays the usual epsilon role and b tracks g_t**2 (Adam,
+    AdamW) or (g_t - m_t)**2 plus delta each step (AdaBelief, as the
+    reference implementation does).
     adam_step and adabelief_step are this function.
 
     state' is `out`, overwritten, when given, else a fresh state; w' is
@@ -254,16 +244,15 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
     corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - beta1_prod
     scale = lr / corr1
     decayed = type(decay) is np.ndarray or decay != 1.0
-    agd = isinstance(state, AgdState)
-    vecs, flag = (("m", "b"), "amsgrad") if agd else (("m", "v"), "variant")
-    amsgrad, belief = agd and state.amsgrad, not agd and state.variant == "adabelief"
+    name = state.name
+    amsgrad, belief = name == "agd_amsgrad", name == "adabelief"
+    agd = amsgrad or name == "agd"
     if out is None:
-        out = replace(state, **{k: np.empty_like(getattr(state, k)) for k in vecs})
-    v_in, v_out = getattr(state, vecs[1]), getattr(out, vecs[1])
+        out = replace(state, m=np.empty_like(state.m), b=np.empty_like(state.b))
 
     n = w.shape[-1]
 
-    def body(m0, v0, g, w, m, v, s, new_w, r):
+    def body(m0, b0, g, w, m, b, s, new_w, r):
         # m = beta1_t * m0 + (1 - beta1_t) * g
         np.multiply(m0, beta1_t, m)
         np.multiply(g, 1.0 - beta1_t, s)
@@ -277,17 +266,17 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
                 np.subtract(s, np.divide(m0, corr0, r), s)
         elif belief:
             x = np.subtract(g, m, s)
-        # v = beta2 * v0 + (1 - beta2) * x**2, then the clamp or + delta
+        # b = beta2 * b0 + (1 - beta2) * x**2, then the clamp or + delta
         np.multiply(x, x, s)
         np.multiply(s, 1.0 - beta2, s)
-        np.multiply(v0, beta2, v)
-        np.add(v, s, v)
+        np.multiply(b0, beta2, b)
+        np.add(b, s, b)
         if amsgrad:
-            np.maximum(v, v0, out=v)
+            np.maximum(b, b0, out=b)
         if belief:
-            np.add(v, delta, v)
-        # r = sqrt(v / bc2); update = scale * m / max(r, delta) or / (r + delta)
-        np.divide(v, bc2, r)
+            np.add(b, delta, b)
+        # r = sqrt(b / bc2); update = scale * m / max(r, delta) or / (r + delta)
+        np.divide(b, bc2, r)
         np.sqrt(r, r)
         truncated = 0
         if agd:
@@ -304,14 +293,13 @@ def agd_step(state: AgdState | AdamLikeState, w, g, collect_histogram: bool = Tr
 
     update, new_w = np.empty(w.shape), np.empty(w.shape)
     r = np.empty(w.shape) if collect_histogram else new_w
-    truncated = chunked(body, n, (state.m, v_in, g, w, out.m, v_out, update, new_w, r))
+    truncated = chunked(body, n, (state.m, state.b, g, w, out.m, out.b, update, new_w, r))
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),
         bhat_histogram=bhat_histogram(r) if collect_histogram else None,
     )
-    out.beta1_prod, out.t, out.hp = beta1_prod, t, hp
-    setattr(out, flag, getattr(state, flag))
+    out.beta1_prod, out.t, out.hp, out.name = beta1_prod, t, hp, name
     return out, new_w, diag
 
 
@@ -319,30 +307,30 @@ adam_step = adabelief_step = agd_step
 
 
 def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out=None):
-    """Heavy-ball SGD: buffer <- mu*buffer + g, w <- w - lr_t*buffer.
+    """Heavy-ball SGD: m <- mu*m + g, w <- w - lr_t*m.
 
     The momentum coefficient mu is hp.beta1. truncation_fraction is 1.0 by
     convention (every coordinate takes the momentum path) and there is no
     second-moment histogram. `out`, weight decay and the returned arrays
     behave as in agd_step.
     """
-    if type(state.buffer) is tuple:  # a float-lane state
+    if type(state.m) is tuple:  # a float-lane state
         return _float_body(state, w, g, collect_histogram, out)
     t, hp = state.t + 1, state.hp
     lr, decay, mu = _per_row(_momentum_terms, hp, t)
     decayed = type(decay) is np.ndarray or decay != 1.0
     if out is None:
-        out = replace(state, buffer=np.empty_like(state.buffer))
+        out = replace(state, m=np.empty_like(state.m))
 
-    def body(buffer0, g, w, buffer, update, new_w):
-        np.multiply(buffer0, mu, buffer)
-        np.add(buffer, g, buffer)
-        np.multiply(buffer, lr, update)
+    def body(m0, g, w, m, update, new_w):
+        np.multiply(m0, mu, m)
+        np.add(m, g, m)
+        np.multiply(m, lr, update)
         np.subtract(np.multiply(w, decay, new_w) if decayed else w, update, new_w)
         return 0
 
     update, new_w = np.empty(w.shape), np.empty(w.shape)
-    chunked(body, w.shape[-1], (state.buffer, g, w, out.buffer, update, new_w))
+    chunked(body, w.shape[-1], (state.m, g, w, out.m, update, new_w))
     diag = StepDiagnostics(
         truncation_fraction=1.0,
         step_norm=_norm(update),
@@ -387,24 +375,23 @@ def _float_body(state, w, g, collect_histogram, out):
     """A kernel's float body: (state', w', diagnostics) of a float-lane state,
     with the bits of the NumPy body, and no diagnostics at all when
     collect_histogram is None. out, the lane's second state, is required."""
-    t, hp, rows, truncated = state.t + 1, state.hp, [], 0
-    if isinstance(state, SgdState):
+    t, hp, name, rows, truncated = state.t + 1, state.hp, state.name, [], 0
+    if name == "sgd":
         lr, decay, mu = _momentum_terms(hp, t)
-        for b0, gi, wi in zip(state.buffer, g.tolist(), w.tolist()):
-            b = b0 * mu + gi
-            u = b * lr
-            rows.append((b, u, wi * decay - u))
-        out.buffer, update, new_w = zip(*rows)
+        for m0, gi, wi in zip(state.m, g.tolist(), w.tolist()):
+            m = m0 * mu + gi
+            u = m * lr
+            rows.append((m, u, wi * decay - u))
+        out.m, update, new_w = zip(*rows)
         truncated, r = len(rows), None  # every coordinate takes the momentum path
     else:
         beta1_t, lr, decay, bc2, beta2, delta = _moment_terms(hp, t)
-        out.beta1_prod = state.beta1_prod * beta1_t
+        out.beta1_prod, out.name = state.beta1_prod * beta1_t, name
         corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - out.beta1_prod
         scale, a1, a2 = lr / corr1, 1.0 - beta1_t, 1.0 - beta2
-        agd = isinstance(state, AgdState)
-        amsgrad, belief = agd and state.amsgrad, not agd and state.variant == "adabelief"
-        v_in = state.b if agd else state.v
-        for m0, v0, gi, wi in zip(state.m, v_in, g.tolist(), w.tolist()):
+        amsgrad, belief = name == "agd_amsgrad", name == "adabelief"
+        agd = amsgrad or name == "agd"
+        for m0, b0, gi, wi in zip(state.m, state.b, g.tolist(), w.tolist()):
             m = m0 * beta1_t + gi * a1
             if agd:
                 x = m / corr1
@@ -412,21 +399,20 @@ def _float_body(state, w, g, collect_histogram, out):
                     x = x - m0 / corr0
             else:
                 x = gi - m if belief else gi
-            v = v0 * beta2 + x * x * a2
+            b = b0 * beta2 + x * x * a2
             if amsgrad:
-                v = v0 if v < v0 else v
+                b = b0 if b < b0 else b
             if belief:
-                v += delta
-            r = math.sqrt(v / bc2)
+                b += delta
+            r = math.sqrt(b / bc2)
             if agd:
                 below = r < delta
                 truncated += below
                 u = m / (delta if below else r) * scale
             else:
                 u = m / (r + delta) * scale
-            rows.append((m, v, u, wi * decay - u, r))
-        out.m, v, update, new_w, r = zip(*rows)
-        setattr(out, "b" if agd else "v", v)
+            rows.append((m, b, u, wi * decay - u, r))
+        out.m, out.b, update, new_w, r = zip(*rows)
     out.t, out.hp = t, hp
     diag = None if collect_histogram is None else StepDiagnostics(
         truncated / len(rows), _norm(np.array(update)),
@@ -440,28 +426,28 @@ def _shape(vec) -> tuple:
 
 
 def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
-    """Route a uniform step to the optimizer owning `state`.
+    """Route a uniform step to the kernel of the state's optimizer, by its name.
 
     Checks that params, gradient and the state's vectors share one shape.
-    `out`, a second state of the same type and size (not `state` itself),
-    receives the new state in place of a fresh one.
+    `out`, a second state of the same optimizer and size (not `state`
+    itself), receives the new state in place of a fresh one.
     """
-    # agd_step, adam_step and adabelief_step are one function; the name looked
-    # up here is the one a tracer wraps, so each keeps its own kernel span
-    if isinstance(state, AgdState):
-        kernel, field = agd_step, "m"
-    elif isinstance(state, AdamLikeState):
-        kernel = adabelief_step if state.variant == "adabelief" else adam_step
-        field = "m"
-    elif isinstance(state, SgdState):
-        kernel, field = sgd_momentum_step, "buffer"
+    # agd_step, adam_step and adabelief_step are one function; the global
+    # looked up here, on each call, is the one a tracer wraps, so each keeps
+    # its own kernel span
+    name = getattr(state, "name", None)
+    if name == "sgd":
+        kernel = sgd_momentum_step
+    elif name == "agd" or name == "agd_amsgrad":
+        kernel = agd_step
+    elif name in ("adam", "adamw", "adabelief"):
+        kernel = adabelief_step if name == "adabelief" else adam_step
     else:
-        raise ConfigError(f"unrecognized optimizer state {type(state).__name__}")
-    shape = _shape(getattr(state, field))
+        raise ConfigError(f"unrecognized optimizer state {type(state).__name__} {name!r}")
+    shape = _shape(state.m)
     if not w.shape == g.shape == shape:
         raise ShapeError(f"shape mismatch: params {w.shape}, gradient {g.shape}, "
                          f"state {shape}")
-    if out is not None and (type(out) is not type(state) or out is state
-                            or _shape(getattr(out, field)) != shape):
-        raise ShapeError("out must be a second state of the same type and size")
+    if out is not None and (out.name != name or out is state or _shape(out.m) != shape):
+        raise ShapeError("out must be a second state of the same optimizer and size")
     return kernel(state, w, g, collect_histogram, out)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, HyperParams, bounded, check_count, check_int, check_num,
-                   check_positive)
+from .core import (ConfigError, HyperParams, bounded, check_count, check_hyperparams,
+                   check_int, check_num, check_positive)
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -243,24 +243,18 @@ def online_regret(exp: RegretExperiment, hp: HyperParams):
                                 snapshot_every=exp.horizon).loss)
 
 
-def loglog_slope(series: np.ndarray, lo_frac: float = 0.1) -> float:
+def loglog_slope(series: np.ndarray) -> float:
     """Least-squares slope of log(max(series,1)) against log t over the final
-    decade (t from lo_frac*T to T)."""
+    decade (t from T/10 to T)."""
     T = series.size
     if T < 10:
         raise ConfigError(f"series too short for a slope fit: {T}")
     t = np.arange(1, T + 1)
-    mask = t >= max(1, int(lo_frac * T))
+    mask = t >= max(1, int(0.1 * T))
     x = np.log(t[mask].astype(np.float64))
     y = np.log(np.maximum(series[mask], 1.0))
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
-
-
-def _one_run(hp) -> HyperParams:
-    if not isinstance(hp, HyperParams):
-        raise ConfigError(f"hp must be a HyperParams, got {hp!r}")
-    return hp
 
 
 def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
@@ -275,7 +269,7 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
     n = k. Returns the max observed ratio bound-side; < 1 everywhere means
     the claim held.
     """
-    hp = _one_run(hp)
+    hp = check_hyperparams(hp)
     grad_stream = np.asarray(grad_stream, dtype=np.float64)
     if grad_stream.ndim != 2:
         raise ConfigError(f"grad_stream must be (T, n), got {grad_stream.shape}")
@@ -308,7 +302,7 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     inconclusive rather than failed.
     """
     samples = check_count(samples, "samples")
-    hp = HyperParams(alpha=1e-3) if hp is None else _one_run(hp)
+    hp = HyperParams(alpha=1e-3) if hp is None else check_hyperparams(hp)
     reports: list[dict] = []
 
     # 1. variance reduction of the debiased momentum average

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import agdopt
 from agdopt.core import (
     CHUNK,
     ConfigError,
@@ -300,3 +303,18 @@ def test_optimizer_step_applies_decoupled_decay():
     w = np.array([2.0])
     _, w2, _ = optimizer_step(state, w, np.zeros(1))
     assert w2[0] == 2.0 * (1.0 - 0.1 * 0.5)
+
+
+# ---------------------------------------------------------------- public names
+
+
+def test_every_public_name_resolves():
+    # __main__ runs the CLI when imported
+    names = [m.name for m in pkgutil.iter_modules(agdopt.__path__) if m.name != "__main__"]
+    for name in names:
+        module = importlib.import_module(f"agdopt.{name}")
+        for public in getattr(module, "__all__", ()):
+            assert hasattr(module, public), f"agdopt.{name}.{public}"
+    # the checks README's module map gives core, which the library and the CLI share
+    assert {"check_int", "check_num", "bounded", "one_of", "check_count", "check_positive",
+            "check_hyperparams"} <= set(importlib.import_module("agdopt.core").__all__)

@@ -352,6 +352,32 @@ def test_tol_is_checked_before_any_step(call, tol):
         TOL_CALLS[call](NeverStepped(TESTFNS["quad_skew"]), tol)
 
 
+HP_CALLS = {
+    "record_run": (lambda p: record_run(p, "agd", [HP], 5), "^hp must"),
+    "record_runs": (lambda p: record_runs([p], "agd", [{"alpha": 1e-3}], 5), "^hp must"),
+    "race": (lambda p: race(p, ["agd"], {"agd": [HP]}), r"^hp_map\['agd'\] must"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(HP_CALLS))
+def test_hp_is_checked_before_any_step(call):
+    # a list hp was bound as a one-row population and raised ShapeError at
+    # step 1, and a dict was refused as a "population row"
+    run, message = HP_CALLS[call]
+    with pytest.raises(ConfigError, match=message + " be a HyperParams"):
+        run(NeverStepped(TESTFNS["quad_skew"]))
+
+
+@pytest.mark.parametrize("entrants, hp_map", [([], {}), (["agd", "agd"], {"agd": HP}),
+                                              (["agd", "adam"], {"agd": HP}),
+                                              (["agd", "newton"], {"agd": HP, "newton": HP})])
+def test_race_checks_its_entrants_before_any_step(entrants, hp_map):
+    # an empty race returned no winner, a duplicate ran twice and was
+    # reported once, and a name missing from hp_map raised KeyError
+    with pytest.raises(ConfigError):
+        race(NeverStepped(TESTFNS["quad_skew"]), entrants, hp_map)
+
+
 @pytest.mark.parametrize("start", [["1", "2"], [1.0], [1.0, 2.0, 3.0], [math.nan, 0.0],
                                    5.0, [[1.0, 2.0]]])
 def test_testfn_problem_checks_its_start(start):
@@ -664,7 +690,7 @@ class IdentityGradProblem:
 
 @pytest.mark.parametrize("name, vectors", [("agd", {"m", "b"}),
                                            ("agd_amsgrad", {"m", "b"}),
-                                           ("adam", {"m", "v"})])
+                                           ("adam", {"m", "b"})])
 def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
     # AGD's state is two vectors, the size of Adam's: with both state sets,
     # w, g, the update, w' and the histogram's array a lone run peaks at

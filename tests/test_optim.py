@@ -11,8 +11,7 @@ from agdopt.diagnostics import _Population
 from agdopt.optim import (
     CHUNK,
     FLOAT_MAX_N,
-    AdamLikeState,
-    AgdState,
+    MomentState,
     OPTIMIZER_NAMES,
     SgdState,
     adabelief_step,
@@ -44,10 +43,10 @@ def run_agd(grads, hp=HP, n=None, amsgrad=False, w0=None):
 def test_init_state_shapes():
     for name in OPTIMIZER_NAMES:
         state = init_state(name, 3, HP)
-        assert state.t == 0 and state.hp is HP
-    assert init_state("agd", 3, HP).amsgrad is False
-    assert init_state("agd_amsgrad", 3, HP).amsgrad is True
-    assert init_state("adamw", 3, HP).variant == "adamw"
+        assert state.t == 0 and state.hp is HP and state.name == name
+    assert init_state("agd", 3, HP).name == "agd"
+    assert init_state("agd_amsgrad", 3, HP).name == "agd_amsgrad"
+    assert init_state("adamw", 3, HP).name == "adamw"
 
 
 def test_init_state_unknown_name():
@@ -302,7 +301,7 @@ def test_adabelief_tracks_innovation():
     hp = HyperParams(alpha=1e-3, delta=1e-8)
     state, _, _ = adabelief_step(init_state("adabelief", 1, hp), np.zeros(1),
                                  np.ones(1))
-    assert abs(state.v[0] - (0.001 * 0.81 + 1e-8)) < 1e-18
+    assert abs(state.b[0] - (0.001 * 0.81 + 1e-8)) < 1e-18
 
 
 def test_adabelief_constant_gradient_shrinks_v():
@@ -314,7 +313,7 @@ def test_adabelief_constant_gradient_shrinks_v():
     v_hist = []
     for _ in range(199):
         state, w, _ = adabelief_step(state, w, np.ones(1))
-        v_hist.append(float(state.v[0]))
+        v_hist.append(float(state.b[0]))
     assert abs(1.0 - state.m[0]) < 1e-8          # m locked onto g
     peak = int(np.argmax(v_hist))
     assert 2 < peak < 60
@@ -596,8 +595,7 @@ def test_kernels_without_out_leave_inputs_unchanged(name, n):
     before = [(k, v.copy() if isinstance(v, np.ndarray) else v)
               for k, v in vars(state).items()]
     w_before, g_before = w.copy(), g.copy()
-    kernel = {AgdState: agd_step, AdamLikeState: adam_step,
-              SgdState: sgd_momentum_step}[type(state)]
+    kernel = {MomentState: agd_step, SgdState: sgd_momentum_step}[type(state)]
     for step in (kernel, dispatch_step):
         fresh, new_w, _ = step(state, w, g)
         assert fresh is not state and new_w is not w
@@ -618,6 +616,10 @@ def test_kernels_without_out_leave_inputs_unchanged(name, n):
 def test_dispatch_rejects_a_bad_out_state():
     state = init_state("agd", 2, HP)
     w, g = np.zeros(2), np.ones(2)
-    for out in (state, init_state("adam", 2, HP), init_state("agd", 3, HP)):
+    for out in (state, init_state("adam", 2, HP), init_state("agd", 3, HP),
+                init_state("agd_amsgrad", 2, HP)):
         with pytest.raises(ShapeError):
             dispatch_step(state, w, g, out=out)
+    # an out of another optimizer of the same kernel was relabelled
+    with pytest.raises(ShapeError):
+        dispatch_step(init_state("adam", 2, HP), w, g, out=init_state("adamw", 2, HP))
