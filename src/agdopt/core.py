@@ -15,7 +15,8 @@ callers: it validates the vectors, hands the step to
 of the state's optimizer, by its name; each kernel applies decoupled weight
 decay itself) and refuses a non-finite result. The kernels' optional `out=`
 state, which they overwrite instead of allocating, is for the run loop of
-`diagnostics` alone; no library path passes it.
+`diagnostics` alone, which passes the input state itself to step its one
+state in place; no library path passes it.
 """
 
 from __future__ import annotations

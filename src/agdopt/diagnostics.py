@@ -120,13 +120,13 @@ class _Population:
     """K runs of one optimizer stepped as one population state.
 
     It validates its callers' inputs, the step budget `steps` among them,
-    binds the hyperparameters into two state sets that the steps use in turn
-    (each step reads one and overwrites the other), steps every row through
-    `optim.dispatch_step` and projects a row whose problem defines
-    project(w). W holds the rows' current iterates, (K, n), or the flat (n,)
-    iterate of a lone run, which steps a flat (n,) state. A lone run of at
-    most FLOAT_MAX_N coordinates takes the float lane (see optim.FLOAT_MAX_N):
-    its states hold Python floats, which each kernel steps on its float body.
+    binds the hyperparameters into one state, which each step overwrites in
+    place, steps every row through `optim.dispatch_step` and projects a row
+    whose problem defines project(w). W holds the rows' current iterates,
+    (K, n), or the flat (n,) iterate of a lone run, which steps a flat (n,)
+    state. A lone run of at most FLOAT_MAX_N coordinates takes the float lane
+    (see optim.FLOAT_MAX_N): its state holds Python floats, which each kernel
+    steps on its float body.
     A row diverges when its oracle's loss is non-finite or above
     DIVERGENCE_LOSS, or the oracle raises
     OverflowError (loss inf): it keeps its row, stepped with a zero gradient
@@ -150,11 +150,10 @@ class _Population:
         k, n = len(starts), starts[0].size
         self._one = k == 1
         hp = hps[0] if self._one else hps
-        self._state, self._spare = init_state(optimizer, n, hp), init_state(optimizer, n, hp)
+        self._state = state = init_state(optimizer, n, hp)
         self._floats = self._one and n <= FLOAT_MAX_N  # the float lane
         if self._floats:
-            for s in (self._state, self._spare):
-                vars(s).update([(f, tuple(v.tolist())) for f, v in vars(s).items()
+            vars(state).update([(f, tuple(v.tolist())) for f, v in vars(state).items()
                                 if isinstance(v, np.ndarray)])
         self.W = starts[0] if self._one else np.stack(starts)
         # the gradient each step takes, read as float64 as a population row
@@ -218,8 +217,7 @@ class _Population:
                 self._G[r] = g
         if None not in self.diverged_at:
             return losses, None
-        new, self.W, diag = dispatch_step(self._state, self.W, self._G, snap, self._spare)
-        self._state, self._spare = new, self._state
+        _, self.W, diag = dispatch_step(self._state, self.W, self._G, snap, self._state)
         rows = (self.W,) if self._one else self.W
         for r, project in self._projects:
             if self.diverged_at[r] is None:

@@ -9,16 +9,18 @@ share one state type, MomentState, of two vectors, m and b, whose b is AGD's
 b_t below and the Adam family's v_t: the previous debiased average in s_t is
 recomputed from m and B_{t-1} rather than kept. SgdState holds m alone.
 
-Buffer contract: a kernel never writes state, w or g. Called without `out`
-it is pure and returns a fresh state; given `out`, a second state of the same
-optimizer and size, it overwrites out's vectors and fields and returns it, so
-a loop that alternates two states allocates none per step (only the run loop
-of `diagnostics` passes it). w' is a fresh array either way. Each vector
-operation writes into a preallocated destination, in the order and with the
-scalars of the equations below, so the bits are those of the plain
-expressions. Above CHUNK coordinates the body runs one L2-sized chunk at a
-time; elementwise arithmetic gives the same bits on a slice, and step_norm
-stays one dot over the whole update. A state from init_state takes this
+Buffer contract: a kernel never writes w or g, nor state unless it is `out`.
+Called without `out` it is pure and returns a fresh state; given `out`, a
+state of the same optimizer and size, state itself included, it overwrites
+out's vectors and fields and returns it, so a loop that steps its one state
+in place allocates none per step (only the run loop of `diagnostics` passes
+it). The body reads each old vector before any write that could overwrite
+it, so out=state gives the bits of a fresh state. w' is a fresh array either
+way. Each vector operation writes into a preallocated destination, in the
+order and with the scalars of the equations below, so the bits are those of
+the plain expressions. Above CHUNK coordinates the body runs one L2-sized
+chunk at a time; elementwise arithmetic gives the same bits on a slice, and
+step_norm stays one dot over the whole update. A state from init_state takes this
 NumPy body at every n. The run loop's float lane keeps a lone run of at most
 FLOAT_MAX_N coordinates as a state whose vectors are Python floats, and each
 kernel steps such a state through its float body, the same operations on
@@ -211,12 +213,15 @@ def _norm(update):
 # Besides out's vectors the kernel writes two fresh arrays, the update and
 # w', and no other scratch. The update holds the body's intermediate terms
 # (`s`) until its last passes write the update there. w' holds AGD's
-# m0 / corr0 and then the rms estimate (`r`), unless a histogram needs the
-# estimate whole, until w' = (w * decay) - update is written there, decaying
-# first; where every row's factor is exactly 1.0 the product is w itself, and
-# the body skips that pass over w. The ufuncs take their destination
-# positionally, which costs less than out= on the tiny vectors of a 2-D
-# problem (np.maximum accepts only out=).
+# m0 / corr0, agd_amsgrad's unclamped b and then the rms estimate (`r`),
+# unless a histogram needs the estimate whole, until w' = (w * decay) - update
+# is written there, decaying first; where every row's factor is exactly 1.0
+# the product is w itself, and the body skips that pass over w. out's m and b
+# may be the state's own m0 and b0, so AGD takes m0 / corr0 before m is
+# written, and agd_amsgrad builds its new b in r before the clamp by b0
+# writes b. The ufuncs take their destination positionally, which costs less
+# than out= on the tiny vectors of a 2-D problem (np.maximum accepts only
+# out=).
 
 
 def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None):
@@ -253,26 +258,31 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
     n = w.shape[-1]
 
     def body(m0, b0, g, w, m, b, s, new_w, r):
+        # m0 / corr0 into r, free until the rms estimate, before m (maybe m0)
+        # is written
+        if agd and t > 1:
+            np.divide(m0, corr0, r)
         # m = beta1_t * m0 + (1 - beta1_t) * g
         np.multiply(m0, beta1_t, m)
         np.multiply(g, 1.0 - beta1_t, s)
         np.add(m, s, m)
-        # x = m / corr1 - m0 / corr0 (just m / corr1 at t = 1), g - m or g;
-        # r is free until the rms estimate
+        # x = m / corr1 - m0 / corr0 (just m / corr1 at t = 1), g - m or g
         x = g
         if agd:
             x = np.divide(m, corr1, s)
             if t > 1:
-                np.subtract(s, np.divide(m0, corr0, r), s)
+                np.subtract(s, r, s)
         elif belief:
             x = np.subtract(g, m, s)
-        # b = beta2 * b0 + (1 - beta2) * x**2, then the clamp or + delta
+        # b = beta2 * b0 + (1 - beta2) * x**2, then the clamp or + delta;
+        # agd_amsgrad builds it in r, as its clamp reads b0 (maybe b)
         np.multiply(x, x, s)
         np.multiply(s, 1.0 - beta2, s)
-        np.multiply(b0, beta2, b)
-        np.add(b, s, b)
+        new_b = r if amsgrad else b
+        np.multiply(b0, beta2, new_b)
+        np.add(new_b, s, new_b)
         if amsgrad:
-            np.maximum(b, b0, out=b)
+            np.maximum(r, b0, out=b)
         if belief:
             np.add(b, delta, b)
         # r = sqrt(b / bc2); update = scale * m / max(r, delta) or / (r + delta)
@@ -374,7 +384,8 @@ FLOAT_MAX_N = 8
 def _float_body(state, w, g, collect_histogram, out):
     """A kernel's float body: (state', w', diagnostics) of a float-lane state,
     with the bits of the NumPy body, and no diagnostics at all when
-    collect_histogram is None. out, the lane's second state, is required."""
+    collect_histogram is None. out, which the lane passes as state itself,
+    is required."""
     t, hp, name, rows, truncated = state.t + 1, state.hp, state.name, [], 0
     if name == "sgd":
         lr, decay, mu = _momentum_terms(hp, t)
@@ -386,8 +397,9 @@ def _float_body(state, w, g, collect_histogram, out):
         truncated, r = len(rows), None  # every coordinate takes the momentum path
     else:
         beta1_t, lr, decay, bc2, beta2, delta = _moment_terms(hp, t)
-        out.beta1_prod, out.name = state.beta1_prod * beta1_t, name
-        corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - out.beta1_prod
+        beta1_prod = state.beta1_prod * beta1_t
+        corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - beta1_prod
+        out.beta1_prod, out.name = beta1_prod, name  # out may be state
         scale, a1, a2 = lr / corr1, 1.0 - beta1_t, 1.0 - beta2
         amsgrad, belief = name == "agd_amsgrad", name == "adabelief"
         agd = amsgrad or name == "agd"
@@ -429,8 +441,8 @@ def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
     """Route a uniform step to the kernel of the state's optimizer, by its name.
 
     Checks that params, gradient and the state's vectors share one shape.
-    `out`, a second state of the same optimizer and size (not `state`
-    itself), receives the new state in place of a fresh one.
+    `out`, a state of the same optimizer and size (`state` itself, to step it
+    in place), receives the new state in place of a fresh one.
     """
     # agd_step, adam_step and adabelief_step are one function; the global
     # looked up here, on each call, is the one a tracer wraps, so each keeps
@@ -448,6 +460,6 @@ def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
     if not w.shape == g.shape == shape:
         raise ShapeError(f"shape mismatch: params {w.shape}, gradient {g.shape}, "
                          f"state {shape}")
-    if out is not None and (out.name != name or out is state or _shape(out.m) != shape):
-        raise ShapeError("out must be a second state of the same optimizer and size")
+    if out is not None and (out.name != name or _shape(out.m) != shape):
+        raise ShapeError("out must be a state of the same optimizer and size")
     return kernel(state, w, g, collect_histogram, out)

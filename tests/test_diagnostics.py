@@ -658,7 +658,7 @@ def _bits(x):
 @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 @pytest.mark.parametrize("name", sorted(BUFFER_CASES))
 def test_run_steps_buffers_match_pure_steps(name, n):
-    # the run loop's two alternating state sets against fresh pure steps:
+    # the run loop's one state, stepped in place, against fresh pure steps:
     # each loss is evaluated at the iterate before it, so every iterate is
     # checked bit for bit, and params is the last one
     hp = BUFFER_CASES[name]
@@ -705,6 +705,22 @@ def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 8 * n, peak / (8 * n)
+
+
+@pytest.mark.parametrize("name, vectors", [("agd", 8), ("agd_amsgrad", 8), ("adam", 8),
+                                           ("sgd", 6)])
+def test_run_loop_steps_one_state_in_place(name, vectors):
+    # one state stepped in place: a moment optimizer's lone run peaks at
+    # about 7.3 vectors (m, b, w, g, the update, w' and the histogram's
+    # array), SGD's at about 5.0; a second state set would add two, or one
+    n = 4 * CHUNK + 1
+    tracemalloc.start()
+    try:
+        record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < vectors * 8 * n, peak / (8 * n)
 
 
 # ------------------------------------------------------------ populations

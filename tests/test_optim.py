@@ -1,4 +1,5 @@
 import math
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -616,10 +617,76 @@ def test_kernels_without_out_leave_inputs_unchanged(name, n):
 def test_dispatch_rejects_a_bad_out_state():
     state = init_state("agd", 2, HP)
     w, g = np.zeros(2), np.ones(2)
-    for out in (state, init_state("adam", 2, HP), init_state("agd", 3, HP),
+    for out in (init_state("adam", 2, HP), init_state("agd", 3, HP),
                 init_state("agd_amsgrad", 2, HP)):
         with pytest.raises(ShapeError):
             dispatch_step(state, w, g, out=out)
+    # the state itself is a valid out: it is stepped in place
+    assert dispatch_step(state, w, g, out=state)[0] is state and state.t == 1
     # an out of another optimizer of the same kernel was relabelled
     with pytest.raises(ShapeError):
         dispatch_step(init_state("adam", 2, HP), w, g, out=init_state("adamw", 2, HP))
+
+
+# beta2 = 0.5 lets b fall within a few steps of smaller gradients, so
+# agd_amsgrad's clamp fires; a population's rows differ in alpha and decay
+IN_PLACE_HP = HyperParams(alpha=1e-2, beta2=0.5, delta=1e-3, weight_decay=1e-2)
+IN_PLACE_ROWS = (replace(IN_PLACE_HP, weight_decay=0.0),
+                 replace(IN_PLACE_HP, alpha=3e-3, weight_decay=1e-1),
+                 replace(IN_PLACE_HP, alpha=1e-1))
+
+
+def _with_arrays(state):
+    """A deep copy of state whose vectors are arrays (a float-lane state's
+    are tuples)."""
+    state = deepcopy(state)
+    vars(state).update([(f, np.array(v)) for f, v in vars(state).items() if f in ("m", "b")])
+    return state
+
+
+@pytest.mark.parametrize("collect", [True, False, None])
+@pytest.mark.parametrize("lane, shape", [
+    ("numpy", (1,)), ("numpy", (2,)), ("numpy", (CHUNK + 1,)),
+    ("numpy", (3, 5)), ("numpy", (3, CHUNK + 1)),
+    ("float", (1,)), ("float", (FLOAT_MAX_N,)),
+])
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_step_in_place_matches_a_pure_step(name, lane, shape, collect):
+    # out=state overwrites the state's vectors and fields as it steps it, so
+    # the kernel must read each old value (m0, b0, B_{t-1}) before the write
+    # that replaces it; the reference is a pure NumPy step on a deep copy
+    rng = np.random.default_rng(shape[-1])
+    state = init_state(name, shape[-1], IN_PLACE_HP if len(shape) == 1 else IN_PLACE_ROWS)
+    if lane == "float":  # as the run loop's float lane holds it
+        vars(state).update([(f, tuple(v.tolist())) for f, v in vars(state).items()
+                            if isinstance(v, np.ndarray)])
+    w, clamped = rng.standard_normal(shape), False
+    for scale in (10.0, 10.0, 1e-3, 1e-3, 1e-3):
+        g = scale * rng.standard_normal(shape)
+        g[..., 3::7] = 0.0
+        ref, ref_w, ref_diag = dispatch_step(_with_arrays(state), w, g, collect)
+        w_before, g_before = w.copy(), g.copy()
+        b0 = np.array(getattr(state, "b", 0.0))
+        new, new_w, diag = dispatch_step(state, w, g, collect, out=state)
+        assert new is state
+        assert _same_bits(w, w_before) and _same_bits(g, g_before)
+        assert vars(state).keys() == vars(ref).keys()
+        for f, v in vars(ref).items():
+            if f in ("m", "b", "beta1_prod"):
+                assert _same_bits(getattr(state, f), v), (f, state.t)
+            else:
+                assert getattr(state, f) == v, f
+        assert _same_bits(new_w, ref_w)
+        if diag is None:  # only the float body skips them
+            assert lane == "float" and collect is None
+        else:
+            assert _same_bits(diag.step_norm, ref_diag.step_norm)
+            assert _same_bits(diag.truncation_fraction, ref_diag.truncation_fraction)
+            if collect:
+                assert np.array_equal(diag.bhat_histogram, ref_diag.bhat_histogram)
+            else:
+                assert diag.bhat_histogram is ref_diag.bhat_histogram is None
+        if name == "agd_amsgrad":  # b fell below b0 somewhere and was clamped?
+            clamped |= bool(np.any((ref.b == b0) & (b0 > 0)))
+        w = new_w
+    assert clamped or name != "agd_amsgrad"
