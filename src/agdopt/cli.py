@@ -460,7 +460,10 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except ValueError as e:  # JSONDecodeError, or an int literal too long to convert
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror}") from None
+    # JSONDecodeError, an int literal too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
 
 

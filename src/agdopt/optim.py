@@ -193,9 +193,9 @@ def _momentum_terms(hp: HyperParams, t: int):
 
 
 def _norm(update):
-    """The 2-norm of the update, or of each row of a population's update."""
-    if update.ndim == 1:
-        return math.sqrt(float(np.dot(update, update)))
+    """The 2-norm of the update, or of each row of a population's update,
+    from one np.vecdot for both shapes, which rounds a row's dot as np.dot
+    does."""
     return np.sqrt(np.vecdot(update, update))
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, HyperParams, bounded, check_count, check_hyperparams,
-                   check_int, check_num, check_positive)
+from .core import (BETA1_KINDS, ConfigError, HyperParams, bounded, check_count,
+                   check_hyperparams, check_int, check_num, check_positive)
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -120,27 +120,24 @@ def alpha_hat_series(alpha: float, beta1: float, beta1_schedule: str,
     """Effective step sizes alpha/sqrt(t) * sqrt(1-beta2^t) / (1-beta1_t^t).
 
     Claimed strictly decreasing in t whenever the momentum coefficient is
-    non-increasing, beta2=0 included.
+    non-increasing, beta2=0 included. beta1_t comes from
+    `HyperParams.beta1_at`, the schedule the optimizers step with.
     """
-    HyperParams(alpha=alpha, beta1=beta1, beta2=beta2, beta1_schedule=beta1_schedule)
+    hp = HyperParams(alpha=alpha, beta1=beta1, beta2=beta2, beta1_schedule=beta1_schedule)
     T = check_count(T, "T")
     t = np.arange(1, T + 1, dtype=np.float64)
-    sqrt_t = np.sqrt(t)
     # every schedule starts at beta1 and never rises, so beta1_t**t <=
     # beta1**t and beta1's cut bounds them all; a schedule that rises breaks this
     k = _power_cut(beta1, T)
-    if beta1_schedule == "constant":
-        b1t = np.full(k, beta1)
-    elif beta1_schedule == "over_sqrt_t":
-        b1t = beta1 / sqrt_t[:k]
-    else:
-        b1t = beta1 / t[:k]
+    # one float at a time: a list of up to 5,518 floats would stay in verify's
+    # peak RSS
+    b1t = np.fromiter(map(hp.beta1_at, range(1, k + 1)), np.float64, k)
     debias1 = np.ones(T)
     np.subtract(1.0, b1t ** t[:k], out=debias1[:k])
     k = _power_cut(beta2, T)
     debias2 = np.ones(T)
     np.subtract(1.0, beta2 ** t[:k], out=debias2[:k])
-    lr = alpha / sqrt_t
+    lr = alpha / np.sqrt(t)
     return lr * np.sqrt(debias2) / debias1
 
 
@@ -329,7 +326,7 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     # 2. strictly decreasing effective step sizes
     grid = [(b1, sched, b2)
             for b1 in (0.5, 0.9)
-            for sched in ("constant", "over_sqrt_t", "over_t")
+            for sched in BETA1_KINDS
             for b2 in (0.0, 0.9, 0.999)]
     grid.append((0.99, "over_t", 0.9999))
     grid.append((0.0, "constant", 0.999))

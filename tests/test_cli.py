@@ -801,6 +801,24 @@ def test_run_verb_overlong_integer_literal_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep", "race"])
+@pytest.mark.parametrize("case", ["directory", "deep_nesting"])
+def test_unreadable_or_too_deep_config_exits_2(tmp_path, capsys, verb, case):
+    # a directory raises IsADirectoryError (an OSError) on open, and nesting
+    # deeper than the interpreter's recursion limit a RecursionError in json
+    path = tmp_path / "cfg.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_text("[" * 100_000)
+    out = tmp_path / "o"
+    extra = ["--param", "alpha", "--values", "1e-3"] if verb == "sweep" else []
+    assert main([verb, "--config", str(path), "--out", str(out), *extra]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- race verb
 
 

@@ -692,9 +692,9 @@ class IdentityGradProblem:
                                            ("agd_amsgrad", {"m", "b"}),
                                            ("adam", {"m", "b"})])
 def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
-    # AGD's state is two vectors, the size of Adam's: with both state sets,
+    # AGD's state is two vectors, the size of Adam's: with its one state set,
     # w, g, the update, w' and the histogram's array a lone run peaks at
-    # about 9.3 vectors, and a third vector per state set would add two
+    # about 7.3 vectors, and a third state vector would add one
     n = 4 * CHUNK + 1
     assert {f for f, v in vars(init_state(name, n, HP)).items()
             if isinstance(v, np.ndarray)} == vectors
