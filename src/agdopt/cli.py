@@ -1,16 +1,17 @@
 """Command-line harness: run / sweep / verify / race.
 
-Configs are strict JSON: unknown keys are rejected and every value is
-validated before any work starts. A parsed config is its own canonical dict:
-every default is filled in, it serializes to JSON, and parsing it again
-returns it unchanged. Output files are written atomically (temp file in the
-target directory, then rename); JSON files take the stdlib's indent=1 layout.
+Configs are strict JSON: unknown keys are rejected, and every value is
+validated and --out created before any work starts. A parsed config is its
+own canonical dict: every default is filled in, it serializes to JSON, and
+parsing it again returns it unchanged. Output files are written atomically
+(temp file in the target directory, then rename); JSON files take the
+stdlib's indent=1 layout.
 Floats are printed at 17 significant digits so they round-trip exactly, and
 non-finite floats in JSON as null.
 
 Exit codes: 0 success, 1 verification failure or a failed sweep group (one
-JSON line per group on stderr), 2 configuration error (with a one-line JSON
-error object on stderr).
+JSON line per group on stderr), 2 configuration error, an --out that cannot
+be created included (with a one-line JSON error object on stderr).
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ def _atomic_write(path: str, text: str) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _claim_out(path: str, file: bool = False) -> None:
+    """Create --out, a directory or verify's report file, before any work; an
+    --out that cannot be created is a configuration error."""
+    try:
+        open(path, "a").close() if file else os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {path} cannot be written: {e.strerror}") from None
 
 
 # ---------------------------------------------------------------- configs
@@ -218,7 +228,7 @@ def _steps(cfg: dict, problem) -> int:
 def run_command(cfg: dict, out_dir: str) -> dict:
     """Run a parsed config (see parse_run_config) and write its outputs."""
     problem = _build_problem(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    _claim_out(out_dir)
     t0 = time.perf_counter()
     traj = record_run(problem, cfg["optimizer"], HyperParams(**cfg["hyperparams"]),
                       _steps(cfg, problem), snapshot_every=cfg["snapshot_every"],
@@ -354,7 +364,7 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
             hp[path.removeprefix("hyperparams.")] = value
         cfgs.append(parse_run_config(dict(base, seed=seed, hyperparams=hp)))
     dirs = [os.path.join(out_dir, f"point_{i:03d}") for i in range(len(cfgs))]
-    os.makedirs(out_dir, exist_ok=True)
+    _claim_out(out_dir)
     k, n = len(cfgs), _build_problem(base).init_params().size
     groups = k if n > CHUNK else min(jobs, k)
     bounds = [k * g // groups for g in range(groups + 1)]
@@ -387,6 +397,9 @@ def sweep_command(base_dict: dict, path: str, values, out_dir: str,
 
 
 def verify_command(samples: int, seed: int, hp: HyperParams, out_path: str | None):
+    if out_path:
+        check_count(samples, "samples")  # a bad --samples creates no --out
+        _claim_out(out_path, file=True)
     reports = verify_suite(samples=samples, seed=seed, hp=hp)
     width = max(len(r["claim"]) for r in reports)
     for r in reports:
@@ -433,8 +446,8 @@ def race_command(d: dict, out_dir: str) -> dict:
     cfg = parse_race_config(d)
     problem = _build_problem(cfg)
     hps = {e["optimizer"]: HyperParams(**e["hyperparams"]) for e in cfg["entrants"]}
+    _claim_out(out_dir)
     result = race(problem, list(hps), hps, tol=cfg["tol"], max_steps=cfg["max_steps"])
-    os.makedirs(out_dir, exist_ok=True)
     payload = {
         "problem": problem.name,
         "tol": cfg["tol"],

@@ -126,7 +126,7 @@ class _Population:
     (K, n), or the flat (n,) iterate of a lone run, which steps a flat (n,)
     state. A lone run of at most FLOAT_MAX_N coordinates takes the float lane
     (see optim.FLOAT_MAX_N): its state holds Python floats, which each kernel
-    steps on its float body.
+    steps in a loop over the coordinates.
     A row diverges when its oracle's loss is non-finite or above
     DIVERGENCE_LOSS, or the oracle raises
     OverflowError (loss inf): it keeps its row, stepped with a zero gradient

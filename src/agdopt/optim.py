@@ -23,8 +23,9 @@ chunk at a time; elementwise arithmetic gives the same bits on a slice, and
 step_norm stays one dot over the whole update. A state from init_state takes this
 NumPy body at every n. The run loop's float lane keeps a lone run of at most
 FLOAT_MAX_N coordinates as a state whose vectors are Python floats, and each
-kernel steps such a state through its float body, the same operations on
-floats, which give the same bits at a fraction of the ufunc calls' cost.
+kernel steps such a state in one loop over its coordinates, from the step
+constants its NumPy body reads: the same operations on floats, which give the
+same bits at a fraction of the ufunc calls' cost.
 
 Populations: `init_state(name, n, hps)` with a sequence of K HyperParams
 makes one state for K independent runs of one optimizer. Its vectors are
@@ -238,20 +239,45 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
     always a fresh array. The inputs are never written. w is multiplied by
     the factor of decoupled weight decay before the update is subtracted.
     """
-    if type(state.m) is tuple:  # a float-lane state
-        return _float_body(state, w, g, collect_histogram, out)
-    t, hp = state.t + 1, state.hp
+    t, hp, name = state.t + 1, state.hp, state.name
     beta1_t, lr, decay, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
     beta1_prod = state.beta1_prod * beta1_t
     # no guard needed: a HyperParams has each beta1_t in [0, 1), so their
-    # product stays below 1 and corr1 > 0 (corr0 > 0 from step 2), also in
-    # the float body
+    # product stays below 1 and corr1 > 0 (corr0 > 0 from step 2)
     corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - beta1_prod
     scale = lr / corr1
-    decayed = type(decay) is np.ndarray or decay != 1.0
-    name = state.name
     amsgrad, belief = name == "agd_amsgrad", name == "adabelief"
     agd = amsgrad or name == "agd"
+    if type(state.m) is tuple:  # the float lane (see FLOAT_MAX_N)
+        rows, truncated, a1, a2 = [], 0, 1.0 - beta1_t, 1.0 - beta2
+        for m0, b0, gi, wi in zip(state.m, state.b, g.tolist(), w.tolist()):
+            m = m0 * beta1_t + gi * a1
+            if agd:
+                x = m / corr1
+                if t > 1:
+                    x = x - m0 / corr0
+            else:
+                x = gi - m if belief else gi
+            b = b0 * beta2 + x * x * a2
+            if amsgrad:
+                b = b0 if b < b0 else b
+            if belief:
+                b += delta
+            r = math.sqrt(b / bc2)
+            if agd:
+                below = r < delta
+                truncated += below
+                u = m / (delta if below else r) * scale
+            else:
+                u = m / (r + delta) * scale
+            rows.append((m, b, u, wi * decay - u, r))
+        out.m, out.b, update, new_w, r = zip(*rows)
+        out.beta1_prod, out.t, out.hp, out.name = beta1_prod, t, hp, name
+        diag = None if collect_histogram is None else StepDiagnostics(
+            truncated / len(rows), _norm(np.array(update)),
+            bhat_histogram(np.array(r)) if collect_histogram else None)
+        return out, np.array(new_w), diag
+    decayed = type(decay) is np.ndarray or decay != 1.0
     if out is None:
         out = replace(state, m=np.empty_like(state.m), b=np.empty_like(state.b))
 
@@ -324,10 +350,18 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
     second-moment histogram. `out`, weight decay and the returned arrays
     behave as in agd_step.
     """
-    if type(state.m) is tuple:  # a float-lane state
-        return _float_body(state, w, g, collect_histogram, out)
     t, hp = state.t + 1, state.hp
     lr, decay, mu = _per_row(_momentum_terms, hp, t)
+    if type(state.m) is tuple:  # the float lane (see FLOAT_MAX_N)
+        rows = []
+        for m0, gi, wi in zip(state.m, g.tolist(), w.tolist()):
+            m = m0 * mu + gi
+            u = m * lr
+            rows.append((m, u, wi * decay - u))
+        out.m, update, new_w = zip(*rows)
+        out.t, out.hp = t, hp
+        diag = None if collect_histogram is None else StepDiagnostics(1.0, _norm(np.array(update)))
+        return out, np.array(new_w), diag
     decayed = type(decay) is np.ndarray or decay != 1.0
     if out is None:
         out = replace(state, m=np.empty_like(state.m))
@@ -351,17 +385,19 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 
 # The float lane: the run loop (diagnostics._Population) keeps a lone run of
 # at most FLOAT_MAX_N coordinates as a state whose vectors are tuples of
-# Python floats, chosen from n when the run starts, and each kernel hands such
-# a state to _float_body: one loop over the coordinates, where each of the
+# Python floats, chosen from n when the run starts, and each kernel steps such
+# a state in its float loop, one pass over the coordinates, where each of the
 # NumPy body's ufunc calls would cost more in call overhead than in
-# arithmetic. It repeats every operation of the NumPy body in the same order
-# and association, so the bits are the same: a max is a comparison that keeps
+# arithmetic. It reads the step constants the kernel computed once for both
+# lanes, and repeats every operation of the NumPy body in the same order and
+# association, so the bits are the same: a max is a comparison that keeps
 # np.maximum's NaN, and a square a product (Python's float ** raises
 # OverflowError where * gives inf). w and g stay arrays at the kernel's
-# boundary, and out's vectors are replaced, never written into. step_norm and
-# the histogram still come from NumPy, as np.dot rounds unlike a sum in
-# Python; collect_histogram=None (a race's steps) builds no diagnostics at
-# all. The limit stays below where the loop's per-coordinate cost catches up:
+# boundary; out, which the run loop always passes as the state itself, has
+# its vectors replaced, never written into. step_norm and the histogram still
+# come from NumPy, as np.dot rounds unlike a sum in Python;
+# collect_histogram=None (a race's steps) builds no diagnostics at all. The
+# limit stays below where the loop's per-coordinate cost catches up:
 # a dispatch_step(..., collect_histogram=False) on an init_state state took
 # this many times as long as on the same state with its vectors as floats
 # (median of 21 interleaved pairs of 2000 steps, 2-core x86-64, Python 3.11,
@@ -375,61 +411,10 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 #     adabelief    3.11  2.06  1.77  1.41  1.02
 #     sgd          1.50  1.22  1.09  0.87  0.67
 #
-# SGD's NumPy body is only four ufunc calls. Against its float body with no
+# SGD's NumPy body is only four ufunc calls. Against its float loop with no
 # diagnostics, as a race's steps take it, the same ratio at n = 2 and 8 was
 # 1.86 and 1.32.
 FLOAT_MAX_N = 8
-
-
-def _float_body(state, w, g, collect_histogram, out):
-    """A kernel's float body: (state', w', diagnostics) of a float-lane state,
-    with the bits of the NumPy body, and no diagnostics at all when
-    collect_histogram is None. out, which the lane passes as state itself,
-    is required."""
-    t, hp, name, rows, truncated = state.t + 1, state.hp, state.name, [], 0
-    if name == "sgd":
-        lr, decay, mu = _momentum_terms(hp, t)
-        for m0, gi, wi in zip(state.m, g.tolist(), w.tolist()):
-            m = m0 * mu + gi
-            u = m * lr
-            rows.append((m, u, wi * decay - u))
-        out.m, update, new_w = zip(*rows)
-        truncated, r = len(rows), None  # every coordinate takes the momentum path
-    else:
-        beta1_t, lr, decay, bc2, beta2, delta = _moment_terms(hp, t)
-        beta1_prod = state.beta1_prod * beta1_t
-        corr0, corr1 = 1.0 - state.beta1_prod, 1.0 - beta1_prod
-        out.beta1_prod, out.name = beta1_prod, name  # out may be state
-        scale, a1, a2 = lr / corr1, 1.0 - beta1_t, 1.0 - beta2
-        amsgrad, belief = name == "agd_amsgrad", name == "adabelief"
-        agd = amsgrad or name == "agd"
-        for m0, b0, gi, wi in zip(state.m, state.b, g.tolist(), w.tolist()):
-            m = m0 * beta1_t + gi * a1
-            if agd:
-                x = m / corr1
-                if t > 1:
-                    x = x - m0 / corr0
-            else:
-                x = gi - m if belief else gi
-            b = b0 * beta2 + x * x * a2
-            if amsgrad:
-                b = b0 if b < b0 else b
-            if belief:
-                b += delta
-            r = math.sqrt(b / bc2)
-            if agd:
-                below = r < delta
-                truncated += below
-                u = m / (delta if below else r) * scale
-            else:
-                u = m / (r + delta) * scale
-            rows.append((m, b, u, wi * decay - u, r))
-        out.m, out.b, update, new_w, r = zip(*rows)
-    out.t, out.hp = t, hp
-    diag = None if collect_histogram is None else StepDiagnostics(
-        truncated / len(rows), _norm(np.array(update)),
-        bhat_histogram(np.array(r)) if collect_histogram and r else None)
-    return out, np.array(new_w), diag
 
 
 def _shape(vec) -> tuple:

@@ -275,7 +275,7 @@ def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
     if n % group_size != 0:
         raise ConfigError(f"group_size {group_size} must be a positive divisor of n={n}")
     state = init_state("agd", n, hp)
-    G = float(np.abs(grad_stream).max())
+    G = float(max(grad_stream.max(), -grad_stream.min()))  # no |grad_stream| copy
     # a HyperParams keeps beta1 < 1, so the bound's divisor is positive
     bound = group_size * (2.0 * G + hp.delta) / (1.0 - hp.beta1) ** 2
     w = np.zeros(n)

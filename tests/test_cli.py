@@ -819,6 +819,42 @@ def test_unreadable_or_too_deep_config_exits_2(tmp_path, capsys, verb, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb,case", [
+    ("run", "file"), ("sweep", "file"), ("race", "file"),
+    ("verify", "directory"), ("verify", "missing_parent"),
+])
+def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, verb, case):
+    # an --out that cannot be created (makedirs over a file, a report path
+    # that is a directory or lies in a missing one) is a config error, found
+    # before the verb's work runs
+    import agdopt.cli as cli
+
+    for work in ("record_run", "record_runs", "race", "verify_suite"):
+        monkeypatch.setattr(cli, work, lambda *a, _work=work, **k: pytest.fail(f"{_work} ran"))
+    out = tmp_path / "o"
+    if case == "file":
+        out.write_text("kept")
+    elif case == "directory":
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "report.json"
+    race = dict(RACE_QUAD, entrants=[{"optimizer": "agd", "hyperparams": {"alpha": 1e-3}}])
+    config = ["--config", write_config(tmp_path, race if verb == "race" else BASE)]
+    args = {"run": config, "race": config, "verify": ["--samples", "1000"],
+            "sweep": [*config, "--param", "hyperparams.alpha", "--values", "1e-3"]}[verb]
+    assert main([verb, *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "config" and str(out) in err["message"]
+    assert captured.out == ""
+    if case == "file":
+        assert out.read_text() == "kept"
+    elif case == "directory":
+        assert not any(out.iterdir())
+    else:
+        assert not out.parent.exists()
+
+
 # ---------------------------------------------------------------- race verb
 
 
