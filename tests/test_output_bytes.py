@@ -189,6 +189,21 @@ def test_verify_report_bytes(tmp_path):
 """
 
 
+def test_verify_report_bytes_with_a_variance_verdict(tmp_path, capsys):
+    # 10k samples is the fewest at which the Monte-Carlo check reaches a
+    # verdict; stdout's repr pins each observed float to the bit
+    report = tmp_path / "report.json"
+    assert main(["verify", "--samples", "10000", "--seed", "0", "--out", str(report)]) == 0
+    assert capsys.readouterr().out == (
+        "variance_identity              PASS  observed=0.018851445679143725\n"
+        "alpha_hat_strictly_decreasing  PASS  observed=-1.580397245591329e-11\n"
+        "preconditioner_norm_bound      PASS  observed=0.00024025260228224132\n"
+        "regret_sublinear               PASS  observed={'slope': 0.34079065717052925,"
+        " 'final_regret': 15.735245250052854}\n")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "d1876397319e791a1276209d70c4ea89e2cdbda983b3c95042c044b6e22a15c1")
+
+
 def _run_digest(out):
     """The sha256 of a run's trajectory.csv, histograms.json and masked
     summary.json."""
