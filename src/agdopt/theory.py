@@ -73,6 +73,9 @@ def variance_ratio_mc(combos, samples: int, seed: int) -> list[tuple[float, floa
     see alone. The updates run MC_BLOCK samples at a time, every beta1 on a
     block before the next, so the block's draws, moments and scratch stay in
     L2; each element gets the same three operations in the same order.
+    Each combo's mean and variance are taken one SUM_CHUNK slice at a time,
+    debiasing the slice as it is summed, so memory holds the draws and one
+    momentum vector per distinct beta1 and no other samples-long vector.
     Returns (empirical, analytic) pairs in combo order.
     """
     combos = [(b1, check_count(t, "t")) for b1, t in combos]
@@ -101,16 +104,20 @@ def variance_ratio_mc(combos, samples: int, seed: int) -> list[tuple[float, floa
                 np.multiply(zb, 1.0 - b1, out=tb)
                 mb += tb
         for b1 in wanted.get(step, ()):
-            mhat = moments[b1] / (1.0 - b1 ** step)
-            mean = _compensated_sum(mhat) / samples
-            var = _compensated_sum((mhat - mean) ** 2) / (samples - 1)
+            d, m = 1.0 - b1 ** step, moments[b1]
+            mean = _compensated_sum(m, lambda mb: mb / d) / samples
+            var = _compensated_sum(m, lambda mb: (mb / d - mean) ** 2) / (samples - 1)
             empirical[(b1, step)] = var
     return [(empirical[c], a) for c, a in zip(combos, analytic)]
 
 
-def _compensated_sum(values: np.ndarray) -> float:
-    """Exact (fsum) accumulation of per-chunk partial sums."""
-    parts = [float(np.sum(values[lo:lo + SUM_CHUNK]))
+def _compensated_sum(values: np.ndarray, f=lambda chunk: chunk) -> float:
+    """Exact (fsum) accumulation of per-chunk partial sums of f(values).
+
+    f is elementwise and applied one SUM_CHUNK slice at a time, so the sum
+    has the bits of _compensated_sum(f(values)) without f(values) in memory.
+    """
+    parts = [float(np.sum(f(values[lo:lo + SUM_CHUNK])))
              for lo in range(0, values.size, SUM_CHUNK)]
     return math.fsum(parts)
 
@@ -254,40 +261,50 @@ def loglog_slope(series: np.ndarray) -> float:
     return float(slope)
 
 
-def norm_bound_check(grad_stream: np.ndarray, hp: HyperParams,
-                           group_size: int | None = None):
+def norm_bound_check(grad_stream, hp: HyperParams, group_size: int | None = None):
     """Check sum_i v_{t,i} < n (2G+delta) / (1-beta1)^2 along a run.
 
     v_t = max(sqrt(b_t), delta*sqrt(1-beta2^t)) is the pre-step preconditioner
-    and G bounds |g| entrywise over the stream. grad_stream has shape (T, n).
-    With group_size k dividing n, the coordinates are treated as n/k
-    independent k-dimensional runs sharing one state (the update is
-    coordinatewise, so this is exact) and the bound is checked per group with
-    n = k. Returns the max observed ratio bound-side; < 1 everywhere means
-    the claim held.
+    and G bounds |g| entrywise over the stream. grad_stream is an iterable of
+    (n,) rows, a (T, n) array among them, and is read once, one row at a time,
+    so a generator of rows never holds the stream in memory. With group_size k
+    dividing n, the coordinates are treated as n/k independent k-dimensional
+    runs sharing one state (the update is coordinatewise, so this is exact)
+    and the bound is checked per group with n = k. Returns the max observed
+    ratio bound-side; < 1 everywhere means the claim held. A stream that is
+    not iterable or is empty is refused with a ConfigError, and so is a row
+    of another shape or with a non-finite entry, before it is stepped.
     """
     hp = check_hyperparams(hp)
-    grad_stream = np.asarray(grad_stream, dtype=np.float64)
-    if grad_stream.ndim != 2:
-        raise ConfigError(f"grad_stream must be (T, n), got {grad_stream.shape}")
-    T, n = grad_stream.shape
-    group_size = n if group_size is None else check_count(group_size, "group_size")
-    if n % group_size != 0:
-        raise ConfigError(f"group_size {group_size} must be a positive divisor of n={n}")
-    state = init_state("agd", n, hp)
-    G = float(max(grad_stream.max(), -grad_stream.min()))  # no |grad_stream| copy
-    # a HyperParams keeps beta1 < 1, so the bound's divisor is positive
-    bound = group_size * (2.0 * G + hp.delta) / (1.0 - hp.beta1) ** 2
-    w = np.zeros(n)
-    max_ratio = 0.0
-    for t in range(1, T + 1):
-        state, w, _ = agd_step(state, w, grad_stream[t - 1], collect_histogram=False)
+    if not np.iterable(grad_stream):
+        raise ConfigError(f"grad_stream must be an iterable of rows, got {grad_stream!r}")
+    t, G, peak = 0, 0.0, 0.0
+    for t, g in enumerate(grad_stream, 1):
+        g = np.asarray(g, dtype=np.float64)
+        if t == 1:
+            if g.ndim != 1 or g.size == 0:
+                raise ConfigError(f"grad_stream rows must be (n,) with n >= 1, got {g.shape}")
+            n = g.size
+            group_size = n if group_size is None else check_count(group_size, "group_size")
+            if n % group_size != 0:
+                raise ConfigError(f"group_size {group_size} must be a positive divisor of n={n}")
+            state, w = init_state("agd", n, hp), np.zeros(n)
+        # g.max() is nan if g holds a nan, and max() keeps a nan met first,
+        # so top is finite only when every entry is
+        top = max(g.max(), -g.min()) if g.shape == (n,) else math.nan
+        if not math.isfinite(top):
+            raise ConfigError(f"grad_stream row {t} must be {n} finite values")
+        G = max(G, top)  # a max of row maxima is the stream's max: G is exact
+        state, w, _ = agd_step(state, w, g, collect_histogram=False)
         v = np.maximum(np.sqrt(state.b), hp.delta * math.sqrt(1.0 - hp.beta2 ** t))
-        norms = v.reshape(-1, group_size).sum(axis=1)
-        ratio = float(norms.max()) / bound
-        if ratio > max_ratio:
-            max_ratio = ratio
-    return max_ratio, bound
+        peak = max(peak, v.reshape(-1, group_size).sum(axis=1).max())
+    if t == 0:
+        raise ConfigError("grad_stream is empty")
+    # a HyperParams keeps beta1 < 1, so the bound's divisor is positive
+    bound = group_size * (2.0 * float(G) + hp.delta) / (1.0 - hp.beta1) ** 2
+    # correctly rounded division by a positive bound is monotone, so the
+    # largest norm over the bound is the largest of the per-step ratios
+    return float(peak) / bound, bound
 
 
 def verify_suite(samples: int = 1_000_000, seed: int = 0,
@@ -346,7 +363,8 @@ def verify_suite(samples: int = 1_000_000, seed: int = 0,
     # 3. preconditioner norm bound along random bounded-gradient runs
     runs, steps, width, G = 1000, 500, 4, 5.0
     rng = rng_stream(seed, STREAM_GRADS)
-    stream = rng.uniform(-G, G, size=(steps, runs * width))
+    # row by row, the draws of one uniform(size=(steps, runs * width)) call
+    stream = (rng.uniform(-G, G, size=runs * width) for _ in range(steps))
     max_ratio, bound = norm_bound_check(stream, hp, group_size=width)
     reports.append({
         "claim": "preconditioner_norm_bound",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from agdopt import theory
 from agdopt.core import ConfigError, HyperParams
 from agdopt.models import rng_stream
+from agdopt.optim import agd_step, init_state
 from agdopt.theory import (
     MC_BLOCK,
+    STREAM_GRADS,
     STREAM_VARIANCE,
     _compensated_sum,
     alpha_hat_series,
@@ -99,6 +102,20 @@ def test_variance_ratio_mc_matches_per_combo_reference(combos, samples):
     got = variance_ratio_mc(combos, samples=samples, seed=3)
     want = [_variance_ratio_mc_per_combo(b1, t, samples, 3) for b1, t in combos]
     assert got == want  # exact float equality, combo order kept
+
+
+def test_variance_ratio_mc_takes_statistics_one_slice_at_a_time():
+    # the moments of the distinct beta1 values and the draws are the floor;
+    # a whole debiased or squared-deviation vector would add one each
+    samples, combos = 250_000, [(0.5, 2), (0.9, 3), (0.99, 3), (0.9, 2)]
+    rng_stream(0, STREAM_VARIANCE)  # a first call imports numpy.random, 0.7 MiB
+    tracemalloc.start()
+    try:
+        variance_ratio_mc(combos, samples=samples, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (3 + 1) * 8 * samples + 2**20, peak / (8 * samples)
 
 
 @pytest.mark.parametrize("combos", [[], [(0.9, 10), (1.0, 10)],
@@ -272,6 +289,94 @@ def test_norm_bound_rejects_flat_stream():
     hp = HyperParams(alpha=1e-3)
     with pytest.raises(ConfigError):
         norm_bound_check(np.zeros(10), hp)
+
+
+def _norm_bound_reference(stream, hp, group_size):
+    """Reference: the (T, n) array whole, G from it first, one ratio a step."""
+    G = float(np.abs(stream).max())
+    bound = group_size * (2.0 * G + hp.delta) / (1.0 - hp.beta1) ** 2
+    n = stream.shape[1]
+    state, w, max_ratio = init_state("agd", n, hp), np.zeros(n), 0.0
+    for t, g in enumerate(stream, 1):
+        state, w, _ = agd_step(state, w, g, collect_histogram=False)
+        v = np.maximum(np.sqrt(state.b), hp.delta * math.sqrt(1.0 - hp.beta2 ** t))
+        max_ratio = max(max_ratio, float(v.reshape(-1, group_size).sum(axis=1).max()) / bound)
+    return max_ratio, bound
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("group_size", [1, 4, None])
+@pytest.mark.parametrize("T", [1, 40])
+def test_norm_bound_rows_give_the_array_bits(seed, group_size, T):
+    hp = HyperParams(alpha=1e-3, beta2=0.99)
+    rng = np.random.default_rng(seed)
+    stream = rng.uniform(-3.0, 3.0, size=(T, 24)) * rng.uniform(0.0, 2.0, size=24)
+    want = _norm_bound_reference(stream, hp, group_size or 24)
+    assert norm_bound_check(stream, hp, group_size) == want
+    assert norm_bound_check((row.copy() for row in stream), hp, group_size) == want
+    assert norm_bound_check(list(stream), hp, group_size) == want
+
+
+def test_verify_suite_draws_the_norm_bound_stream_row_by_row(monkeypatch):
+    rows = []
+
+    def recorder(stream, hp, group_size):
+        rows.extend(stream)
+        return 0.0, 1.0
+
+    monkeypatch.setattr(theory, "norm_bound_check", recorder)
+    verify_suite(samples=5_000, seed=4)
+    whole = rng_stream(4, STREAM_GRADS).uniform(-5.0, 5.0, size=(500, 4000))
+    assert np.array_equal(np.stack(rows), whole)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_norm_bound_refuses_a_non_finite_row_before_stepping_it(bad, monkeypatch):
+    # an inf or a nan returned (0.0, inf) or (0.0, nan), which read as a held claim
+    steps = []
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        return agd_step(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "agd_step", counted_step)
+    stream = np.array([[1.0, 2.0], [1.0, bad], [1.0, 2.0]])
+    with pytest.raises(ConfigError, match="row 2 must be 2 finite values"):
+        norm_bound_check(stream, HyperParams(alpha=1e-3))
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("stream", [np.zeros((0, 4)), iter(())], ids=["array", "generator"])
+def test_norm_bound_refuses_an_empty_stream(stream):
+    # a (0, n) array raised NumPy's zero-size reduction ValueError
+    with pytest.raises(ConfigError, match="grad_stream is empty"):
+        norm_bound_check(stream, HyperParams(alpha=1e-3))
+
+
+def test_norm_bound_refuses_a_row_of_another_shape():
+    # unchecked, a (1,) row would broadcast against the (4,) state
+    for last in (np.ones(3), np.ones(1), np.ones((1, 4))):
+        with pytest.raises(ConfigError, match="row 3 must be 4 finite values"):
+            norm_bound_check(iter([np.ones(4), np.ones(4), last]), HyperParams(alpha=1e-3))
+    for first in (np.ones((2, 2)), np.ones(0)):
+        with pytest.raises(ConfigError, match="rows must be"):
+            norm_bound_check([first], HyperParams(alpha=1e-3))
+    with pytest.raises(ConfigError, match="iterable of rows"):
+        norm_bound_check(5.0, HyperParams(alpha=1e-3))
+
+
+def test_norm_bound_holds_one_row_at_a_time():
+    # a 500-row stream drawn as it is read never sits in memory whole
+    n = 4000
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        norm_bound_check((rng.uniform(-5.0, 5.0, size=n) for _ in range(500)),
+                         HyperParams(alpha=1e-3), group_size=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * n, peak / (8 * n)
 
 
 # ---------------------------------------------------------------- suite
