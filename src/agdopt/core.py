@@ -6,17 +6,18 @@ Every optimizer works on flat float64 vectors and exposes a step of the shape
     (state, w, g) -> (state', w', StepDiagnostics)
 
 where the state, made by `optim.init_state(name, n, hp)`, carries the
-hyperparameters and the step counter; step t = state.t + 1 starts at 1. Steps
-are pure: inputs are never mutated, and a fresh state and a fresh w' come
-back. A HyperParams checks its own domain when it is built, so no state
-holds one outside it. `optimizer_step` is the front door for library
-callers: it validates the vectors, hands the step to
+hyperparameters and the step counter; step t = state.t + 1 starts at 1.
+Library steps are pure: inputs are never mutated, and a fresh state and a
+fresh w' come back. A HyperParams checks its own domain when it is built, so
+no state holds one outside it. `optimizer_step` is the front door for
+library callers: it validates the vectors, hands the step to
 `optim.dispatch_step` (which checks shapes and routes the step to the kernel
 of the state's optimizer, by its name; each kernel applies decoupled weight
 decay itself) and refuses a non-finite result. The kernels' optional `out=`
-state, which they overwrite instead of allocating, is for the run loop of
-`diagnostics` alone, which passes the input state itself to step its one
-state in place; no library path passes it.
+state, which they overwrite instead of allocating, also writing w' into w,
+is for the run loop of `diagnostics` alone, which passes the input state
+itself to step its one state and its own iterate in place; no library path
+passes it.
 """
 
 from __future__ import annotations
@@ -200,13 +201,16 @@ def chunked(body, n: int, arrays):
     """Run body over arrays of n coordinates; return the sum of its results.
 
     Up to CHUNK coordinates body runs once on the whole arrays, above it once
-    per chunk of CHUNK coordinates on their slices (of every row).
+    per chunk of CHUNK coordinates on their slices (of every row). Above
+    CHUNK an array of CHUNK coordinates is scratch that every chunk reuses:
+    each gets as many of its first coordinates as it has.
     """
     if n <= CHUNK:
         return body(*arrays)
     total = 0
     for lo in range(0, n, CHUNK):
-        total += body(*[a[..., lo:lo + CHUNK] for a in arrays])
+        total += body(*[a[..., lo:lo + CHUNK] if a.shape[-1] == n else a[..., :n - lo]
+                        for a in arrays])
     return total
 
 

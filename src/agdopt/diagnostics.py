@@ -1,13 +1,17 @@
 """The run loop, run recording and head-to-head races.
 
 A Problem bundles a start point with a loss/gradient callback; fresh problem
-objects are cheap and deterministic, so every run rebuilds its own.
+objects are cheap and deterministic, so every run rebuilds its own. Its
+init_params() gives the start, which the run loop copies; its
+loss_grad(w) gives (loss, gradient), and an optional project(w) the
+projected iterate. The run loop steps its iterate in place, so neither may
+keep the w it is given past the call; a gradient may be w itself.
 
 `_Population` is the one run loop: it steps K independent runs of one
 optimizer, each on its own problem object with its own hyperparameters, as
 one (K, n) population state (one run, the plain (n,) state, whose vectors
 stay Python floats at n <= optim.FLOAT_MAX_N) through `optim.dispatch_step`,
-and allocates no optimizer state per step.
+and allocates no optimizer state and no iterate per step.
 `record_runs` records its runs as one `Trajectory` of per-step columns each
 (loss, step norm, truncation fraction, denominator histograms at the
 snapshot cadence), which are the run's switch timeline; `record_run` is its
@@ -124,17 +128,18 @@ class _Population:
     place, steps every row through `optim.dispatch_step` and projects a row
     whose problem defines project(w). W holds the rows' current iterates,
     (K, n), or the flat (n,) iterate of a lone run, which steps a flat (n,)
-    state. A lone run of at most FLOAT_MAX_N coordinates takes the float lane
-    (see optim.FLOAT_MAX_N): its state holds Python floats, which each kernel
-    steps in a loop over the coordinates.
+    state. W is the population's own copy of the starts, and each step
+    writes the new iterates into it. A lone run of at most FLOAT_MAX_N
+    coordinates takes the float lane (see optim.FLOAT_MAX_N): its state holds
+    Python floats, which each kernel steps in a loop over the coordinates.
     A row diverges when its oracle's loss is non-finite or above
     DIVERGENCE_LOSS, or the oracle raises
     OverflowError (loss inf): it keeps its row, stepped with a zero gradient
-    and never read again, and params[r] holds the iterate w_{t-1} its loss
-    diverged at. When tol is given, steps_to_tol[r] is the first step whose
-    post-step iterate lies within tol of row r's known optimum (0 for a
-    start inside). The caller runs the steps under np.errstate(over="ignore"),
-    from construction on.
+    and never read again, and params[r] holds a copy of the iterate w_{t-1}
+    its loss diverged at. When tol is given, steps_to_tol[r] is the first
+    step whose post-step iterate lies within tol of row r's known optimum (0
+    for a start inside). The caller runs the steps under
+    np.errstate(over="ignore"), from construction on.
     """
 
     def __init__(self, problems, optimizer: str, hps, steps: int, tol: float | None):
@@ -155,7 +160,9 @@ class _Population:
         if self._floats:
             vars(state).update([(f, tuple(v.tolist())) for f, v in vars(state).items()
                                 if isinstance(v, np.ndarray)])
-        self.W = starts[0] if self._one else np.stack(starts)
+        # W is the population's own, stepped in place: a problem may keep the
+        # array its init_params returned (np.stack copies)
+        self.W = starts[0].copy() if self._one else np.stack(starts)
         # the gradient each step takes, read as float64 as a population row
         # is. A lone run's is the oracle's own (n,) array when that is
         # float64, kept until the next one arrives: dropping it at the end of
@@ -209,7 +216,8 @@ class _Population:
                 loss = math.inf
             losses.append(loss)
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                self.diverged_at[r], self.params[r], self._pending[r] = t, rows[r], False
+                # a copy, as its row goes on stepping with a zero gradient
+                self.diverged_at[r], self.params[r], self._pending[r] = t, rows[r].copy(), False
                 g = 0.0
             if self._one:
                 self._G = np.asarray(g, np.float64)
@@ -217,7 +225,7 @@ class _Population:
                 self._G[r] = g
         if None not in self.diverged_at:
             return losses, None
-        _, self.W, diag = dispatch_step(self._state, self.W, self._G, snap, self._state)
+        diag = dispatch_step(self._state, self.W, self._G, snap, self._state)[2]
         rows = (self.W,) if self._one else self.W
         for r, project in self._projects:
             if self.diverged_at[r] is None:

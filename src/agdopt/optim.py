@@ -9,23 +9,26 @@ share one state type, MomentState, of two vectors, m and b, whose b is AGD's
 b_t below and the Adam family's v_t: the previous debiased average in s_t is
 recomputed from m and B_{t-1} rather than kept. SgdState holds m alone.
 
-Buffer contract: a kernel never writes w or g, nor state unless it is `out`.
-Called without `out` it is pure and returns a fresh state; given `out`, a
-state of the same optimizer and size, state itself included, it overwrites
-out's vectors and fields and returns it, so a loop that steps its one state
-in place allocates none per step (only the run loop of `diagnostics` passes
-it). The body reads each old vector before any write that could overwrite
-it, so out=state gives the bits of a fresh state. w' is a fresh array either
-way. Each vector operation writes into a preallocated destination, in the
-order and with the scalars of the equations below, so the bits are those of
-the plain expressions. Above CHUNK coordinates the body runs one L2-sized
-chunk at a time; elementwise arithmetic gives the same bits on a slice, and
-step_norm stays one dot over the whole update. A state from init_state takes this
-NumPy body at every n. The run loop's float lane keeps a lone run of at most
-FLOAT_MAX_N coordinates as a state whose vectors are Python floats, and each
-kernel steps such a state in one loop over its coordinates, from the step
-constants its NumPy body reads: the same operations on floats, which give the
-same bits at a fraction of the ufunc calls' cost.
+Buffer contract: a kernel never writes g. Called without `out` it is pure:
+it writes none of its inputs and returns a fresh state and a fresh w'. Given
+`out`, a state of the same optimizer and size, state itself included, it
+steps in place: it overwrites out's vectors and fields, writes w' into w and
+returns out and w, so a loop that steps its one state in place allocates no
+state and no iterate per step (only the run loop of `diagnostics` passes
+it). The body reads each old value (m0, b0, B_{t-1}, w, and g, which may be
+w itself) before any write that could overwrite it, so an in-place step
+gives the bits of a pure one. Each vector operation writes into a
+preallocated destination, in the order and with the scalars of the equations
+below, so the bits are those of the plain expressions. Above CHUNK
+coordinates the body runs one L2-sized chunk at a time; elementwise
+arithmetic gives the same bits on a slice, step_norm stays one dot over the
+whole update, and the histogram adds up its chunks' counts, as
+bhat_histogram does. A state from init_state takes this NumPy body at every
+n. The run loop's float lane keeps a lone run of at most FLOAT_MAX_N
+coordinates as a state whose vectors are Python floats, and each kernel
+steps such a state in one loop over its coordinates, from the step constants
+its NumPy body reads: the same operations on floats, which give the same
+bits at a fraction of the ufunc calls' cost.
 
 Populations: `init_state(name, n, hps)` with a sequence of K HyperParams
 makes one state for K independent runs of one optimizer. Its vectors are
@@ -211,12 +214,14 @@ def _norm(update):
 # rms + delta; its x is g_t, or g_t - m_t for AdaBelief, which adds delta
 # after the EMA.
 #
-# Besides out's vectors the kernel writes two fresh arrays, the update and
-# w', and no other scratch. The update holds the body's intermediate terms
-# (`s`) until its last passes write the update there. w' holds AGD's
-# m0 / corr0, agd_amsgrad's unclamped b and then the rms estimate (`r`),
-# unless a histogram needs the estimate whole, until w' = (w * decay) - update
-# is written there, decaying first; where every row's factor is exactly 1.0
+# Besides out's vectors and w', which is w itself when out is given, the
+# kernel allocates two arrays: the update, whole for step_norm's one dot, and
+# `r`, one chunk wide, which every chunk reuses. The update holds the body's
+# intermediate terms (`s`) until its last passes write the update there. r
+# holds AGD's m0 / corr0, agd_amsgrad's unclamped b and then the rms
+# estimate, whose histogram is taken chunk by chunk and added up. The last
+# pass writes w' = (w * decay) - update, decaying first, after every read of
+# that chunk's w and g (g may be w); where every row's factor is exactly 1.0
 # the product is w itself, and the body skips that pass over w. out's m and b
 # may be the state's own m0 and b0, so AGD takes m0 / corr0 before m is
 # written, and agd_amsgrad builds its new b in r before the clamp by b0
@@ -235,9 +240,10 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
     reference implementation does).
     adam_step and adabelief_step are this function.
 
-    state' is `out`, overwritten, when given, else a fresh state; w' is
-    always a fresh array. The inputs are never written. w is multiplied by
-    the factor of decoupled weight decay before the update is subtracted.
+    Given `out`, state' is out, overwritten, and w' is w, stepped in place;
+    without it both are fresh and no input is written. g is never written.
+    w is multiplied by the factor of decoupled weight decay before the update
+    is subtracted.
     """
     t, hp, name = state.t + 1, state.hp, state.name
     beta1_t, lr, decay, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
@@ -276,14 +282,16 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
         diag = None if collect_histogram is None else StepDiagnostics(
             truncated / len(rows), _norm(np.array(update)),
             bhat_histogram(np.array(r)) if collect_histogram else None)
-        return out, np.array(new_w), diag
+        w[:] = new_w
+        return out, w, diag
     decayed = type(decay) is np.ndarray or decay != 1.0
+    new_w = w if out is not None else np.empty(w.shape)
     if out is None:
         out = replace(state, m=np.empty_like(state.m), b=np.empty_like(state.b))
-
-    n = w.shape[-1]
+    n, hist = w.shape[-1], None
 
     def body(m0, b0, g, w, m, b, s, new_w, r):
+        nonlocal hist
         # m0 / corr0 into r, free until the rms estimate, before m (maybe m0)
         # is written
         if agd and t > 1:
@@ -322,18 +330,20 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
             np.maximum(r, delta, out=s)
         else:
             np.add(r, delta, s)
+        if collect_histogram:  # this chunk's counts, added to the earlier chunks'
+            hist = bhat_histogram(r) if hist is None else hist + bhat_histogram(r)
         np.divide(m, s, s)
         np.multiply(s, scale, s)  # the update
         np.subtract(np.multiply(w, decay, new_w) if decayed else w, s, new_w)
         return truncated
 
-    update, new_w = np.empty(w.shape), np.empty(w.shape)
-    r = np.empty(w.shape) if collect_histogram else new_w
+    update = np.empty(w.shape)
+    r = np.empty(w.shape if n <= CHUNK else w.shape[:-1] + (CHUNK,))  # chunk scratch
     truncated = chunked(body, n, (state.m, state.b, g, w, out.m, out.b, update, new_w, r))
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),
-        bhat_histogram=bhat_histogram(r) if collect_histogram else None,
+        bhat_histogram=hist,
     )
     out.beta1_prod, out.t, out.hp, out.name = beta1_prod, t, hp, name
     return out, new_w, diag
@@ -361,8 +371,10 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
         out.m, update, new_w = zip(*rows)
         out.t, out.hp = t, hp
         diag = None if collect_histogram is None else StepDiagnostics(1.0, _norm(np.array(update)))
-        return out, np.array(new_w), diag
+        w[:] = new_w
+        return out, w, diag
     decayed = type(decay) is np.ndarray or decay != 1.0
+    new_w = w if out is not None else np.empty(w.shape)
     if out is None:
         out = replace(state, m=np.empty_like(state.m))
 
@@ -373,7 +385,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
         np.subtract(np.multiply(w, decay, new_w) if decayed else w, update, new_w)
         return 0
 
-    update, new_w = np.empty(w.shape), np.empty(w.shape)
+    update = np.empty(w.shape)
     chunked(body, w.shape[-1], (state.m, g, w, out.m, update, new_w))
     diag = StepDiagnostics(
         truncation_fraction=1.0,
@@ -393,9 +405,10 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 # association, so the bits are the same: a max is a comparison that keeps
 # np.maximum's NaN, and a square a product (Python's float ** raises
 # OverflowError where * gives inf). w and g stay arrays at the kernel's
-# boundary; out, which the run loop always passes as the state itself, has
-# its vectors replaced, never written into. step_norm and the histogram still
-# come from NumPy, as np.dot rounds unlike a sum in Python;
+# boundary, and w' is written into w once the loop has read both; out, which
+# the run loop always passes as the state itself, has its vectors replaced,
+# never written into. step_norm and the histogram still come from NumPy, as
+# np.dot rounds unlike a sum in Python;
 # collect_histogram=None (a race's steps) builds no diagnostics at all. The
 # limit stays below where the loop's per-coordinate cost catches up:
 # a dispatch_step(..., collect_histogram=False) on an init_state state took
@@ -427,7 +440,8 @@ def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
 
     Checks that params, gradient and the state's vectors share one shape.
     `out`, a state of the same optimizer and size (`state` itself, to step it
-    in place), receives the new state in place of a fresh one.
+    in place), receives the new state in place of a fresh one, and w the new
+    iterate.
     """
     # agd_step, adam_step and adabelief_step are one function; the global
     # looked up here, on each call, is the one a tracer wraps, so each keeps

@@ -16,7 +16,7 @@ from agdopt.diagnostics import (
 )
 from agdopt.models import MlpSpec, two_moons
 from agdopt.testfns import TESTFNS
-from agdopt.optim import CHUNK, dispatch_step, init_state
+from agdopt.optim import CHUNK, FLOAT_MAX_N, dispatch_step, init_state
 from agdopt.theory import RegretProblem, make_quadratic_stream
 
 HP = HyperParams(alpha=1e-3)
@@ -693,8 +693,8 @@ class IdentityGradProblem:
                                            ("adam", {"m", "b"})])
 def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
     # AGD's state is two vectors, the size of Adam's: with its one state set,
-    # w, g, the update, w' and the histogram's array a lone run peaks at
-    # about 7.3 vectors, and a third state vector would add one
+    # w, g, the update and a chunk-sized scratch a lone run peaks at about
+    # 5.5 vectors, and a third state vector would add one
     n = 4 * CHUNK + 1
     assert {f for f, v in vars(init_state(name, n, HP)).items()
             if isinstance(v, np.ndarray)} == vectors
@@ -711,8 +711,9 @@ def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
                                            ("sgd", 6)])
 def test_run_loop_steps_one_state_in_place(name, vectors):
     # one state stepped in place: a moment optimizer's lone run peaks at
-    # about 7.3 vectors (m, b, w, g, the update, w' and the histogram's
-    # array), SGD's at about 5.0; a second state set would add two, or one
+    # about 5.5 vectors (m, b, w, g, the update and the rms estimate and
+    # histogram buckets of one chunk), SGD's at about 4.0; a second state set
+    # would add two, or one
     n = 4 * CHUNK + 1
     tracemalloc.start()
     try:
@@ -721,6 +722,80 @@ def test_run_loop_steps_one_state_in_place(name, vectors):
     finally:
         tracemalloc.stop()
     assert peak < vectors * 8 * n, peak / (8 * n)
+
+
+@pytest.mark.parametrize("name, vectors", [("agd", 6), ("agd_amsgrad", 6), ("adam", 6),
+                                           ("adamw", 6), ("adabelief", 6), ("sgd", 4.5)])
+def test_run_loop_steps_the_iterate_in_place(name, vectors):
+    # w' is written into w, and the rms estimate is one chunk's scratch even
+    # when a histogram is taken (at the last step here): a fresh w' or a
+    # whole-vector estimate would add one vector each
+    n = 4 * CHUNK + 1
+    tracemalloc.start()
+    try:
+        record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < vectors * 8 * n, peak / (8 * n)
+
+
+class KeepsItsStart:
+    """A quadratic bowl whose init_params returns the array it keeps."""
+
+    name = "keeps-its-start"
+
+    def __init__(self, n):
+        self.start, self.optimum = np.linspace(-1.0, 1.0, n), np.zeros(n)
+
+    def init_params(self):
+        return self.start
+
+    def loss_grad(self, w):
+        return 0.5 * float(w @ w), w.copy()
+
+
+@pytest.mark.parametrize("n", [2, FLOAT_MAX_N + 1])
+def test_runs_leave_the_start_a_problem_keeps_unchanged(n):
+    # the run loop steps its own copy of the start in place, on the float
+    # lane and the NumPy body alike
+    runs = {
+        "record_run": lambda p: record_run(p, "agd", HP, 5),
+        "record_runs": lambda p: record_runs([p, KeepsItsStart(n)], "agd", [HP, HP], 5),
+        "race": lambda p: race(p, ["agd", "sgd"], {"agd": HP, "sgd": HP}, max_steps=5),
+    }
+    for verb, run in runs.items():
+        problem = KeepsItsStart(n)
+        run(problem)
+        assert np.array_equal(problem.start, np.linspace(-1.0, 1.0, n)), verb
+
+
+class HandsBackW:
+    """Loss |w|**2 / 2, whose gradient is the array w itself."""
+
+    name = "hands-back-w"
+    optimum = None
+
+    def __init__(self, n):
+        self.n = n
+
+    def init_params(self):
+        return np.linspace(-1.0, 1.0, self.n)
+
+    def loss_grad(self, w):
+        return 0.5 * float(w @ w), w
+
+
+@pytest.mark.parametrize("n", [2, 2 * CHUNK + 1])
+@pytest.mark.parametrize("name", sorted(BUFFER_CASES))
+def test_an_oracle_may_hand_back_w_as_its_gradient(name, n):
+    # the run loop steps w in place, so g is w: each chunk (each coordinate
+    # on the float lane) must be read as g before w' is written over it
+    hp = BUFFER_CASES[name]
+    traj = record_run(HandsBackW(n), name, hp, 5, snapshot_every=2)
+    rows, hist_t, hists, w = _columns_from_pure_steps(HandsBackW(n), name, hp, 5, 2)
+    _assert_columns_match(traj, rows, hist_t, hists)
+    assert _bits(traj.params) == _bits(w), (name, n)
 
 
 # ------------------------------------------------------------ populations
