@@ -252,6 +252,10 @@ MLP_CASES = {
         "9a218a26a7a892dba8040a4e87db93c318e1f5d0d0ec295eb558a35033ca2fd2",
     ("tanh", "squared", 4, "adabelief", 0.0, 16384):
         "b96bf4575ea4fc0b14879f9e31d388059ae7c9f71b127942d816b2f2824d4102",
+    ("tanh", "softmax_ce", 1, "sgd", 0.01, 16384):
+        "dc1e8cc5234117f88ffeeef44a2516ce903505532c768922597e693531d8301e",
+    ("relu", "squared", 4, "adamw", 0.01, 16384):
+        "e529ae64f689c1cc1b767301b64f6d667fd71fbdc393ccd4fcc8f92dafffd2f7",
     # a seventh entry is the beta1 schedule, so B_t is no power of beta1
     ("tanh", "logistic", 4, "agd", 0.0, 16384, "over_t"):
         "46ef2bc4fa25287e06ca0b88f7c95a4ab0ee0bbc191ef8bd7a85bc87065cb0c1",
