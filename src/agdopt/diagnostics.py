@@ -219,6 +219,11 @@ class _Population:
                 # a copy, as its row goes on stepping with a zero gradient
                 self.diverged_at[r], self.params[r], self._pending[r] = t, rows[r].copy(), False
                 g = 0.0
+            else:  # checked, as assigning it to a row would broadcast it
+                g = np.asarray(g, np.float64)
+                if g.shape != self.W.shape[-1:]:
+                    raise ShapeError(f"run {r}'s gradient has shape {g.shape}, its params "
+                                     f"{self.W.shape[-1:]}")
             if self._one:
                 self._G = np.asarray(g, np.float64)
             else:

@@ -928,6 +928,32 @@ def test_record_runs_checks_its_rows():
         record_runs([p, ZeroGradProblem(dim=3)], "agd", [HP, HP], 5)
 
 
+class MisshapedGrad:
+    """A flat loss whose gradient has the given shape, whatever w's size."""
+
+    name, optimum = "misshaped", None
+
+    def __init__(self, n, shape):
+        self.n, self.shape = n, shape
+
+    def init_params(self):
+        return np.ones(self.n)
+
+    def loss_grad(self, w):
+        return 0.0, np.ones(self.shape)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [2, 12])
+@pytest.mark.parametrize("shape", [(1,), "1n"])
+def test_run_loop_refuses_a_misshaped_gradient(shape, n, k):
+    # a population row used to broadcast a (1,) or (1, n) gradient into its
+    # row of the (K, n) block and step on
+    shape = (1, n) if shape == "1n" else shape
+    with pytest.raises(ShapeError, match="gradient"):
+        record_runs([MisshapedGrad(n, shape) for _ in range(k)], "agd", [HP] * k, 3)
+
+
 def test_record_runs_diverging_rows_stop_with_a_huge_budget():
     # the columns grow with the steps run, not with the budget
     runs = record_runs([TestFnProblem(TESTFNS["rosenbrock"])] * 2, "agd",
