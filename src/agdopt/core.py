@@ -15,9 +15,10 @@ library callers: it validates the vectors, hands the step to
 of the state's optimizer, by its name; each kernel applies decoupled weight
 decay itself) and refuses a non-finite result. The kernels' optional `out=`
 state, which they overwrite instead of allocating, also writing w' into w,
-is for the run loop of `diagnostics` alone, which passes the input state
-itself to step its one state and its own iterate in place; no library path
-passes it.
+and `update=` buffer, which receives the update, are for the run loop of
+`diagnostics` alone, which passes the input state itself to step its one
+state and its own iterate in place, and its gradient buffer as the update;
+no library path passes them.
 """
 
 from __future__ import annotations

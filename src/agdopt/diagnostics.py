@@ -4,14 +4,21 @@ A Problem bundles a start point with a loss/gradient callback; fresh problem
 objects are cheap and deterministic, so every run rebuilds its own. Its
 init_params() gives the start, which the run loop copies; its
 loss_grad(w) gives (loss, gradient), and an optional project(w) the
-projected iterate. The run loop steps its iterate in place, so neither may
-keep the w it is given past the call; a gradient may be w itself.
+projected iterate. An optional loss_grad_into(w, grad) is loss_grad that
+writes the gradient into grad, a float64 array of w's shape that the run
+loop owns and that shares no memory with w, and returns (loss, grad); the
+run loop calls it in place of loss_grad on its NumPy lane. The run loop
+steps its iterate in place and writes over grad, so no oracle or project(w)
+may keep the w or grad it is given past the call; a gradient may be w
+itself.
 
 `_Population` is the one run loop: it steps K independent runs of one
 optimizer, each on its own problem object with its own hyperparameters, as
 one (K, n) population state (one run, the plain (n,) state, whose vectors
 stay Python floats at n <= optim.FLOAT_MAX_N) through `optim.dispatch_step`,
-and allocates no optimizer state and no iterate per step.
+and allocates no optimizer state and no iterate per step, nor, on its NumPy
+lane, an update: the kernel writes that into the gradient buffer, into which
+an oracle with loss_grad_into writes its gradient.
 `record_runs` records its runs as one `Trajectory` of per-step columns each
 (loss, step norm, truncation fraction, denominator histograms at the
 snapshot cadence), which are the run's switch timeline; `record_run` is its
@@ -100,9 +107,14 @@ class MlpProblem:
     def init_params(self) -> np.ndarray:
         return init_params(self.spec, self.seed)
 
-    def loss_grad(self, w):
+    def loss_grad(self, w, grad=None):
+        """(loss, gradient) on the next minibatch; see mlp_loss_grad for grad."""
         inputs, targets = next(self._stream)
-        return mlp_loss_grad(self.spec, w, inputs, targets)
+        return mlp_loss_grad(self.spec, w, inputs, targets, grad)
+
+    def loss_grad_into(self, w, grad):
+        # through loss_grad, so that a wrapper of loss_grad sees the run loop's calls
+        return self.loss_grad(w, grad)
 
 
 @dataclass
@@ -145,34 +157,42 @@ class _Population:
     def __init__(self, problems, optimizer: str, hps, steps: int, tol: float | None):
         tol = None if tol is None else check_positive(tol, "tol")
         self.steps = check_count(steps, "steps")
-        self._problems, hps = list(problems), tuple(map(check_hyperparams, hps))
-        if not self._problems or len(self._problems) != len(hps):
+        problems, hps = list(problems), tuple(map(check_hyperparams, hps))
+        if not problems or len(problems) != len(hps):
             raise ConfigError(f"need one HyperParams per problem, got {len(hps)} "
-                              f"for {len(self._problems)}")
-        starts = [as_param_vector(p.init_params(), "start params") for p in self._problems]
+                              f"for {len(problems)}")
+        starts = [as_param_vector(p.init_params(), "start params") for p in problems]
         if len({w.size for w in starts}) > 1:
             raise ShapeError("the problems of a population must share their size")
         k, n = len(starts), starts[0].size
         self._one = k == 1
+        # W is the population's own, stepped in place: a problem may keep the
+        # array its init_params returned (np.stack copies). The starts go
+        # before the state and G are allocated.
+        self.W = starts[0].copy() if self._one else np.stack(starts)
+        del starts
         hp = hps[0] if self._one else hps
         self._state = state = init_state(optimizer, n, hp)
         self._floats = self._one and n <= FLOAT_MAX_N  # the float lane
         if self._floats:
             vars(state).update([(f, tuple(v.tolist())) for f, v in vars(state).items()
                                 if isinstance(v, np.ndarray)])
-        # W is the population's own, stepped in place: a problem may keep the
-        # array its init_params returned (np.stack copies)
-        self.W = starts[0].copy() if self._one else np.stack(starts)
-        # the gradient each step takes, read as float64 as a population row
-        # is. A lone run's is the oracle's own (n,) array when that is
-        # float64, kept until the next one arrives: dropping it at the end of
-        # each step raised a 1M-parameter run's peak RSS by 4 MiB. A
-        # population's rows are written at step 1; a diverged row keeps zeros.
-        self._G = None if self._one else np.empty((k, n))
-        projects = [getattr(p, "project", None) for p in self._problems]
+        # G, W's shape, is each step's gradient and then its update: a row's
+        # oracle writes its gradient into its row of G when it can (an
+        # optional loss_grad_into), or the run loop copies it there, and the
+        # kernel writes the update over it chunk by chunk, once that chunk of
+        # the gradient is read. A diverged row's is zeroed before each step.
+        # The float lane takes the oracle's own array and no update buffer.
+        self._G = self._update = None if self._floats else np.empty(self.W.shape)
+        self._grad_shape = (n,)
+        grads = [None] if self._floats else [self._G] if self._one else list(self._G)
+        self._oracles = [(p.loss_grad, None if dest is None else
+                          getattr(p, "loss_grad_into", None), dest)
+                         for p, dest in zip(problems, grads)]
+        projects = [getattr(p, "project", None) for p in problems]
         self._projects = [(r, f) for r, f in enumerate(projects) if f is not None]
         self.params, self.diverged_at, self.steps_to_tol = [None] * k, [None] * k, [None] * k
-        optima = [getattr(p, "optimum", None) for p in self._problems]
+        optima = [getattr(p, "optimum", None) for p in problems]
         self._pending = [tol is not None and o is not None for o in optima]
         if any(self._pending):  # rows without an optimum are never pending
             self._tol_sq = tol_sq = tol * tol
@@ -206,12 +226,13 @@ class _Population:
         when no step is taken. A snap of None asks for no diagnostics, which
         the float lane does not build (a race reads none)."""
         rows, losses = (self.W,) if self._one else self.W, []
-        for r, problem in enumerate(self._problems):
+        for r, (oracle, write, dest) in enumerate(self._oracles):
             if self.diverged_at[r] is not None:
                 losses.append(math.nan)
+                dest[...] = 0.0  # it holds the last step's update
                 continue
             try:
-                loss, g = problem.loss_grad(rows[r])
+                loss, g = oracle(rows[r]) if write is None else write(rows[r], dest)
             except OverflowError:
                 loss = math.inf
             losses.append(loss)
@@ -219,18 +240,22 @@ class _Population:
                 # a copy, as its row goes on stepping with a zero gradient
                 self.diverged_at[r], self.params[r], self._pending[r] = t, rows[r].copy(), False
                 g = 0.0
-            else:  # checked, as assigning it to a row would broadcast it
-                g = np.asarray(g, np.float64)
-                if g.shape != self.W.shape[-1:]:
+            elif dest is not None and g is not dest:
+                # checked, as assigning it to a row would broadcast it (the
+                # float lane's own array goes to dispatch_step, which checks it)
+                if type(g) is not np.ndarray:
+                    g = np.asarray(g, np.float64)
+                if g.shape != self._grad_shape:
                     raise ShapeError(f"run {r}'s gradient has shape {g.shape}, its params "
-                                     f"{self.W.shape[-1:]}")
-            if self._one:
+                                     f"{self._grad_shape}")
+            if dest is None:  # the float lane
                 self._G = np.asarray(g, np.float64)
-            else:
-                self._G[r] = g
+            elif g is not dest:
+                dest[...] = g
         if None not in self.diverged_at:
             return losses, None
-        diag = dispatch_step(self._state, self.W, self._G, snap, self._state)[2]
+        diag = dispatch_step(self._state, self.W, self._G, snap, self._state,
+                             self._update)[2]
         rows = (self.W,) if self._one else self.W
         for r, project in self._projects:
             if self.diverged_at[r] is None:

@@ -147,13 +147,15 @@ def _forward(spec: MlpSpec, params, inputs):
 
 
 def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
-                  targets: np.ndarray):
+                  targets: np.ndarray, grad: np.ndarray | None = None):
     """Mean loss over the batch and its gradient w.r.t. the flat params.
 
     Backprop is written out by hand; the loss heads use the numerically
     stable forms (max-subtracted log-softmax, softplus via log1p). Each
     layer's gradient is written through `_unpack` views straight into one
-    fresh flat vector; params is never written.
+    flat vector: `grad`, a float64 (n_params,) array that shares no memory
+    with params, when given, else a fresh one; that vector is returned.
+    params is never written.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != spec.in_dim:
@@ -161,6 +163,11 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
     batch = inputs.shape[0]
     if batch < 1:
         raise ShapeError("empty batch")
+    if grad is None:
+        grad = np.empty(spec.n_params)
+    elif grad.dtype != np.float64 or np.may_share_memory(grad, params):
+        raise ShapeError("grad must be a float64 array that shares no memory with params")
+    dw1, db1, dw2, db2 = _unpack(spec, grad)  # checks grad's shape
     pre, hid, out = _forward(spec, params, inputs)
 
     if spec.loss == "softmax_ce":
@@ -187,8 +194,6 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
         loss = float(0.5 * np.mean((resid * resid).sum(axis=1)))
         dout = resid / batch
 
-    grad = np.empty(spec.n_params)
-    dw1, db1, dw2, db2 = _unpack(spec, grad)
     w2 = _unpack(spec, params)[2]
     # A product with inner dimension 1 (every weight gradient at batch 1,
     # dL/dhid with one output) is an outer product: a multiply gives the

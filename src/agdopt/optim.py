@@ -9,26 +9,29 @@ share one state type, MomentState, of two vectors, m and b, whose b is AGD's
 b_t below and the Adam family's v_t: the previous debiased average in s_t is
 recomputed from m and B_{t-1} rather than kept. SgdState holds m alone.
 
-Buffer contract: a kernel never writes g. Called without `out` it is pure:
-it writes none of its inputs and returns a fresh state and a fresh w'. Given
+Buffer contract: called without `out` and `update` a kernel is pure: it
+writes none of its inputs and returns a fresh state and a fresh w'. Given
 `out`, a state of the same optimizer and size, state itself included, it
 steps in place: it overwrites out's vectors and fields, writes w' into w and
 returns out and w, so a loop that steps its one state in place allocates no
-state and no iterate per step (only the run loop of `diagnostics` passes
-it). The body reads each old value (m0, b0, B_{t-1}, w, and g, which may be
-w itself) before any write that could overwrite it, so an in-place step
-gives the bits of a pure one. Each vector operation writes into a
-preallocated destination, in the order and with the scalars of the equations
-below, so the bits are those of the plain expressions. Above CHUNK
-coordinates the body runs one L2-sized chunk at a time; elementwise
-arithmetic gives the same bits on a slice, step_norm stays one dot over the
-whole update, and the histogram adds up its chunks' counts, as
-bhat_histogram does. A state from init_state takes this NumPy body at every
-n. The run loop's float lane keeps a lone run of at most FLOAT_MAX_N
-coordinates as a state whose vectors are Python floats, and each kernel
-steps such a state in one loop over its coordinates, from the step constants
-its NumPy body reads: the same operations on floats, which give the same
-bits at a fraction of the ufunc calls' cost.
+state and no iterate per step. Given `update`, a float64 array of w's shape
+that shares no memory with w or the state, it writes the update there in
+place of a fresh vector; update may be g itself, the one case in which a
+kernel writes g. Only the run loop of `diagnostics` passes either, and it
+passes its gradient buffer as both g and update. The body reads each old
+value (m0, b0, B_{t-1}, w, and g, which may be w itself) before any write
+that could overwrite it, so an in-place step gives the bits of a pure one.
+Each vector operation writes into a preallocated destination, in the order
+and with the scalars of the equations below, so the bits are those of the
+plain expressions. Above CHUNK coordinates the body runs one L2-sized chunk
+at a time; elementwise arithmetic gives the same bits on a slice, step_norm
+stays one dot over the whole update, and the histogram adds up its chunks'
+counts, as bhat_histogram does. A state from init_state takes this NumPy
+body at every n. The run loop's float lane keeps a lone run of at most
+FLOAT_MAX_N coordinates as a state whose vectors are Python floats, and each
+kernel steps such a state in one loop over its coordinates, from the step
+constants its NumPy body reads: the same operations on floats, which give
+the same bits at a fraction of the ufunc calls' cost.
 
 Populations: `init_state(name, n, hps)` with a sequence of K HyperParams
 makes one state for K independent runs of one optimizer. Its vectors are
@@ -214,14 +217,15 @@ def _norm(update):
 # rms + delta; its x is g_t, or g_t - m_t for AdaBelief, which adds delta
 # after the EMA.
 #
-# Besides out's vectors and w', which is w itself when out is given, the
-# kernel allocates two arrays: the update, whole for step_norm's one dot, and
-# `r`, one chunk wide, which every chunk reuses. The update holds the body's
-# intermediate terms (`s`) until its last passes write the update there. r
-# holds AGD's m0 / corr0, agd_amsgrad's unclamped b and then the rms
-# estimate, whose histogram is taken chunk by chunk and added up. The last
-# pass writes w' = (w * decay) - update, decaying first, after every read of
-# that chunk's w and g (g may be w); where every row's factor is exactly 1.0
+# Besides out's vectors, w', which is w itself when out is given, and the
+# update, whole for step_norm's one dot, which is the caller's update buffer
+# when given, the kernel allocates two arrays one chunk wide, which every
+# chunk reuses: `s` holds the body's intermediate terms, and `r` AGD's
+# m0 / corr0, agd_amsgrad's unclamped b and then the rms estimate, whose
+# histogram is taken chunk by chunk and added up. The last two passes write
+# the chunk's update, after every read of its g, so the update may be g, and
+# w' = (w * decay) - update, decaying first, after every read of that
+# chunk's w and g (g may be w); where every row's factor is exactly 1.0
 # the product is w itself, and the body skips that pass over w. out's m and b
 # may be the state's own m0 and b0, so AGD takes m0 / corr0 before m is
 # written, and agd_amsgrad builds its new b in r before the clamp by b0
@@ -230,7 +234,8 @@ def _norm(update):
 # out=).
 
 
-def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None):
+def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None,
+             update=None):
     """One step of AGD or of the Adam family; returns (state', w', diagnostics).
 
     A state named agd or agd_amsgrad takes the auto-switching update above.
@@ -241,9 +246,10 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
     adam_step and adabelief_step are this function.
 
     Given `out`, state' is out, overwritten, and w' is w, stepped in place;
-    without it both are fresh and no input is written. g is never written.
-    w is multiplied by the factor of decoupled weight decay before the update
-    is subtracted.
+    without it both are fresh. Given `update`, the update is written there,
+    after each chunk's last read of g, which it may be; without it g is
+    never written. w is multiplied by the factor of decoupled weight decay
+    before the update is subtracted.
     """
     t, hp, name = state.t + 1, state.hp, state.name
     beta1_t, lr, decay, bc2, beta2, delta = _per_row(_moment_terms, hp, t)
@@ -290,7 +296,7 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
         out = replace(state, m=np.empty_like(state.m), b=np.empty_like(state.b))
     n, hist = w.shape[-1], None
 
-    def body(m0, b0, g, w, m, b, s, new_w, r):
+    def body(m0, b0, g, w, m, b, update, new_w, r, s):
         nonlocal hist
         # m0 / corr0 into r, free until the rms estimate, before m (maybe m0)
         # is written
@@ -333,13 +339,14 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
         if collect_histogram:  # this chunk's counts, added to the earlier chunks'
             hist = bhat_histogram(r) if hist is None else hist + bhat_histogram(r)
         np.divide(m, s, s)
-        np.multiply(s, scale, s)  # the update
-        np.subtract(np.multiply(w, decay, new_w) if decayed else w, s, new_w)
+        np.multiply(s, scale, update)
+        np.subtract(np.multiply(w, decay, new_w) if decayed else w, update, new_w)
         return truncated
 
-    update = np.empty(w.shape)
-    r = np.empty(w.shape if n <= CHUNK else w.shape[:-1] + (CHUNK,))  # chunk scratch
-    truncated = chunked(body, n, (state.m, state.b, g, w, out.m, out.b, update, new_w, r))
+    update = np.empty(w.shape) if update is None else update
+    scratch = w.shape if n <= CHUNK else w.shape[:-1] + (CHUNK,)
+    r, s = np.empty(scratch), np.empty(scratch)
+    truncated = chunked(body, n, (state.m, state.b, g, w, out.m, out.b, update, new_w, r, s))
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
         step_norm=_norm(update),
@@ -352,13 +359,14 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None)
 adam_step = adabelief_step = agd_step
 
 
-def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out=None):
+def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out=None,
+                      update=None):
     """Heavy-ball SGD: m <- mu*m + g, w <- w - lr_t*m.
 
     The momentum coefficient mu is hp.beta1. truncation_fraction is 1.0 by
     convention (every coordinate takes the momentum path) and there is no
-    second-moment histogram. `out`, weight decay and the returned arrays
-    behave as in agd_step.
+    second-moment histogram. `out`, `update`, weight decay and the returned
+    arrays behave as in agd_step.
     """
     t, hp = state.t + 1, state.hp
     lr, decay, mu = _per_row(_momentum_terms, hp, t)
@@ -385,7 +393,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
         np.subtract(np.multiply(w, decay, new_w) if decayed else w, update, new_w)
         return 0
 
-    update = np.empty(w.shape)
+    update = np.empty(w.shape) if update is None else update
     chunked(body, w.shape[-1], (state.m, g, w, out.m, update, new_w))
     diag = StepDiagnostics(
         truncation_fraction=1.0,
@@ -435,13 +443,15 @@ def _shape(vec) -> tuple:
     return (len(vec),) if type(vec) is tuple else vec.shape
 
 
-def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
+def dispatch_step(state, w, g, collect_histogram: bool = True, out=None, update=None):
     """Route a uniform step to the kernel of the state's optimizer, by its name.
 
     Checks that params, gradient and the state's vectors share one shape.
     `out`, a state of the same optimizer and size (`state` itself, to step it
     in place), receives the new state in place of a fresh one, and w the new
-    iterate.
+    iterate. `update`, a float64 array of that shape that shares no memory
+    with w (g itself, in the run loop), receives the update in place of a
+    fresh vector; a float-lane state takes none.
     """
     # agd_step, adam_step and adabelief_step are one function; the global
     # looked up here, on each call, is the one a tracer wraps, so each keeps
@@ -461,4 +471,9 @@ def dispatch_step(state, w, g, collect_histogram: bool = True, out=None):
                          f"state {shape}")
     if out is not None and (out.name != name or _shape(out.m) != shape):
         raise ShapeError("out must be a state of the same optimizer and size")
-    return kernel(state, w, g, collect_histogram, out)
+    if update is not None and (type(state.m) is tuple or update.shape != shape
+                               or update.dtype != np.float64
+                               or np.may_share_memory(update, w)):
+        raise ShapeError("update must be a float64 array of the step's shape that "
+                         "shares no memory with params, for a state of NumPy vectors")
+    return kernel(state, w, g, collect_histogram, out, update)

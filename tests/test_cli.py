@@ -756,6 +756,15 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", [[], ()])
+def test_sweep_command_refuses_no_values_before_any_work(tmp_path, values):
+    # the CLI's --values split never yields an empty list; a library call can
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="at least one value"):
+        sweep_command(BASE, "hyperparams.alpha", values, str(out))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", [True, "2", 2.5])
 def test_sweep_command_checks_jobs_before_any_work(tmp_path, jobs):
     # True ran as 1 job, "2" raised TypeError, and 2.5 raised TypeError after

@@ -116,6 +116,14 @@ def test_beta1_at_matches_schedule():
         hp.beta1_at(0)
 
 
+@pytest.mark.parametrize("kind", ["constant", "inverse_sqrt", "milestones"])
+@pytest.mark.parametrize("t", [0, -3])
+def test_lr_at_refuses_a_step_before_the_first(kind, t):
+    hp = HyperParams(alpha=1e-3, lr_schedule=kind, milestones=((2, 0.5),))
+    with pytest.raises(ConfigError, match="steps start at 1"):
+        hp.lr_at(t)
+
+
 # ---------------------------------------------------------------- validation
 
 

@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from agdopt import diagnostics
 from agdopt.core import ConfigError, HyperParams, ShapeError, optimizer_step
 from agdopt.diagnostics import (
     DIVERGENCE_LOSS,
@@ -18,6 +18,7 @@ from agdopt.models import MlpSpec, two_moons
 from agdopt.testfns import TESTFNS
 from agdopt.optim import CHUNK, FLOAT_MAX_N, dispatch_step, init_state
 from agdopt.theory import RegretProblem, make_quadratic_stream
+from conftest import peak_traced_bytes
 
 HP = HyperParams(alpha=1e-3)
 
@@ -605,13 +606,10 @@ def test_race_entrant_memory_does_not_grow_with_its_steps():
     # of loss, step norm and fraction alone would take 480 KB
     p = TestFnProblem(TESTFNS["quad_skew"])
     hp = {"sgd": HyperParams(alpha=1e-7)}
-    tracemalloc.start()
-    try:
-        result = race(p, ["sgd"], hp, tol=1e-2, max_steps=20_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.steps_to_tol == {"sgd": None}
+    results = []
+    peak = peak_traced_bytes(
+        lambda: results.append(race(p, ["sgd"], hp, tol=1e-2, max_steps=20_000)))
+    assert results[0].steps_to_tol == {"sgd": None}
     assert peak < 64 * 1024
 
 
@@ -693,17 +691,14 @@ class IdentityGradProblem:
                                            ("adam", {"m", "b"})])
 def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
     # AGD's state is two vectors, the size of Adam's: with its one state set,
-    # w, g, the update and a chunk-sized scratch a lone run peaks at about
-    # 5.5 vectors, and a third state vector would add one
+    # w, the gradient buffer and the oracle's fresh gradient, which is copied
+    # into that buffer, a lone run peaks at about 5.0 vectors, and a third
+    # state vector would add one
     n = 4 * CHUNK + 1
     assert {f for f, v in vars(init_state(name, n, HP)).items()
             if isinstance(v, np.ndarray)} == vectors
-    tracemalloc.start()
-    try:
-        record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(
+        lambda: record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10))
     assert peak < 10 * 8 * n, peak / (8 * n)
 
 
@@ -711,16 +706,12 @@ def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
                                            ("sgd", 6)])
 def test_run_loop_steps_one_state_in_place(name, vectors):
     # one state stepped in place: a moment optimizer's lone run peaks at
-    # about 5.5 vectors (m, b, w, g, the update and the rms estimate and
-    # histogram buckets of one chunk), SGD's at about 4.0; a second state set
-    # would add two, or one
+    # about 5.0 vectors (m, b, w, the gradient buffer and the oracle's fresh
+    # gradient, which is copied into the buffer), SGD's at about 4.0; a
+    # second state set would add two, or one
     n = 4 * CHUNK + 1
-    tracemalloc.start()
-    try:
-        record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(
+        lambda: record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10))
     assert peak < vectors * 8 * n, peak / (8 * n)
 
 
@@ -731,13 +722,24 @@ def test_run_loop_steps_the_iterate_in_place(name, vectors):
     # when a histogram is taken (at the last step here): a fresh w' or a
     # whole-vector estimate would add one vector each
     n = 4 * CHUNK + 1
-    tracemalloc.start()
-    try:
-        record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(
+        lambda: record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10))
     assert peak < vectors * 8 * n, peak / (8 * n)
+
+
+def test_a_wide_mlp_run_holds_one_gradient():
+    # the oracle writes its gradient into the run loop's buffer, over the
+    # last step's update, so the run peaks in its oracle at about 4.75
+    # vectors: w, m, b, the buffer, and the hidden layer's pre-activation,
+    # activation and their gradient at a quarter of a vector each (batch 1);
+    # a fresh gradient beside the buffer would add one, and so would the
+    # start, kept while the state and the buffer are allocated
+    spec = MlpSpec(2, CHUNK, 1)
+    n = spec.n_params
+    assert n == 4 * CHUNK + 1
+    problem = MlpProblem(spec, two_moons(16, 0.1, seed=0), 1, seed=0)
+    peak = peak_traced_bytes(lambda: record_run(problem, "agd", HP, steps=4, snapshot_every=2))
+    assert peak < 5.0 * 8 * n, peak / (8 * n)
 
 
 class KeepsItsStart:
@@ -952,6 +954,71 @@ def test_run_loop_refuses_a_misshaped_gradient(shape, n, k):
     shape = (1, n) if shape == "1n" else shape
     with pytest.raises(ShapeError, match="gradient"):
         record_runs([MisshapedGrad(n, shape) for _ in range(k)], "agd", [HP] * k, 3)
+
+
+class WritingQuadratic:
+    """Loss |w - 1|**2 / 2 whose oracle can write its gradient into the run
+    loop's array, and keeps each array it is handed."""
+
+    name, optimum = "writing-quadratic", None
+
+    def __init__(self, n):
+        self.n, self.handed = n, []
+
+    def init_params(self):
+        return np.linspace(-1.0, 1.0, self.n)
+
+    def _write(self, w, grad):
+        np.subtract(w, 1.0, grad)
+        return 0.5 * float(grad @ grad), grad
+
+    def loss_grad(self, w):
+        return self._write(w, np.empty(self.n))
+
+    def loss_grad_into(self, w, grad):
+        self.handed.append(grad)
+        return self._write(w, grad)
+
+
+class CopiedQuadratic(WritingQuadratic):
+    loss_grad_into = None  # the run loop copies its fresh gradient
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [2, 12, 2 * CHUNK + 1])
+def test_a_writing_oracle_is_handed_its_row_of_the_gradient_buffer(n, k):
+    # on the NumPy lane each row's oracle writes into the same row of G at
+    # every step; the float lane keeps the oracle's own array
+    written, copied = ([cls(n) for _ in range(k)] for cls in (WritingQuadratic,
+                                                               CopiedQuadratic))
+    hps = [HyperParams(alpha=a) for a in (1e-2, 3e-2, 1e-1)[:k]]
+    runs = record_runs(written, "adam", hps, 5, snapshot_every=2)
+    refs = record_runs(copied, "adam", hps, 5, snapshot_every=2)
+    for got, ref in zip(runs, refs):
+        for name in ("loss", "step_norm", "truncation_fraction", "hists", "params"):
+            assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), name
+    floats = k == 1 and n <= FLOAT_MAX_N
+    for p in written:
+        assert len(p.handed) == (0 if floats else 5)
+        assert all(h is p.handed[0] for h in p.handed)
+    assert floats or not any(np.may_share_memory(p.handed[0], q.handed[0])
+                             for p in written for q in written if p is not q)
+
+
+def test_a_diverged_row_steps_with_a_zero_gradient(monkeypatch):
+    # the kernel leaves each step's update in the gradient buffer, so a
+    # diverged row's must be zeroed again before every step
+    seen = []
+
+    def spy(state, w, g, *args):
+        seen.append(g[0].copy())
+        return dispatch_step(state, w, g, *args)
+
+    monkeypatch.setattr(diagnostics, "dispatch_step", spy)
+    fn = TESTFNS["quad_skew"]
+    runs = record_runs([BlowsUpAt(fn, 2), TestFnProblem(fn)], "adam", [HP, HP], 6)
+    assert runs[0].diverged_at == 2 and len(seen) == 6
+    assert seen[0].any() and not any(g.any() for g in seen[1:])
 
 
 def test_record_runs_diverging_rows_stop_with_a_huge_budget():

@@ -413,3 +413,41 @@ def test_loss_grad_matches_the_reference_bits(loss, activation, batch, hidden):
     assert f == f_ref
     assert g.tobytes() == g_ref.tobytes()
     assert params.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("loss", ["logistic", "softmax_ce", "squared"])
+def test_loss_grad_into_a_destination_keeps_the_bits(loss, activation, batch):
+    # the run loop hands in a row of its gradient buffer, here the second row
+    # of a NaN-filled block, so 8 bytes past a whole vector: the gradient is
+    # written there, with the bits of a fresh call, and that array returned
+    out_dim = 1 if loss == "logistic" else 2
+    spec = MlpSpec(2, 300, out_dim, activation, loss)
+    rng = rng_stream(12, 0)
+    params = rng.standard_normal(spec.n_params)
+    inputs = rng.standard_normal((batch, 2))
+    if loss == "softmax_ce":
+        targets = rng.integers(0, out_dim, size=batch)
+    elif loss == "logistic":
+        targets = rng.integers(0, 2, size=batch).astype(np.float64)
+    else:
+        targets = rng.standard_normal((batch, out_dim))
+    f, g = mlp_loss_grad(spec, params, inputs, targets)
+    block = np.full((2, spec.n_params), np.nan)
+    dest = block[1]
+    f_into, g_into = mlp_loss_grad(spec, params, inputs, targets, grad=dest)
+    assert f_into == f and g_into is dest
+    assert dest.tobytes() == g.tobytes() and np.isnan(block[0]).all()
+
+
+def test_loss_grad_refuses_a_bad_destination():
+    # another shape or dtype, params itself, or an array that overlaps them
+    spec = MlpSpec(2, 4, 1)
+    n = spec.n_params
+    block = np.zeros(2 * n)
+    params = block[:n]
+    for grad in (np.zeros(n + 1), np.zeros((1, n)), np.zeros(n, np.float32), params,
+                 block[1:n + 1]):
+        with pytest.raises(ShapeError):
+            mlp_loss_grad(spec, params, np.zeros((3, 2)), np.zeros(3), grad=grad)

@@ -67,6 +67,12 @@ def test_init_state_rejects_a_population_row_that_is_not_hyperparams():
         init_state("agd", 2, [HP, {"alpha": 1e-3}])
 
 
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_init_state_refuses_an_empty_population(name):
+    with pytest.raises(ConfigError, match="at least one run"):
+        init_state(name, 2, [])
+
+
 # ------------------------------------------------- momentum-difference values
 
 
@@ -690,3 +696,46 @@ def test_step_in_place_matches_a_pure_step(name, lane, shape, collect):
             clamped |= bool(np.any((ref.b == b0) & (b0 > 0)))
         w = new_w
     assert clamped or name != "agd_amsgrad"
+
+
+@pytest.mark.parametrize("into", ["g", "buffer"])
+@pytest.mark.parametrize("shape", [(CHUNK + 1,), (3, CHUNK + 1)])
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_step_into_an_update_buffer_matches_a_pure_step(name, shape, into):
+    # the run loop hands its gradient buffer in as both g and update, so each
+    # chunk's update is written over g after that chunk's last read of g;
+    # step_norm is still one dot over the whole update
+    rng = np.random.default_rng(shape[-1])
+    state = init_state(name, shape[-1], IN_PLACE_HP if len(shape) == 1 else IN_PLACE_ROWS)
+    w, buffer = rng.standard_normal(shape), np.full(shape, np.nan)
+    for scale in (10.0, 10.0, 1e-3):
+        g = scale * rng.standard_normal(shape)
+        g[..., 3::7] = 0.0
+        ref, ref_w, ref_diag = dispatch_step(deepcopy(state), w, g)
+        g_before = g.copy()
+        update = g if into == "g" else buffer
+        _, new_w, diag = dispatch_step(state, w, g, out=state, update=update)
+        for f, v in vars(ref).items():
+            if f in ("m", "b", "beta1_prod"):
+                assert _same_bits(getattr(state, f), v), (f, state.t)
+        assert _same_bits(new_w, ref_w)
+        assert _same_bits(diag.step_norm, ref_diag.step_norm)
+        assert _same_bits(np.sqrt(np.vecdot(update, update)), ref_diag.step_norm)
+        assert _same_bits(diag.truncation_fraction, ref_diag.truncation_fraction)
+        assert np.array_equal(diag.bhat_histogram, ref_diag.bhat_histogram)
+        assert into == "g" or _same_bits(g, g_before)
+
+
+def test_dispatch_rejects_a_bad_update_buffer():
+    n = CHUNK + 1
+    state, block, g = init_state("agd", n, HP), np.zeros(2 * n), np.ones(n)
+    w = block[:n]
+    for update in (np.empty(n - 1), np.empty((1, n)), np.empty(n, np.float32), w,
+                   block[1:n + 1]):
+        with pytest.raises(ShapeError, match="update"):
+            dispatch_step(state, w, g, out=state, update=update)
+    # a float-lane state steps no update buffer
+    lane = _Population([GradientStream(np.zeros(2), [])], "agd", [HP], 1, None)._state
+    with pytest.raises(ShapeError, match="update"):
+        dispatch_step(lane, np.zeros(2), np.ones(2), out=lane, update=np.empty(2))
+    assert state.t == lane.t == 0

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from agdopt.theory import (
     variance_ratio_mc,
     verify_suite,
 )
+from conftest import peak_traced_bytes
 
 
 # ------------------------------------------------------------ variance ratio
@@ -109,12 +109,7 @@ def test_variance_ratio_mc_takes_statistics_one_slice_at_a_time():
     # a whole debiased or squared-deviation vector would add one each
     samples, combos = 250_000, [(0.5, 2), (0.9, 3), (0.99, 3), (0.9, 2)]
     rng_stream(0, STREAM_VARIANCE)  # a first call imports numpy.random, 0.7 MiB
-    tracemalloc.start()
-    try:
-        variance_ratio_mc(combos, samples=samples, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(lambda: variance_ratio_mc(combos, samples=samples, seed=0))
     assert peak <= (3 + 1) * 8 * samples + 2**20, peak / (8 * samples)
 
 
@@ -369,13 +364,9 @@ def test_norm_bound_holds_one_row_at_a_time():
     # a 500-row stream drawn as it is read never sits in memory whole
     n = 4000
     rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        norm_bound_check((rng.uniform(-5.0, 5.0, size=n) for _ in range(500)),
-                         HyperParams(alpha=1e-3), group_size=4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(
+        lambda: norm_bound_check((rng.uniform(-5.0, 5.0, size=n) for _ in range(500)),
+                                 HyperParams(alpha=1e-3), group_size=4))
     assert peak < 16 * 8 * n, peak / (8 * n)
 
 
