@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .core import (ConfigError, HyperParams, bounded, check_count, check_int, check_num,
-                   check_positive, one_of)
+                   check_positive, one_of, sum_squares)
 from .diagnostics import MlpProblem, TestFnProblem, check_start, race, record_run, record_runs
 from .models import ACTIVATIONS, LOSSES, MlpSpec, two_moons
 from .optim import CHUNK, OPTIMIZER_NAMES
@@ -284,9 +284,10 @@ def _write_run(cfg: dict, problem, traj, wall: float, out_dir: str) -> dict:
     if optimum is not None:
         summary["steps_to_tol"] = traj.steps_to_tol
     if optimum is not None and not traj.diverged:
-        dist = float(np.linalg.norm(traj.params - optimum))
-        summary["final_distance"] = dist
-        if dist <= cfg["tol"]:
+        # the run loop's tolerance test, on the squared distance
+        dist_sq = float(sum_squares(traj.params - optimum))
+        summary["final_distance"] = math.sqrt(dist_sq)
+        if dist_sq <= cfg["tol"] * cfg["tol"]:
             summary["status"] = "converged"
     if cfg["problem"]["kind"] == "regret" and not traj.diverged:
         summary["final_regret"] = float(np.sum(traj.loss))

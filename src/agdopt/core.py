@@ -215,6 +215,17 @@ def chunked(body, n: int, arrays):
     return total
 
 
+def sum_squares(x: np.ndarray):
+    """The sum of squares of a vector, or of each row of a (K, n) block.
+
+    The one sum of squares behind every 2-norm the outputs report: step_norm,
+    the run loop's tolerance test, and the final distances of a run and a
+    race. np.vecdot rounds each row as np.dot does, through the BLAS dot,
+    whose rounding depends on the BLAS kernel the CPU selects.
+    """
+    return np.vecdot(x, x)
+
+
 def bhat_histogram(values: np.ndarray) -> np.ndarray:
     """Counts per bucket; always sums to values.size.
 

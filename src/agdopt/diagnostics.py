@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (HIST_BINS, ConfigError, HyperParams, ShapeError, as_param_vector,
-                   check_count, check_hyperparams, check_num, check_positive, one_of)
+                   check_count, check_hyperparams, check_num, check_positive, one_of,
+                   sum_squares)
 from .models import Dataset, MlpSpec, init_params, minibatch_stream, mlp_loss_grad
 from .optim import FLOAT_MAX_N, OPTIMIZER_NAMES, dispatch_step, init_state
 from .testfns import TestFunction
@@ -145,12 +146,13 @@ class _Population:
     coordinates takes the float lane (see optim.FLOAT_MAX_N): its state holds
     Python floats, which each kernel steps in a loop over the coordinates.
     A row diverges when its oracle's loss is non-finite or above
-    DIVERGENCE_LOSS, or the oracle raises
-    OverflowError (loss inf): it keeps its row, stepped with a zero gradient
-    and never read again, and params[r] holds a copy of the iterate w_{t-1}
-    its loss diverged at. When tol is given, steps_to_tol[r] is the first
-    step whose post-step iterate lies within tol of row r's known optimum (0
-    for a start inside). The caller runs the steps under
+    DIVERGENCE_LOSS, or the oracle raises OverflowError (loss inf): it keeps
+    its row, stepped with a zero gradient and never read again. params[r] is
+    row r of W until then, and from then a copy of the iterate w_{t-1} its
+    loss diverged at. When tol is given, steps_to_tol[r] is the first step
+    whose post-step iterate lies within tol of row r's known optimum, whose
+    core.sum_squares of the difference is at most tol * tol (0 for a start
+    inside). The caller runs the steps under
     np.errstate(over="ignore"), from construction on.
     """
 
@@ -165,15 +167,14 @@ class _Population:
         if len({w.size for w in starts}) > 1:
             raise ShapeError("the problems of a population must share their size")
         k, n = len(starts), starts[0].size
-        self._one = k == 1
+        one = k == 1
         # W is the population's own, stepped in place: a problem may keep the
         # array its init_params returned (np.stack copies). The starts go
         # before the state and G are allocated.
-        self.W = starts[0].copy() if self._one else np.stack(starts)
+        self.W = starts[0].copy() if one else np.stack(starts)
         del starts
-        hp = hps[0] if self._one else hps
-        self._state = state = init_state(optimizer, n, hp)
-        self._floats = self._one and n <= FLOAT_MAX_N  # the float lane
+        self._state = state = init_state(optimizer, n, hps[0] if one else hps)
+        self._floats = one and n <= FLOAT_MAX_N  # the float lane
         if self._floats:
             vars(state).update([(f, tuple(v.tolist())) for f, v in vars(state).items()
                                 if isinstance(v, np.ndarray)])
@@ -185,21 +186,23 @@ class _Population:
         # The float lane takes the oracle's own array and no update buffer.
         self._G = self._update = None if self._floats else np.empty(self.W.shape)
         self._grad_shape = (n,)
-        grads = [None] if self._floats else [self._G] if self._one else list(self._G)
+        grads = [None] if self._floats else [self._G] if one else list(self._G)
         self._oracles = [(p.loss_grad, None if dest is None else
                           getattr(p, "loss_grad_into", None), dest)
                          for p, dest in zip(problems, grads)]
         projects = [getattr(p, "project", None) for p in problems]
         self._projects = [(r, f) for r, f in enumerate(projects) if f is not None]
-        self.params, self.diverged_at, self.steps_to_tol = [None] * k, [None] * k, [None] * k
+        # row r of W, a view that stays valid as W is stepped in place
+        self.params = [self.W] if one else list(self.W)
+        self.diverged_at, self.steps_to_tol = [None] * k, [None] * k
         optima = [getattr(p, "optimum", None) for p in problems]
         self._pending = [tol is not None and o is not None for o in optima]
         if any(self._pending):  # rows without an optimum are never pending
             self._tol_sq = tol_sq = tol * tol
-            # near tol**2, np.dot and a sum of at most FLOAT_MAX_N squares in
-            # Python each land within FLOAT_MAX_N ulps of tol**2 of the exact
-            # sum (a subnormal square adds under one more), so a sum further
-            # than this from tol**2 is on np.dot's side of it
+            # near tol**2, sum_squares and a sum of at most FLOAT_MAX_N squares
+            # in Python each land within FLOAT_MAX_N ulps of tol**2 of the
+            # exact sum (a subnormal square adds under one more), so a sum
+            # further than this from tol**2 is on sum_squares' side of it
             self._band = 8 * FLOAT_MAX_N * math.ulp(tol_sq)
             self._opt = np.array([np.zeros(n) if o is None else o for o in optima])
             self._lone_opt = self._opt.tolist()[0]  # read by the float lane
@@ -214,8 +217,7 @@ class _Population:
                 if dist_sq <= self._tol_sq:
                     self.steps_to_tol[0], self._pending[0] = t, False
                 return
-        d = self.W - self._opt  # np.vecdot takes each row's dot as np.dot does
-        for r, dist_sq in enumerate(np.vecdot(d, d).tolist()):
+        for r, dist_sq in enumerate(sum_squares(self.W - self._opt).tolist()):
             if self._pending[r] and dist_sq <= self._tol_sq:
                 self.steps_to_tol[r], self._pending[r] = t, False
 
@@ -225,20 +227,20 @@ class _Population:
         diagnostics, or None in their place once every row has diverged,
         when no step is taken. A snap of None asks for no diagnostics, which
         the float lane does not build (a race reads none)."""
-        rows, losses = (self.W,) if self._one else self.W, []
+        params, losses = self.params, []
         for r, (oracle, write, dest) in enumerate(self._oracles):
             if self.diverged_at[r] is not None:
                 losses.append(math.nan)
                 dest[...] = 0.0  # it holds the last step's update
                 continue
             try:
-                loss, g = oracle(rows[r]) if write is None else write(rows[r], dest)
+                loss, g = oracle(params[r]) if write is None else write(params[r], dest)
             except OverflowError:
                 loss = math.inf
             losses.append(loss)
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 # a copy, as its row goes on stepping with a zero gradient
-                self.diverged_at[r], self.params[r], self._pending[r] = t, rows[r].copy(), False
+                self.diverged_at[r], params[r], self._pending[r] = t, params[r].copy(), False
                 g = 0.0
             elif dest is not None and g is not dest:
                 # checked, as assigning it to a row would broadcast it (the
@@ -256,10 +258,9 @@ class _Population:
             return losses, None
         diag = dispatch_step(self._state, self.W, self._G, snap, self._state,
                              self._update)[2]
-        rows = (self.W,) if self._one else self.W
         for r, project in self._projects:
             if self.diverged_at[r] is None:
-                rows[r][...] = project(rows[r])
+                params[r][...] = project(params[r])
         if any(self._pending):
             self._reached(t)
         return losses, diag
@@ -305,9 +306,7 @@ def record_runs(problems, optimizer: str, hps, steps: int, snapshot_every: int =
             if diag.bhat_histogram is not None:
                 count_col.frombytes(diag.bhat_histogram.astype(count_type).tobytes())
                 hist_t.append(t)
-    rows = (run.W,) if k == 1 else run.W
-    params = [rows[r] if w is None else w for r, w in enumerate(run.params)]
-    diverged_at, steps_to_tol = run.diverged_at, run.steps_to_tol
+    params, diverged_at, steps_to_tol = run.params, run.diverged_at, run.steps_to_tol
 
     def trajectory(i: int) -> Trajectory:
         # run i's entries of each column, cut at its diverging step, which
@@ -411,7 +410,6 @@ def race(problem, optimizers, hp_map, tol: float = 1e-2,
                     break
                 run.step(t, None)
             steps_to_tol[name] = run.steps_to_tol[0]
-            d = (run.W if run.params[0] is None else run.params[0]) - problem.optimum
-            final_distance[name] = math.sqrt(float(d @ d))
+            final_distance[name] = math.sqrt(sum_squares(run.params[0] - problem.optimum))
     return RaceResult(steps_to_tol=steps_to_tol, final_distance=final_distance,
                       tol=tol, max_steps=max_steps)

@@ -25,13 +25,13 @@ Each vector operation writes into a preallocated destination, in the order
 and with the scalars of the equations below, so the bits are those of the
 plain expressions. Above CHUNK coordinates the body runs one L2-sized chunk
 at a time; elementwise arithmetic gives the same bits on a slice, step_norm
-stays one dot over the whole update, and the histogram adds up its chunks'
-counts, as bhat_histogram does. A state from init_state takes this NumPy
-body at every n. The run loop's float lane keeps a lone run of at most
-FLOAT_MAX_N coordinates as a state whose vectors are Python floats, and each
-kernel steps such a state in one loop over its coordinates, from the step
-constants its NumPy body reads: the same operations on floats, which give
-the same bits at a fraction of the ufunc calls' cost.
+stays one core.sum_squares over the whole update, and the histogram adds up
+its chunks' counts, as bhat_histogram does. A state from init_state takes
+this NumPy body at every n. The run loop's float lane keeps a lone run of at
+most FLOAT_MAX_N coordinates as a state whose vectors are Python floats, and
+each kernel steps such a state in one loop over its coordinates, from the
+step constants its NumPy body reads: the same operations on floats, which
+give the same bits at a fraction of the ufunc calls' cost.
 
 Populations: `init_state(name, n, hps)` with a sequence of K HyperParams
 makes one state for K independent runs of one optimizer. Its vectors are
@@ -40,9 +40,10 @@ per-step coefficient (beta1_t, the learning rate, the debiasing terms,
 delta, the decay factor) becomes the (K, 1) column of the rows' own values,
 each computed by the same HyperParams expressions as for a lone run (or
 stays one float where every row's is the same), and the reductions are
-taken per row: truncation counts, step_norm through np.vecdot, which takes
-each row's dot as np.dot does, and one histogram per row. So every row
-carries the bits of its own run, whatever the other rows hold.
+taken per row: truncation counts, step_norm through core.sum_squares, which
+sums each row's squares as it does a lone vector's, and one histogram per
+row. So every row carries the bits of its own run, whatever the other rows
+hold.
 
 Main update (per coordinate, defaults beta1=0.9, beta2=0.999):
 
@@ -93,6 +94,7 @@ from .core import (  # CHUNK is re-exported for cli
     check_hyperparams,
     chunked,
     one_of,
+    sum_squares,
 )
 
 __all__ = [
@@ -199,13 +201,6 @@ def _momentum_terms(hp: HyperParams, t: int):
     return lr, _decay(hp, lr), hp.beta1
 
 
-def _norm(update):
-    """The 2-norm of the update, or of each row of a population's update,
-    from one np.vecdot for both shapes, which rounds a row's dot as np.dot
-    does."""
-    return np.sqrt(np.vecdot(update, update))
-
-
 # One kernel serves AGD and the Adam family, and reads the rules from the
 # state's name, compared inline on every step. Its second moment b, AGD's b_t
 # or the Adam family's v_t, is fed with x**2. AGD's x is s_t, the debiased
@@ -218,7 +213,7 @@ def _norm(update):
 # after the EMA.
 #
 # Besides out's vectors, w', which is w itself when out is given, and the
-# update, whole for step_norm's one dot, which is the caller's update buffer
+# update, whole for step_norm's sum_squares, which is the caller's update buffer
 # when given, the kernel allocates two arrays one chunk wide, which every
 # chunk reuses: `s` holds the body's intermediate terms, and `r` AGD's
 # m0 / corr0, agd_amsgrad's unclamped b and then the rms estimate, whose
@@ -286,7 +281,7 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None,
         out.m, out.b, update, new_w, r = zip(*rows)
         out.beta1_prod, out.t, out.hp, out.name = beta1_prod, t, hp, name
         diag = None if collect_histogram is None else StepDiagnostics(
-            truncated / len(rows), _norm(np.array(update)),
+            truncated / len(rows), np.sqrt(sum_squares(np.array(update))),
             bhat_histogram(np.array(r)) if collect_histogram else None)
         w[:] = new_w
         return out, w, diag
@@ -349,7 +344,7 @@ def agd_step(state: MomentState, w, g, collect_histogram: bool = True, out=None,
     truncated = chunked(body, n, (state.m, state.b, g, w, out.m, out.b, update, new_w, r, s))
     diag = StepDiagnostics(
         truncation_fraction=truncated / n,
-        step_norm=_norm(update),
+        step_norm=np.sqrt(sum_squares(update)),
         bhat_histogram=hist,
     )
     out.beta1_prod, out.t, out.hp, out.name = beta1_prod, t, hp, name
@@ -378,7 +373,8 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
             rows.append((m, u, wi * decay - u))
         out.m, update, new_w = zip(*rows)
         out.t, out.hp = t, hp
-        diag = None if collect_histogram is None else StepDiagnostics(1.0, _norm(np.array(update)))
+        diag = None if collect_histogram is None else StepDiagnostics(
+            1.0, np.sqrt(sum_squares(np.array(update))))
         w[:] = new_w
         return out, w, diag
     decayed = type(decay) is np.ndarray or decay != 1.0
@@ -397,7 +393,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
     chunked(body, w.shape[-1], (state.m, g, w, out.m, update, new_w))
     diag = StepDiagnostics(
         truncation_fraction=1.0,
-        step_norm=_norm(update),
+        step_norm=np.sqrt(sum_squares(update)),
     )
     out.t, out.hp = t, hp
     return out, new_w, diag
@@ -416,7 +412,7 @@ def sgd_momentum_step(state: SgdState, w, g, collect_histogram: bool = True, out
 # boundary, and w' is written into w once the loop has read both; out, which
 # the run loop always passes as the state itself, has its vectors replaced,
 # never written into. step_norm and the histogram still come from NumPy, as
-# np.dot rounds unlike a sum in Python;
+# core.sum_squares rounds unlike a sum in Python;
 # collect_histogram=None (a race's steps) builds no diagnostics at all. The
 # limit stays below where the loop's per-coordinate cost catches up:
 # a dispatch_step(..., collect_histogram=False) on an init_state state took

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BETA1_KINDS, ConfigError, HyperParams, bounded, check_count,
-                   check_hyperparams, check_int, check_num, check_positive)
+                   check_hyperparams, check_int, check_num, check_positive, sum_squares)
 from .diagnostics import record_run
 from .models import rng_stream
 from .optim import agd_step, init_state
@@ -215,7 +215,7 @@ class RegretProblem:
         star = float(self._star[self._t])
         self._t += 1
         d = w - c
-        return 0.5 * float(d @ d) - star, d
+        return 0.5 * float(sum_squares(d)) - star, d
 
     def project(self, w: np.ndarray) -> np.ndarray:
         return project_box(w, self.exp.lo, self.exp.hi)

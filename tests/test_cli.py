@@ -316,6 +316,27 @@ def test_run_verb_converged_status(tmp_path):
     assert 1 <= summary["steps_to_tol"] <= 3000
 
 
+@pytest.mark.parametrize("optimizer", ["agd", "sgd"])
+@pytest.mark.parametrize("start, inside", [
+    # ||start|| rounds to tol, but its squared distance lies above tol**2
+    ([0.01, 1.041250292910165e-10], False),
+    # its squared distance is tol**2 exactly
+    ([0.01, 0.0], True),
+])
+def test_run_verb_converged_takes_the_run_loops_tolerance_test(tmp_path, optimizer, start,
+                                                               inside):
+    # the step underflows, so the iterate stays at the start, which steps_to_tol
+    # and status must both place on the same side of tol
+    d = dict(BASE, optimizer=optimizer, hyperparams={"alpha": 5e-324}, steps=1, tol=0.01)
+    d["problem"] = {"kind": "testfn", "name": "quad_skew", "start": start}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, d), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final_distance"] == 0.01
+    assert summary["steps_to_tol"] == (0 if inside else None)
+    assert summary["status"] == ("converged" if inside else "completed")
+
+
 def test_run_verb_steps_to_tol_matches_race(tmp_path):
     d = dict(BASE)
     d["problem"] = {"kind": "testfn", "name": "quad_skew"}

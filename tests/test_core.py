@@ -1,7 +1,9 @@
+import ast
 import importlib
 import math
 import pkgutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from agdopt.core import (
     as_param_vector,
     bhat_histogram,
     optimizer_step,
+    sum_squares,
 )
 from agdopt.optim import OPTIMIZER_NAMES, init_state
 
@@ -210,6 +213,78 @@ def test_histogram_chunks_add_up_to_one_binning():
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     block = np.stack([v, v[::-1]])
     assert bhat_histogram(block).tolist() == [want.tolist()] * 2
+
+
+# ---------------------------------------------------------------- sums of squares
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, CHUNK + 1])
+def test_sum_squares_rounds_as_np_dot(n):
+    # a vector, and each row of a (3, n) block, over six decades of scale
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, size=(3, n))
+    x = block[1].copy()
+    assert _bits(sum_squares(x)) == _bits(np.dot(x, x))
+    rows = sum_squares(block)
+    assert rows.shape == (3,)
+    assert list(map(_bits, rows)) == [_bits(np.dot(r, r)) for r in block]
+
+
+def test_sum_squares_is_not_public():
+    # it records a rounding decision, as chunked does, and is not API
+    assert "sum_squares" not in importlib.import_module("agdopt.core").__all__
+    assert not hasattr(agdopt, "sum_squares")
+
+
+# NumPy's dot products and norms, whose rounding core.sum_squares decides
+_DOTS = {"vecdot", "dot", "inner", "einsum"}
+
+
+def _dot_products(source: str) -> list[int]:
+    """The lines of source that take a dot product or a norm through NumPy,
+    or write a self-product x @ x."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            named = node.attr in _DOTS or (
+                node.attr == "norm" and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg")
+        elif isinstance(node, ast.ImportFrom):
+            named = (node.module or "").startswith("numpy") and any(
+                a.name in _DOTS or a.name == "norm" for a in node.names)
+        else:
+            named = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                     and ast.dump(node.left) == ast.dump(node.right))
+        if named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_dot_product_guard_finds_each_spelling():
+    source = "\n".join([
+        "d = w - c",
+        "a = d @ d",
+        "b = np.linalg.norm(d)",
+        "c = np.vecdot(d, d)",
+        "e = np.dot(d, d) + d.dot(d)",
+        "f = np.inner(d, d) + np.einsum('i,i->', d, d)",
+        "from numpy import vecdot",
+        "h = inputs @ w1 + hess @ dw + (w - c) @ (w - o)",
+    ])
+    assert _dot_products(source) == [2, 3, 4, 5, 5, 6, 6, 7]
+
+
+def test_only_core_takes_a_sum_of_squares():
+    # every norm, distance and tolerance test goes through core.sum_squares,
+    # so its rounding is decided in one place
+    src = Path(agdopt.__file__).parent
+    found = {path.name: _dot_products(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.name != "core.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # ---------------------------------------------------------------- vectors
