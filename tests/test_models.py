@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -413,6 +414,43 @@ def test_loss_grad_matches_the_reference_bits(loss, activation, batch, hidden):
     assert f == f_ref
     assert g.tobytes() == g_ref.tobytes()
     assert params.tobytes() == kept.tobytes()
+
+
+# The oracle's bits, pinned by the sha256 of the loss and gradient bytes of
+# three calls: batch 1 on an all-zero row, batch 1 on another row, and batch 4
+# with the zero row among them. b1 is zero, as at init, and hidden units 0-2
+# have no incoming weights, so relu's mask meets pre-activations of exactly 0.
+ORACLE_BITS = {
+    ("tanh", "logistic"):
+        "51639e47cecd0a1b53a30cbaa97bdb751a710d06c6ff084f6a927847c0b3a3f0",
+    ("relu", "logistic"):
+        "fb80800648f987d2353887cc1029d74b754ce0aa41df461f4abd9f11e7587762",
+    ("tanh", "softmax_ce"):
+        "6f2ec68d4df95d273ff73224a991fee96d6d10f7e377536903f7319b9db3aac7",
+    ("relu", "softmax_ce"):
+        "e3acda2683e6a68692768970e979f92e97192bd5908c989eb606f114d9a07fb4",
+    ("tanh", "squared"):
+        "12246811e6724df3efb76835c0969a28d62464f6508e5897dcb459d48f73cacf",
+    ("relu", "squared"):
+        "9a7bf14f76e481aa125db75122e8fd7986cfd9810f7ce3a1468a070c89e58031",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_BITS), ids="-".join)
+def test_loss_grad_bits(case):
+    activation, loss = case
+    spec = MlpSpec(2, 37, 1 if loss == "logistic" else 2, activation, loss)
+    rng = rng_stream(13, 0)
+    params = rng.standard_normal(spec.n_params)
+    params[:2 * 37].reshape(2, 37)[:, :3] = 0.0
+    params[2 * 37:3 * 37] = 0.0
+    inputs = np.vstack([rng.standard_normal((3, 2)), np.zeros((1, 2))])[[1, 3, 0, 2]]
+    labels = np.array([1, 0, 1, 0])  # a dataset's int64 labels, for every head
+    digest = hashlib.sha256()
+    for rows in (slice(1, 2), slice(0, 1), slice(0, 4)):
+        f, g = mlp_loss_grad(spec, params, inputs[rows], labels[rows])
+        digest.update(np.float64(f).tobytes() + g.tobytes())
+    assert digest.hexdigest() == ORACLE_BITS[case]
 
 
 @pytest.mark.parametrize("batch", [1, 8])
