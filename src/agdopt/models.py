@@ -138,12 +138,18 @@ def init_params(spec: MlpSpec, seed: int) -> np.ndarray:
 
 
 def _forward(spec: MlpSpec, params, inputs):
+    """The hidden activation and the output on a float64 batch, which is
+    checked first; the activation is computed in place of the pre-activation."""
+    if inputs.ndim != 2 or inputs.shape[1] != spec.in_dim:
+        raise ShapeError(f"inputs must be (batch, {spec.in_dim}), got {inputs.shape}")
+    if inputs.shape[0] < 1:
+        raise ShapeError("empty batch")
     w1, b1, w2, b2 = _unpack(spec, params)
-    pre = inputs @ w1
-    pre += b1
-    hid = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
+    hid = inputs @ w1
+    hid += b1
+    hid = np.tanh(hid, out=hid) if spec.activation == "tanh" else np.maximum(hid, 0.0, out=hid)
     out = hid @ w2 + b2
-    return pre, hid, out
+    return hid, out
 
 
 def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
@@ -155,29 +161,40 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
     layer's gradient is written through `_unpack` views straight into one
     flat vector: `grad`, a float64 (n_params,) array that shares no memory
     with params, when given, else a fresh one; that vector is returned.
-    params is never written.
+    params is never written. Beside it the call holds one hidden-width
+    array at batch 1, the activation (dL/dpre is built in grad's b1 slot),
+    and two (B, hidden) arrays at batch B.
+
+    inputs must be a non-empty (B, in_dim) batch, and targets hold one entry
+    per row: (B,) class labels, integers in [0, out_dim), for softmax_ce;
+    (B,) 0/1 targets for logistic; (B, out_dim) targets for squared, or
+    (B,) or (B, 1) ones broadcast over the outputs. Any other shape raises
+    ShapeError, and another label ConfigError.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.in_dim:
-        raise ShapeError(f"inputs must be (batch, {spec.in_dim}), got {inputs.shape}")
-    batch = inputs.shape[0]
-    if batch < 1:
-        raise ShapeError("empty batch")
     if grad is None:
         grad = np.empty(spec.n_params)
     elif grad.dtype != np.float64 or np.may_share_memory(grad, params):
         raise ShapeError("grad must be a float64 array that shares no memory with params")
     dw1, db1, dw2, db2 = _unpack(spec, grad)  # checks grad's shape
-    pre, hid, out = _forward(spec, params, inputs)
+    hid, out = _forward(spec, params, inputs)
+    batch = inputs.shape[0]
+    targets = np.asarray(targets)
+    # one target per row; the squared head broadcasts a (batch,) or (batch, 1)
+    # target over its outputs
+    shapes = [(batch,)] + [(batch, 1), (batch, spec.out_dim)] * (spec.loss == "squared")
+    if targets.shape not in shapes:
+        raise ShapeError(f"{spec.loss} targets must be one of {shapes}, got {targets.shape}")
 
     if spec.loss == "softmax_ce":
-        labels = np.asarray(targets)
+        if targets.dtype.kind not in "iu" or targets.min() < 0 or targets.max() >= spec.out_dim:
+            raise ConfigError(f"softmax_ce labels must be integers in [0, {spec.out_dim})")
         shifted = out - out.max(axis=1, keepdims=True)
         logz = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(logz - shifted[np.arange(batch), labels]))
+        loss = float(np.mean(logz - shifted[np.arange(batch), targets]))
         probs = np.exp(shifted - logz[:, None])
         dout = probs
-        dout[np.arange(batch), labels] -= 1.0
+        dout[np.arange(batch), targets] -= 1.0
         dout /= batch
     elif spec.loss == "logistic":
         z = out[:, 0]
@@ -208,20 +225,21 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
     else:
         np.matmul(dout.T, hid, out=dw2.T)
     np.sum(dout, axis=0, out=db2)
-    # dL/dhid, then dL/dpre in place. At batch 1 its zeros keep the multiply's
-    # sign: dW1 and db1, its only readers, add 0.0 after their own multiply.
-    dpre = np.multiply(dout, w2.T) if outer and spec.out_dim == 1 else dout @ w2.T
+    # dL/dhid, then dL/dpre in place; at batch 1 both are built in db1's slot.
+    # There its zeros keep the multiply's sign: dW1 and db1, its only readers,
+    # add 0.0 after their own multiply.
+    dpre = (np.multiply if outer and spec.out_dim == 1 else np.matmul)(
+        dout, w2.T, out=db1[None, :] if outer else None)
     if spec.activation == "tanh":  # hid is not read again: 1 - hid**2 in its place
         np.multiply(hid, hid, out=hid)
         np.subtract(1.0, hid, out=hid)
         np.multiply(dpre, hid, out=dpre)
-    else:
-        np.multiply(dpre, pre > 0.0, out=dpre)
+    else:  # hid = max(pre, 0) is above 0 exactly where pre is
+        np.multiply(dpre, hid > 0.0, out=dpre)
     if outer:
         np.multiply(inputs.T, dpre, out=dw1)
         dw1 += 0.0
-        # not a copy: a sum over one row also turns -0.0 into +0.0
-        np.add(dpre[0], 0.0, out=db1)
+        db1 += 0.0  # dpre itself: a sum over one row also turns -0.0 into +0.0
     else:
         np.matmul(inputs.T, dpre, out=dw1)
         np.sum(dpre, axis=0, out=db1)
@@ -229,7 +247,7 @@ def mlp_loss_grad(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray,
 
 
 def mlp_predict(spec: MlpSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    _, _, out = _forward(spec, params, np.asarray(inputs, dtype=np.float64))
+    _, out = _forward(spec, params, np.asarray(inputs, dtype=np.float64))
     if spec.loss == "logistic":
         return (out[:, 0] > 0.0).astype(np.int64)
     return out.argmax(axis=1)

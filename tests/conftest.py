@@ -1,5 +1,7 @@
 import tracemalloc
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -9,6 +11,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Any warning fails a test under tests/. The mark goes first, so a
+    test's own filterwarnings marks take precedence over it."""
+    for item in items:
+        if item.path.is_relative_to(TESTS):
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 def peak_traced_bytes(fn) -> int:

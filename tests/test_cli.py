@@ -538,10 +538,9 @@ DIVERGING = {"problem": {"kind": "testfn", "name": "rosenbrock"},
              "hyperparams": {"alpha": 1e250}}
 
 
-@pytest.mark.filterwarnings("error")
 def test_diverging_run_and_race_warn_nothing(tmp_path, capsys):
     # divergence is a recorded result, so the overflow on the way to it
-    # raises no numpy RuntimeWarning (turned into an error here)
+    # raises no numpy RuntimeWarning (an error under tests/, see conftest)
     cfg = write_config(tmp_path, dict(BASE, **DIVERGING))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     race = {"problem": DIVERGING["problem"],
@@ -551,7 +550,6 @@ def test_diverging_run_and_race_warn_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.filterwarnings("error")
 def test_diverging_sweep_point_warns_nothing(tmp_path, capsys):
     # the diverging point leaves the population without a numpy warning, and
     # the points beside it run on

@@ -20,6 +20,7 @@ from agdopt.models import (
     rng_stream,
     two_moons,
 )
+from conftest import peak_traced_bytes
 
 
 # ---------------------------------------------------------------- rng streams
@@ -163,6 +164,55 @@ def test_loss_grad_rejects_bad_shapes():
         mlp_loss_grad(spec, params[:-1], np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(ShapeError):
         mlp_loss_grad(spec, params, np.zeros((0, 2)), np.zeros(0))
+
+
+@pytest.mark.parametrize("loss", ["logistic", "softmax_ce", "squared"])
+def test_loss_grad_refuses_targets_off_the_batch(loss):
+    # a (1,) target array was broadcast over a batch of 2 and a loss came
+    # back; (2, 1) logistic targets were broadcast to (2, 2); other misfits
+    # raised NumPy's ValueError or IndexError
+    spec = MlpSpec(2, 4, 1 if loss == "logistic" else 2, "tanh", loss)
+    params = init_params(spec, 0)
+    x = np.ones((2, 2))
+    bad = [np.array([1]), np.array([1, 0, 1]), np.array(1), np.ones((2, 3), np.int64)]
+    bad += [np.array([[1], [0]])] * (loss != "squared")
+    for targets in bad:
+        with pytest.raises(ShapeError, match="targets"):
+            mlp_loss_grad(spec, params, x, targets)
+
+
+def test_squared_targets_of_one_column_broadcast_over_the_outputs():
+    spec = MlpSpec(2, 4, 2, "tanh", "squared")
+    params = init_params(spec, 0) + 0.1
+    x, t = np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([1.0, -2.0])
+    f, g = mlp_loss_grad(spec, params, x, np.column_stack([t, t]))
+    for targets in (t, t[:, None], t.astype(np.int64)):
+        f_b, g_b = mlp_loss_grad(spec, params, x, targets)
+        assert f_b == f and g_b.tobytes() == g.tobytes()
+
+
+def test_softmax_labels_are_integers_in_range():
+    # -1 scored the last class, and a label past the last class or a float
+    # label raised IndexError
+    spec = MlpSpec(2, 4, 3, "relu", "softmax_ce")
+    params = init_params(spec, 0)
+    x = np.ones((2, 2))
+    for labels in ([0, -1], [3, 0], [0.0, 1.0], [True, False]):
+        with pytest.raises(ConfigError, match=r"labels must be integers in \[0, 3\)"):
+            mlp_loss_grad(spec, params, x, np.array(labels))
+    for labels in (np.array([0, 2]), np.array([2, 1], np.uint8)):
+        mlp_loss_grad(spec, params, x, labels)
+
+
+def test_predict_checks_its_inputs():
+    # a 1-D point raised IndexError; another width raised NumPy's ValueError
+    spec = MlpSpec(2, 4, 1)
+    params = init_params(spec, 0)
+    for x in (np.ones(2), np.ones((3, 5)), np.ones((0, 2)), np.ones((1, 1, 2))):
+        with pytest.raises(ShapeError):
+            mlp_predict(spec, params, x)
+    with pytest.raises(ShapeError):
+        mlp_predict(spec, params[:-1], np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------- loss heads
@@ -477,6 +527,27 @@ def test_loss_grad_into_a_destination_keeps_the_bits(loss, activation, batch):
     f_into, g_into = mlp_loss_grad(spec, params, inputs, targets, grad=dest)
     assert f_into == f and g_into is dest
     assert dest.tobytes() == g.tobytes() and np.isnan(block[0]).all()
+
+
+@pytest.mark.parametrize("batch, units", [(1, 1.6), (4, 2.5 * 4)])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("loss", ["logistic", "softmax_ce", "squared"])
+def test_loss_grad_into_a_destination_holds_few_hidden_arrays(loss, activation, batch, units):
+    # the activation is computed in place of the pre-activation, and at batch
+    # 1 dL/dhid and dL/dpre are built in db1's slot of the destination: the
+    # call holds one hidden-width array and two (batch, hidden) arrays at
+    # batch 4. Relu's mask adds an eighth of one, and NumPy's fixed ufunc
+    # buffers (64 KiB, or 128 KiB for dW2 with two outputs) up to half of one
+    # more at this width. Fresh pre-activation, activation and dL/dpre arrays
+    # held three of each
+    hidden = 32768
+    spec = MlpSpec(2, hidden, 1 if loss == "logistic" else 2, activation, loss)
+    rng = rng_stream(14, 0)
+    params = 0.01 * rng.standard_normal(spec.n_params)
+    inputs, labels = rng.standard_normal((batch, 2)), rng.integers(0, 2, size=batch)
+    grad = np.empty(spec.n_params)
+    peak = peak_traced_bytes(lambda: mlp_loss_grad(spec, params, inputs, labels, grad=grad))
+    assert peak < units * 8 * hidden, peak / (8 * hidden)
 
 
 def test_loss_grad_refuses_a_bad_destination():
