@@ -686,6 +686,37 @@ class IdentityGradProblem:
         return 0.0, w.copy()
 
 
+def _identity_run_peak(name):
+    """The traced peak, in n-vectors, of a lone 4-step run on
+    IdentityGradProblem that takes a histogram at its last step."""
+    n = 4 * CHUNK + 1
+    peak = peak_traced_bytes(
+        lambda: record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10))
+    return peak / (8 * n)
+
+
+@pytest.mark.parametrize("name, vectors", [("agd", {"m", "b"}),
+                                           ("agd_amsgrad", {"m", "b"}),
+                                           ("adam", {"m", "b"})])
+def test_run_loop_holds_two_state_vectors_per_set(name, vectors):
+    # AGD's state is two vectors, the size of Adam's; a third state vector
+    # would add one to the run's peak (about 5.79 vectors, see
+    # test_run_loop_steps_the_iterate_in_place for the tighter bound)
+    assert {f for f, v in vars(init_state(name, 4 * CHUNK + 1, HP)).items()
+            if isinstance(v, np.ndarray)} == vectors
+    peak = _identity_run_peak(name)
+    assert peak < 10, peak
+
+
+@pytest.mark.parametrize("name, vectors", [("agd", 8), ("agd_amsgrad", 8), ("adam", 8),
+                                           ("sgd", 6)])
+def test_run_loop_steps_one_state_in_place(name, vectors):
+    # one state set stepped in place: a second set would add two vectors (one
+    # for SGD) to the run's peak
+    peak = _identity_run_peak(name)
+    assert peak < vectors, peak
+
+
 @pytest.mark.parametrize("name, vectors", [("agd", 6), ("agd_amsgrad", 6), ("adam", 6),
                                            ("adamw", 6), ("adabelief", 6), ("sgd", 4.5)])
 def test_run_loop_steps_the_iterate_in_place(name, vectors):
@@ -696,12 +727,11 @@ def test_run_loop_steps_the_iterate_in_place(name, vectors):
     # gradient, which is copied into the buffer, and the kernel's chunk
     # scratches), SGD's at about 4.0. A third state vector, a fresh w' or a
     # whole-vector estimate would add one vector each
-    n = 4 * CHUNK + 1
-    fields = {f for f, v in vars(init_state(name, n, HP)).items() if isinstance(v, np.ndarray)}
+    fields = {f for f, v in vars(init_state(name, 4 * CHUNK + 1, HP)).items()
+              if isinstance(v, np.ndarray)}
     assert fields == ({"m"} if name == "sgd" else {"m", "b"})
-    peak = peak_traced_bytes(
-        lambda: record_run(IdentityGradProblem(n), name, HP, steps=4, snapshot_every=10))
-    assert peak < vectors * 8 * n, peak / (8 * n)
+    peak = _identity_run_peak(name)
+    assert peak < vectors, peak
 
 
 def test_a_wide_mlp_run_holds_one_gradient():
